@@ -24,11 +24,9 @@ from .errors import (
     ResolutionError,
     SampleDiscardError,
     StageError,
-    StripBoundary,
 )
 from .maps import (
     AffineConjugacy,
-    BranchMap,
     FiberMap,
     GhmSpec,
     HyperbolicityReport,

@@ -55,8 +55,8 @@ def write_blob(path, kind, meta, arrays):
     return hashlib.sha256(blob).hexdigest()
 
 
-def read_blob(path, expect_kind=None):
-    """Load a container, verifying magic, version and payload digest."""
+def _read_header(path):
+    """Check magic, version and header of a container; (header, payload)."""
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
         raise CacheError(f"{path}: not a cache file")
@@ -70,7 +70,12 @@ def read_blob(path, expect_kind=None):
         header = json.loads(raw[start: start + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"{path}: unreadable header ({exc})") from exc
-    payload = raw[start + hlen:]
+    return header, raw[start + hlen:]
+
+
+def read_blob(path, expect_kind=None):
+    """Load a container, verifying magic, version and payload digest."""
+    header, payload = _read_header(path)
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         raise CacheError(f"{path}: payload digest mismatch (truncated or edited)")
@@ -87,20 +92,7 @@ def read_blob(path, expect_kind=None):
 
 def blob_kind(path):
     """Read only the kind tag of a container (still verifies the header)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
-        raise CacheError(f"{path}: not a cache file")
-    version, hlen = struct.unpack_from("<IQ", raw, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise CacheError(
-            f"{path}: format version {version}, this build reads {FORMAT_VERSION}; "
-            "regenerate the cache")
-    start = len(MAGIC) + 12
-    try:
-        header = json.loads(raw[start: start + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheError(f"{path}: unreadable header ({exc})") from exc
-    return header["kind"]
+    return _read_header(path)[0]["kind"]
 
 
 def file_sha256(path):

@@ -118,9 +118,6 @@ def fatness_fit(spec, depth_max, depth_min=2, x_grid_n=65, budget=400_000):
 # manifold envelopes
 
 
-_tail_hull_cache = {}
-
-
 def tail_slope_hull(spec, tail_depth=48, u_grid_n=257):
     """Slope interval containing every manifold slope after many steps.
 
@@ -129,9 +126,6 @@ def tail_slope_hull(spec, tail_depth=48, u_grid_n=257):
     positions; cone invariance makes the iterates nested, which is also
     enforced numerically.
     """
-    key = (spec.map_hash, tail_depth, u_grid_n)
-    if key in _tail_hull_cache:
-        return _tail_hull_cache[key]
     ug = np.linspace(0.0, 1.0, u_grid_n)
     plo, phi = -spec.alpha, spec.alpha
     for _ in range(tail_depth):
@@ -151,19 +145,19 @@ def tail_slope_hull(spec, tail_depth=48, u_grid_n=257):
             plo, phi = lo_new, hi_new
             break
         plo, phi = lo_new, hi_new
-    _tail_hull_cache[key] = (plo, phi)
     return plo, phi
 
 
-def manifold_envelope(spec, word, x_grid, tail_depth=48):
+def manifold_envelope(spec, word, x_grid, hull):
     """Per-x position and slope hulls of all tail manifolds through a word.
 
     Returns (pos_lo, pos_hi, slope_lo, slope_hi) arrays over x_grid.  The
     word composes into affine coefficients of the tail position (in [0,1])
-    and the tail slope (in the tail hull), evaluated pointwise.
+    and the tail slope (in ``hull``, the ``tail_slope_hull`` of ``spec``),
+    evaluated pointwise.
     """
     word = check_word(spec, word)
-    tlo, thi = tail_slope_hull(spec, tail_depth=tail_depth)
+    tlo, thi = hull
     X = np.asarray(x_grid, dtype=float)
     A = np.ones_like(X)
     B = np.zeros_like(X)
@@ -261,8 +255,9 @@ def classify_transversal(spec, word_a, word_b, delta,
     word_a = check_word(spec, word_a)
     word_b = check_word(spec, word_b)
     xg = np.linspace(0.0, 1.0, x_grid_n)
-    env_a = manifold_envelope(spec, word_a, xg, tail_depth=tail_depth)
-    env_b = manifold_envelope(spec, word_b, xg, tail_depth=tail_depth)
+    hull = tail_slope_hull(spec, tail_depth=tail_depth)
+    env_a = manifold_envelope(spec, word_a, xg, hull)
+    env_b = manifold_envelope(spec, word_b, xg, hull)
     pos_gap, slope_gap = _gap_arrays(env_a, env_b)
     margin = spec.alpha * (xg[1] - xg[0]) + _FP_MARGIN
     status, witness = _decide(pos_gap, slope_gap, delta, margin, xg)
@@ -328,15 +323,14 @@ class NtrSumReport:
         }
 
 
-def _symbol_pair_transversal(spec, delta, xg, tail_depth, margin):
+def _symbol_pair_transversal(spec, delta, xg, hull, margin):
     """Leading-symbol pairs whose single-symbol words already separate.
 
     A separated pair of hulls stays separated for every deeper extension
     (extensions only shrink the hulls), so such leads prune whole blocks.
     """
     n = spec.n_strips
-    envs = [manifold_envelope(spec, (s,), xg, tail_depth=tail_depth)
-            for s in range(1, n + 1)]
+    envs = [manifold_envelope(spec, (s,), xg, hull) for s in range(1, n + 1)]
     pruned = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -363,7 +357,8 @@ def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
     inv = m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget)
     xg = inv.x_grid
     margin = spec.alpha * (xg[1] - xg[0]) + _FP_MARGIN
-    pruned = _symbol_pair_transversal(spec, delta, xg, tail_depth, margin)
+    hull = tail_slope_hull(spec, tail_depth=tail_depth)
+    pruned = _symbol_pair_transversal(spec, delta, xg, hull, margin)
 
     idx = [k for k, w in enumerate(inv.words) if len(w) > 0]
     firsts = {k: inv.words[k][0] for k in idx}
@@ -375,8 +370,7 @@ def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
     def env(i):
         got = env_cache.get(i)
         if got is None:
-            got = manifold_envelope(spec, inv.words[i], xg,
-                                    tail_depth=tail_depth)
+            got = manifold_envelope(spec, inv.words[i], xg, hull)
             env_cache[i] = got
         return got
 

@@ -1,9 +1,6 @@
 """Exception hierarchy shared by the whole package.
 
-Two of these are *signals* rather than failures: ``StripBoundary`` tells the
-caller a base point sits exactly on a strip boundary (the caller picks a
-side), and an empty fiber is reported by returning ``None`` from the
-geometry routines, not by raising.  Everything else is a genuine error.
+Every class here is a genuine error; each derives from ``HorseshoeError``.
 """
 
 
@@ -22,19 +19,6 @@ class OutOfDomainError(HorseshoeError):
         super().__init__(message)
         self.strip = strip
         self.point = point
-
-
-class StripBoundary(HorseshoeError):
-    """Signal: a base point coincides with a strip boundary.
-
-    Carries the indices of the strips meeting at the point so the caller can
-    choose a side.
-    """
-
-    def __init__(self, x, strips):
-        super().__init__(f"base point {x!r} lies on a strip boundary {strips}")
-        self.x = x
-        self.strips = tuple(strips)
 
 
 class ItineraryError(HorseshoeError):

@@ -1,12 +1,11 @@
-"""Piecewise hyperbolic strip maps on the unit square.
+"""Skew-product strip maps on the unit square.
 
-The data model is a finite family of full-height strips, each carried by a
-branch diffeomorphism into the square, expanding horizontally and contracting
-vertically.  Built-in instances are skew products: the base coordinate moves
-by a full expanding branch onto [0,1] and the fiber coordinate is contracted
-by a map that may depend on the base point.  Analysis routines work on the
-extended domain [0,1] x J where J is a slightly enlarged fiber interval, so
-that image strips keep a safety margin around their unextended cores.
+A map is a finite family of full-height vertical strips tiling the square.
+On strip i the base coordinate moves by an affine expanding branch onto
+[0,1], and the fiber coordinate is contracted by a map that may depend on
+the base point.  Analysis routines work on the extended domain [0,1] x J
+where J is a slightly enlarged fiber interval, so that image strips keep a
+safety margin around their unextended cores.
 
 Branch fiber maps are parametrized by the *arrival* base point u = g(x).
 That convention makes compositions along itineraries cheap: walking a word
@@ -112,29 +111,9 @@ def affine_fiber(slope, offset, dslope, doffset, d2slope=None, d2offset=None):
 
 @dataclass(frozen=True)
 class Strip:
-    """A full-height strip of the square, plus its extension to the J-domain.
-
-    Boundaries are graphs x = boundary(y); skew-product strips have constant
-    boundaries equal to the base interval endpoints.
-    """
+    """A full-height vertical strip of the square over its base interval."""
 
     base_interval: tuple
-    extended_base: tuple
-    left_boundary: Callable
-    right_boundary: Callable
-
-    @staticmethod
-    def vertical(lo, hi):
-        return Strip(
-            base_interval=(float(lo), float(hi)),
-            extended_base=(float(lo), float(hi)),
-            left_boundary=_const(float(lo)),
-            right_boundary=_const(float(hi)),
-        )
-
-    @property
-    def width(self):
-        return self.base_interval[1] - self.base_interval[0]
 
 
 @dataclass(frozen=True)
@@ -150,50 +129,6 @@ class SkewBranch:
 
     def base_inverse(self, u):
         return (np.asarray(u, dtype=float) - self.base_offset) / self.base_slope
-
-
-@dataclass(frozen=True)
-class BranchMap:
-    """General branch interface: forward/inverse maps and derivative tables.
-
-    ``jacobian`` returns [[F1x, F1y], [F2x, F2y]], ``second`` the six second
-    partials as [[F1xx, F1xy, F1yy], [F2xx, F2xy, F2yy]].
-    """
-
-    forward: Callable
-    inverse: Callable
-    jacobian: Callable
-    second: Callable
-
-
-def _branch_from_skew(sk: SkewBranch) -> BranchMap:
-    fm = sk.fiber
-    m = sk.base_slope
-
-    def forward(x, y):
-        u = sk.base_forward(x)
-        return u, fm.value(u, y)
-
-    def inverse(u, v):
-        x = sk.base_inverse(u)
-        if fm.invert is not None:
-            return x, fm.invert(u, v)
-        return x, _invert_fiber_bisect(fm, u, v)
-
-    def jacobian(x, y):
-        u = sk.base_forward(x)
-        f2x = fm.du(u, y) * m
-        f2y = fm.dy(u, y)
-        return np.array([[m, 0.0], [float(f2x), float(f2y)]])
-
-    def second(x, y):
-        u = sk.base_forward(x)
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [float(fm.duu(u, y)) * m * m, float(fm.dyu(u, y)) * m, float(fm.dyy(u, y))],
-        ])
-
-    return BranchMap(forward=forward, inverse=inverse, jacobian=jacobian, second=second)
 
 
 def _invert_fiber_bisect(fm, u, v, lo=-10.0, hi=10.0, iters=80):
@@ -233,23 +168,22 @@ class AffineConjugacy:
 
 @dataclass(frozen=True)
 class GhmSpec:
-    """Immutable description of a strip map instance.
+    """Immutable description of a skew-product instance.
 
-    ``alpha`` is the cone aperture (max-norm sectors around the horizontal /
-    vertical axes), ``k0`` the claimed one-step expansion floor for vectors in
-    those cones.  ``extended_fiber`` is the interval J strictly containing
-    [0,1] used by all strip-geometry analysis.
+    ``skew`` holds one SkewBranch per strip.  ``alpha`` is the cone aperture
+    (max-norm sectors around the horizontal / vertical axes), ``k0`` the
+    claimed one-step expansion floor for vectors in those cones.
+    ``extended_fiber`` is the interval J strictly containing [0,1] used by
+    all strip-geometry analysis.
     """
 
     strips: tuple
-    branches: tuple
     alpha: float
     k0: float
     extended_fiber: tuple
-    kind: str
     label: str
     params: tuple
-    skew: Optional[tuple] = None
+    skew: tuple
     conjugacy: Optional[AffineConjugacy] = None
 
     def __post_init__(self):
@@ -261,7 +195,7 @@ class GhmSpec:
         if not (jlo < 0.0 < 1.0 < jhi):
             raise ParameterError(
                 f"extended fiber must strictly contain [0,1], got {self.extended_fiber}")
-        if len(self.strips) != len(self.branches):
+        if len(self.strips) != len(self.skew):
             raise ParameterError("one branch per strip required")
         lo = 0.0
         for s in self.strips:
@@ -277,10 +211,6 @@ class GhmSpec:
     @property
     def n_strips(self):
         return len(self.strips)
-
-    @property
-    def fiber(self):
-        return self.extended_fiber
 
     @property
     def fiber_len(self):
@@ -305,24 +235,12 @@ class GhmSpec:
                 "alpha": self.alpha,
                 "k0": self.k0,
                 "fiber": list(self.extended_fiber),
-                "kind": self.kind,
+                "kind": "skew_product",
                 "n": self.n_strips,
             },
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def strip_index_of(self, x):
-        """1-based strip index of a base point; raises on boundary ambiguity.
-
-        Boundary points are reported via the index of the strip to the left
-        only when x is 0 or 1; interior breaks raise ``StripBoundary`` in
-        :func:`horseshoe.measures.factor_map_eval`, while this helper snaps
-        to the right-hand strip (useful for closed-strip membership checks).
-        """
-        breaks = self.base_breaks
-        i = int(np.searchsorted(breaks, x, side="right")) - 1
-        return int(np.clip(i, 0, self.n_strips - 1)) + 1
 
     def fiber_slope_bounds(self, grid_n=257):
         """Per-strip (min, max) of |d psi / d y| over [0,1] x J."""
@@ -351,23 +269,17 @@ def make_baker(lam, alpha=0.5, extended_fiber=(-0.1, 1.1)):
     lam = float(lam)
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"contraction must be in (0,1), got {lam}")
-    strips = (Strip.vertical(0.0, 0.5), Strip.vertical(0.5, 1.0))
+    strips = (Strip((0.0, 0.5)), Strip((0.5, 1.0)))
     skew = (
         SkewBranch(2.0, 0.0, affine_fiber(lam, 0.0, 0.0, 0.0)),
         SkewBranch(2.0, -1.0, affine_fiber(lam, 1.0 - lam, 0.0, 0.0)),
     )
     k0 = min(2.0, 1.0 / lam)
-    if k0 <= 1.0:
-        # lam >= 1 is already rejected; this is unreachable but kept for
-        # symmetry with the general constructor.
-        raise ParameterError("no expansion floor above 1 for this contraction")
     return GhmSpec(
         strips=strips,
-        branches=tuple(_branch_from_skew(s) for s in skew),
         alpha=float(alpha),
         k0=k0,
         extended_fiber=tuple(float(v) for v in extended_fiber),
-        kind="skew_product",
         label="baker",
         params=(("lambda", lam),),
         skew=skew,
@@ -397,7 +309,7 @@ def make_affine_example(a, b, alpha=None, extended_fiber=(-0.1, 1.1)):
     def offset1(u):
         return (1.0 - a) * np.asarray(u, dtype=float) * (a - b)
 
-    strips = (Strip.vertical(0.0, 0.5), Strip.vertical(0.5, 1.0))
+    strips = (Strip((0.0, 0.5)), Strip((0.5, 1.0)))
     skew = (
         SkewBranch(2.0, 0.0, affine_fiber(sigma, offset1, b - a, (1.0 - a) * (a - b))),
         SkewBranch(2.0, -1.0, affine_fiber(sigma, 0.0, b - a, 0.0)),
@@ -417,11 +329,9 @@ def make_affine_example(a, b, alpha=None, extended_fiber=(-0.1, 1.1)):
     k0 = min(2.0, (1.0 - alpha * f2x_max / 2.0) / f2y_max)
     return GhmSpec(
         strips=strips,
-        branches=tuple(_branch_from_skew(s) for s in skew),
         alpha=float(alpha),
         k0=k0,
         extended_fiber=(jlo, jhi),
-        kind="skew_product",
         label="affine_example",
         params=(("a", a), ("b", b)),
         skew=skew,
@@ -445,7 +355,7 @@ def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
         raise ParameterError("breaks must increase from 0 to 1")
     if len(fiber_maps) != len(breaks) - 1:
         raise ParameterError("one fiber map per base interval required")
-    strips = tuple(Strip.vertical(b1, b2) for b1, b2 in zip(breaks, breaks[1:]))
+    strips = tuple(Strip((b1, b2)) for b1, b2 in zip(breaks, breaks[1:]))
     skew = []
     for (b1, b2), fm in zip(zip(breaks, breaks[1:]), fiber_maps):
         m = 1.0 / (b2 - b1)
@@ -472,11 +382,9 @@ def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
             k0 = min(m_min, (1.0 - alpha * f2x_max / m_min) / f2y_max)
     return GhmSpec(
         strips=strips,
-        branches=tuple(_branch_from_skew(s) for s in skew),
         alpha=float(alpha),
         k0=float(k0),
         extended_fiber=(jlo, jhi),
-        kind="skew_product",
         label=label,
         params=tuple(params),
         skew=skew,
@@ -511,18 +419,22 @@ def apply_branch(spec, i, z, direction="forward", frame="unit"):
         raise ParameterError(f"unknown frame {frame!r}")
     _check_index(spec, i)
     x, y = float(z[0]), float(z[1])
-    strip = spec.strips[i - 1]
+    sk = spec.skew[i - 1]
+    fm = sk.fiber
     jlo, jhi = spec.extended_fiber
-    lo, hi = strip.extended_base
+    lo, hi = spec.strips[i - 1].base_interval
     if direction == "forward":
         if not (lo - _EDGE_TOL <= x <= hi + _EDGE_TOL and jlo - _EDGE_TOL <= y <= jhi + _EDGE_TOL):
             raise OutOfDomainError(
                 f"point {z} outside strip {i} domain [{lo},{hi}] x J", strip=i, point=z)
-        u, v = spec.branches[i - 1].forward(x, y)
-        return float(u), float(v)
+        u = sk.base_forward(x)
+        return float(u), float(fm.value(u, y))
     if direction == "inverse":
-        px, py = spec.branches[i - 1].inverse(x, y)
-        px, py = float(px), float(py)
+        px = float(sk.base_inverse(x))
+        if fm.invert is not None:
+            py = float(fm.invert(x, y))
+        else:
+            py = float(_invert_fiber_bisect(fm, x, y))
         if not (lo - 1e-9 <= px <= hi + 1e-9 and jlo - 1e-9 <= py <= jhi + 1e-9):
             raise OutOfDomainError(
                 f"point {z} has no branch-{i} preimage in its strip", strip=i, point=z)
@@ -534,16 +446,21 @@ def branch_derivative(spec, i, z, order=1):
     """First (2x2) or second (2x3, six partials) derivative table of branch i."""
     _check_index(spec, i)
     x, y = float(z[0]), float(z[1])
-    strip = spec.strips[i - 1]
-    lo, hi = strip.extended_base
+    lo, hi = spec.strips[i - 1].base_interval
     jlo, jhi = spec.extended_fiber
     if not (lo - _EDGE_TOL <= x <= hi + _EDGE_TOL and jlo - _EDGE_TOL <= y <= jhi + _EDGE_TOL):
         raise OutOfDomainError(
             f"point {z} outside strip {i} domain", strip=i, point=z)
+    sk = spec.skew[i - 1]
+    fm, m = sk.fiber, sk.base_slope
+    u = sk.base_forward(x)
     if order == 1:
-        return spec.branches[i - 1].jacobian(x, y)
+        return np.array([[m, 0.0], [float(fm.du(u, y) * m), float(fm.dy(u, y))]])
     if order == 2:
-        return spec.branches[i - 1].second(x, y)
+        return np.array([
+            [0.0, 0.0, 0.0],
+            [float(fm.duu(u, y)) * m * m, float(fm.dyu(u, y)) * m, float(fm.dyy(u, y))],
+        ])
     raise ParameterError(f"derivative order must be 1 or 2, got {order}")
 
 
@@ -644,37 +561,23 @@ def validate_hyperbolicity(spec, grid_n=512):
         if better:
             stats[name] = (v, (strip_i, float(xx.flat[k]), float(yy.flat[k])))
 
-    for si, (strip, branch) in enumerate(zip(spec.strips, spec.branches), start=1):
+    for si, (strip, sk) in enumerate(zip(spec.strips, spec.skew), start=1):
         lo, hi = strip.base_interval
         xg = np.linspace(lo, hi, grid_n)
         yg = np.linspace(jlo, jhi, grid_n)
         xx, yy = np.meshgrid(xg, yg, indexing="ij")
-        if spec.skew is not None:
-            sk = spec.skew[si - 1]
-            m = sk.base_slope
-            uu = sk.base_forward(xx)
-            f1x = np.full_like(xx, m)
-            f1y = np.zeros_like(xx)
-            f2x = np.asarray(sk.fiber.du(uu, yy), dtype=float) * m
-            f2y = np.asarray(sk.fiber.dy(uu, yy), dtype=float)
-            sec = np.stack([
-                np.zeros_like(xx), np.zeros_like(xx), np.zeros_like(xx),
-                np.asarray(sk.fiber.duu(uu, yy), dtype=float) * m * m,
-                np.asarray(sk.fiber.dyu(uu, yy), dtype=float) * m,
-                np.asarray(sk.fiber.dyy(uu, yy), dtype=float),
-            ])
-        else:
-            f1x = np.empty_like(xx)
-            f1y = np.empty_like(xx)
-            f2x = np.empty_like(xx)
-            f2y = np.empty_like(xx)
-            sec = np.empty((6,) + xx.shape)
-            for idx in np.ndindex(xx.shape):
-                d1 = branch.jacobian(xx[idx], yy[idx])
-                d2 = branch.second(xx[idx], yy[idx])
-                f1x[idx], f1y[idx] = d1[0, 0], d1[0, 1]
-                f2x[idx], f2y[idx] = d1[1, 0], d1[1, 1]
-                sec[(slice(None),) + idx] = d2.reshape(6)
+        m = sk.base_slope
+        uu = sk.base_forward(xx)
+        f1x = np.full_like(xx, m)
+        f1y = np.zeros_like(xx)
+        f2x = np.asarray(sk.fiber.du(uu, yy), dtype=float) * m
+        f2y = np.asarray(sk.fiber.dy(uu, yy), dtype=float)
+        sec = np.stack([
+            np.zeros_like(xx), np.zeros_like(xx), np.zeros_like(xx),
+            np.asarray(sk.fiber.duu(uu, yy), dtype=float) * m * m,
+            np.asarray(sk.fiber.dyu(uu, yy), dtype=float) * m,
+            np.asarray(sk.fiber.dyy(uu, yy), dtype=float),
+        ])
 
         absf1x = np.abs(f1x)
         push("eq5", np.abs(f1y) / absf1x, xx, yy, si, "max")

@@ -10,7 +10,6 @@ criterion integrates squared sliding-window masses of those conditionals.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,11 +19,9 @@ import scipy.sparse
 
 from .errors import (
     ConvergenceError,
-    OutOfDomainError,
     ParameterError,
     ResolutionError,
     SampleDiscardError,
-    StripBoundary,
 )
 from .maps import GhmSpec
 
@@ -35,20 +32,6 @@ _CHUNK = 1 << 18
 
 # ---------------------------------------------------------------------------
 # base factor
-
-
-def factor_map_eval(spec, x):
-    """Base factor value at x; strip boundaries raise a side-choice signal."""
-    x = float(x)
-    if not (-_BOUNDARY_TOL <= x <= 1.0 + _BOUNDARY_TOL):
-        raise OutOfDomainError(f"base point {x} outside [0,1]", point=x)
-    breaks = spec.base_breaks
-    for k in range(1, spec.n_strips):
-        if abs(x - breaks[k]) <= _BOUNDARY_TOL:
-            raise StripBoundary(x, (k, k + 1))
-    i = spec.strip_index_of(min(max(x, 0.0), 1.0))
-    sk = spec.skew[i - 1]
-    return float(sk.base_forward(x))
 
 
 @dataclass(frozen=True)
@@ -207,9 +190,6 @@ class SrbEstimate:
     def column_mass(self):
         return self.cond_counts.sum(axis=1) / self.kept
 
-    def x_marginal_masses(self):
-        return self.column_mass()
-
     def conditionals(self):
         """Per-column probability vectors over the fiber bins (rows sum to 1)."""
         counts = self.cond_counts.astype(float)
@@ -272,8 +252,6 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         raise ParameterError("need at least one iteration to leave the base line")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
-    if spec.skew is None:
-        raise ParameterError("lifting needs a skew-product instance")
     jlo, jhi = spec.extended_fiber
     if keep_samples is None:
         keep_samples = n_samples <= 2_000_000

@@ -13,10 +13,15 @@ scale r -- walks the word tree depth first, carrying the arrival-point grid
 of each node's deep end plus the affine coefficients of the composed fiber
 action, so each child costs O(grid).  Where a node has some children at or
 above scale r and some below, the below-scale children are emitted along
-with the deeper descendants; the result is then always an exact partition
-of the base (their base intervals tile [0,1]) while agreeing with the plain
-"maximal word" rule whenever sibling widths cross the threshold together
-(they do for both built-in families, whose sibling widths coincide).
+with the deeper descendants.  The family is prefix-free, so the base
+lengths sum to one (sum |I_w| = 1), and it agrees with the plain "maximal
+word" rule whenever sibling widths cross the threshold together.
+
+The base intervals need not tile [0,1], though.  A word grows by appending
+the symbol that acts first, so I_ws is not contained in I_w.  A family of
+uniform depth (the baker family) still tiles; one of mixed depths may
+overlap and leave gaps.  For the affine family a = 0.8, b = 0.55 the
+intervals of M(2^-4) cover only about 0.77 of [0,1].
 """
 
 from __future__ import annotations
@@ -72,20 +77,13 @@ def backward_orbit(spec, word, x):
     return orbit
 
 
-def _require_skew(spec):
-    if spec.skew is None:
-        raise ParameterError("cylinder geometry needs a skew-product instance")
-
-
 def fiber_image(spec, word, x, hat=False):
     """Fiber interval U_w(x) (or the extended version over J) at base point x.
 
     Pushes the full fiber from the deep end of the word toward the arrival
     point.  Returns (lo, hi) as floats for scalar x, arrays otherwise.
-    For full-branch skew products every itinerary is feasible; an infeasible
-    one (only possible for non-full custom bases) yields ``None``.
+    Every branch is full, so every itinerary is feasible.
     """
-    _require_skew(spec)
     word = check_word(spec, word)
     orbit = backward_orbit(spec, word, x)
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
@@ -110,7 +108,6 @@ def fiber_image(spec, word, x, hat=False):
 
 def fiber_width_fn(spec, word):
     """Vectorized x -> |hat U_w(x)|, exact for affine-in-y fibers."""
-    _require_skew(spec)
     word = check_word(spec, word)
     jlen = spec.fiber_len
     all_affine = all(spec.skew[s - 1].fiber.affine for s in word)
@@ -127,62 +124,6 @@ def fiber_width_fn(spec, word):
         return w
 
     return width
-
-
-@dataclass(frozen=True)
-class CylinderGeom:
-    """Sampled geometry of one word: base interval, fiber images, diameter."""
-
-    word: tuple
-    base_interval: tuple
-    x_grid: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    hat_lo: np.ndarray
-    hat_hi: np.ndarray
-    diameter: float
-
-    @property
-    def widths(self):
-        return self.hat_hi - self.hat_lo
-
-
-def cylinder_geometry(spec, word, x_grid_n=257):
-    word = check_word(spec, word)
-    if x_grid_n < 2:
-        raise ParameterError("need at least 2 base grid points")
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    lo, hi = fiber_image(spec, word, xg, hat=False)
-    hlo, hhi = fiber_image(spec, word, xg, hat=True)
-    return CylinderGeom(
-        word=word,
-        base_interval=base_cylinder(spec, word),
-        x_grid=xg,
-        lo=np.asarray(lo), hi=np.asarray(hi),
-        hat_lo=np.asarray(hlo), hat_hi=np.asarray(hhi),
-        diameter=float(np.max(np.asarray(hhi) - np.asarray(hlo))),
-    )
-
-
-class CylinderCache:
-    """Memoized cylinder geometry keyed by (map hash, word, grid size)."""
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, spec, word, x_grid_n=257):
-        key = (spec.map_hash, tuple(word), x_grid_n)
-        hit = self._store.get(key)
-        if hit is None:
-            hit = cylinder_geometry(spec, word, x_grid_n)
-            self._store[key] = hit
-        return hit
-
-    def __len__(self):
-        return len(self._store)
-
-    def clear(self):
-        self._store.clear()
 
 
 _golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -238,7 +179,7 @@ def _affine_slopes(spec):
 
 @dataclass
 class MInventory:
-    """The family M(r) with per-word scalars (and optional fiber samples)."""
+    """The family M(r) with per-word scalars (and optional envelopes)."""
 
     r: float
     x_grid: np.ndarray
@@ -246,8 +187,6 @@ class MInventory:
     base_lo: np.ndarray
     base_len: np.ndarray
     diam: np.ndarray
-    fiber_scale: list | None = None   # per word: |J|-to-width factor A_w on grid
-    fiber_shift: list | None = None   # per word: image of fiber origin, B_w on grid
     env_pos: list | None = None       # per word: (lo, hi) arrays of U_w on grid
     env_slope: list | None = None     # per word: (lo, hi) manifold slope hulls
 
@@ -257,22 +196,17 @@ class MInventory:
 
 def enumerate_M(spec, r, x_grid_n=65, budget=None):
     """Words of the scale-r family, in left-to-right base order."""
-    return m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget,
-                       keep_fibers=False).words
+    return m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget).words
 
 
-def m_inventory(spec, r, x_grid_n=65, budget=None, keep_fibers=False,
-                tail_hull=None):
-    """Enumerate M(r) with base intervals, diameters, optional fiber data.
+def m_inventory(spec, r, x_grid_n=65, budget=None, tail_hull=None):
+    """Enumerate M(r) with base intervals, diameters, optional envelopes.
 
     Walks the tree depth first.  A node is of the family when its extended
     width is still >= r but every child drops below r; children below r at
-    nodes that stay partly above are emitted too (see module docstring), so
-    the base intervals always tile [0,1] exactly.
-
-    ``keep_fibers`` retains, per emitted word, the composed affine fiber
-    action on the grid (scale and shift), from which both the plain and the
-    extended fiber intervals are recovered; memory is O(|M| * grid).
+    nodes that stay partly above are emitted too (see module docstring).
+    The base lengths sum to one, but the base intervals need not tile
+    [0,1] when the family mixes depths.
 
     ``tail_hull = (lo, hi)`` additionally propagates manifold envelopes: the
     fiber interval of each word together with the slope hull obtained by
@@ -281,7 +215,6 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, keep_fibers=False,
     slope), so the whole word composes into per-grid-point coefficients that
     extend the (scale, shift) pair; envelopes come out of one min/max.
     """
-    _require_skew(spec)
     r = float(r)
     jlen = spec.fiber_len
     if r >= jlen:
@@ -305,8 +238,6 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, keep_fibers=False,
     base_lo = []
     base_len = []
     diam = []
-    scales = [] if keep_fibers else None
-    shifts = [] if keep_fibers else None
     env_pos = [] if track_env else None
     env_slope = [] if track_env else None
 
@@ -315,9 +246,6 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, keep_fibers=False,
         base_lo.append(lo)
         base_len.append(ln)
         diam.append(d)
-        if keep_fibers:
-            scales.append(A.copy())
-            shifts.append(B.copy())
         if track_env:
             sy, sp, s0 = coef
             env_pos.append((B + np.minimum(A, 0.0), B + np.maximum(A, 0.0)))
@@ -383,8 +311,6 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, keep_fibers=False,
         base_lo=np.array(base_lo)[order],
         base_len=np.array(base_len)[order],
         diam=np.array(diam)[order],
-        fiber_scale=[scales[k] for k in order] if keep_fibers else None,
-        fiber_shift=[shifts[k] for k in order] if keep_fibers else None,
         env_pos=[env_pos[k] for k in order] if track_env else None,
         env_slope=[env_slope[k] for k in order] if track_env else None,
     )
@@ -417,7 +343,6 @@ def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
     Breadth-first by depth so a budget cut still leaves complete levels;
     returns (words, base_len array, diam array, deepest complete depth).
     """
-    _require_skew(spec)
     _affine_slopes(spec)
     if depth_max < 1:
         raise ParameterError("need depth_max >= 1")

@@ -13,7 +13,7 @@ from horseshoe.conditions import (
     tail_slope_hull,
 )
 from horseshoe.errors import ParameterError
-from horseshoe.maps import make_baker
+from horseshoe.maps import affine_fiber, make_baker, make_custom_skew
 from horseshoe.symbolic import cylinder_diameter, m_inventory
 
 
@@ -85,8 +85,29 @@ def test_tail_hull_inside_cone(affine, baker06):
         assert -spec.alpha <= lo <= hi <= spec.alpha
 
 
-def test_tail_hull_cached(affine):
-    assert tail_slope_hull(affine) is tail_slope_hull(affine)
+def test_tail_hull_follows_fiber_maps():
+    """Maps that differ only in their fiber maps get their own hulls.
+
+    Both maps share label, params, alpha, k0 and J, so they share a map
+    hash; a hull looked up by that hash would hand the first map's hull
+    to the second.
+    """
+    flat = make_custom_skew((0.0, 0.5, 1.0),
+                            [affine_fiber(0.6, 0.0, 0.0, 0.0),
+                             affine_fiber(0.6, 0.4, 0.0, 0.0)],
+                            alpha=0.5, k0=1.5)
+    sheared = make_custom_skew((0.0, 0.5, 1.0),
+                               [affine_fiber(lambda u: 0.6 + 0.1 * u, 0.0,
+                                             0.1, 0.0),
+                                affine_fiber(0.6, 0.4, 0.0, 0.0)],
+                               alpha=0.5, k0=1.5)
+    assert flat.map_hash == sheared.map_hash
+    lo, hi = tail_slope_hull(flat)
+    assert abs(lo) < 1e-12 and abs(hi) < 1e-12
+    lo, hi = tail_slope_hull(sheared)
+    assert abs(lo) < 1e-12
+    # fixed point of hi = 0.1 + (0.7 / 2) * hi
+    assert hi == pytest.approx(0.1 / 0.65, rel=1e-9)
 
 
 def test_tail_hull_shrinks_with_depth(affine):
@@ -100,7 +121,7 @@ def test_envelope_matches_inventory_route(affine):
     hull = tail_slope_hull(affine)
     inv = m_inventory(affine, 0.12, x_grid_n=33, tail_hull=hull)
     for k, word in enumerate(inv.words):
-        plo, phi, slo, shi = manifold_envelope(affine, word, inv.x_grid)
+        plo, phi, slo, shi = manifold_envelope(affine, word, inv.x_grid, hull)
         assert np.abs(inv.env_pos[k][0] - plo).max() < 1e-12
         assert np.abs(inv.env_pos[k][1] - phi).max() < 1e-12
         assert np.abs(inv.env_slope[k][0] - slo).max() < 1e-12
@@ -109,7 +130,8 @@ def test_envelope_matches_inventory_route(affine):
 
 def test_envelope_position_is_hat_strip(baker06):
     xg = np.linspace(0.0, 1.0, 17)
-    plo, phi, slo, shi = manifold_envelope(baker06, (1, 2), xg)
+    plo, phi, slo, shi = manifold_envelope(baker06, (1, 2), xg,
+                                           tail_slope_hull(baker06))
     # depth-2 strip of the doubling skew: 0.36*y + 0.6*0.4, y in [0,1]
     assert np.abs(plo - 0.24).max() < 1e-12
     assert np.abs(phi - 0.6).max() < 1e-12

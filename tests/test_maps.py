@@ -102,6 +102,14 @@ def test_inverse_rejects_point_outside_image(baker06):
         apply_branch(baker06, 1, (0.4, 1.05), direction="inverse")
 
 
+def test_builtin_map_hashes_are_pinned():
+    """Checkpoints and inventories written earlier are keyed by these."""
+    assert make_baker(0.5).map_hash == (
+        "b5db0869b680e49b804d10dafc330a400216329e889019395deaa2405251c7b0")
+    assert make_affine_example(0.8, 0.55).map_hash == (
+        "94cef89eda7d1205e88e1118f418f5c5cc19028e012a0c1bfd75ee4688339749")
+
+
 def test_k0_matches_family_formula():
     assert abs(make_baker(0.6).k0 - 1.0 / 0.6) < 1e-12
     assert abs(make_baker(0.4).k0 - 2.0) < 1e-12

@@ -99,6 +99,16 @@ def test_scale_family_invariants(lam, r_frac):
     assert abs(inv.mass() - 1.0) < 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="M(r) grows words by appending the "
+                   "first-acting symbol, so mixed-depth families do not tile")
+def test_affine_scale_family_tiles_base(affine):
+    inv = m_inventory(affine, 2.0 ** -4)
+    ends = inv.base_lo + inv.base_len
+    assert inv.base_lo[0] == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(inv.base_lo[1:] - ends[:-1]).max() < 1e-12
+    assert ends[-1] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_scale_family_word_budget(baker06):
     with pytest.raises(BudgetError):
         m_inventory(baker06, 2.0 ** -12 * 1.2, budget=100)
