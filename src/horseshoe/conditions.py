@@ -13,14 +13,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParameterError
 from .symbolic import (
+    BLOCK,
     check_word,
     cylinder_table,
+    envelope_hulls,
     fiber_image,
+    fiber_step,
     m_inventory,
 )
 
@@ -148,41 +152,51 @@ def tail_slope_hull(spec, tail_depth=48, u_grid_n=257):
     return plo, phi
 
 
+def _envelope_rows(spec, words, x_grid, hull):
+    """Envelopes of many words at once, one row per word.
+
+    Words are composed ``BLOCK`` at a time as rows of a symbol array,
+    zero-padded on the right: at step k the rows whose k-th symbol is s
+    take branch s (``fiber_step``), and padded rows stay put.  Returns
+    (pos_lo, pos_hi, slope_lo, slope_hi), each of shape (words, grid).
+    """
+    xg = np.asarray(x_grid, dtype=float)
+    out = [np.empty((len(words), xg.size)) for _ in range(4)]
+    for start in range(0, len(words), BLOCK):
+        part = words[start:start + BLOCK]
+        lens = np.array([len(w) for w in part])
+        sym = np.zeros((len(part), lens.max()), dtype=np.intp)
+        sym[np.arange(sym.shape[1]) < lens[:, None]] = list(
+            chain.from_iterable(part))
+        X = np.tile(xg, (len(part), 1))
+        A, B = np.ones_like(X), np.zeros_like(X)
+        coef = [np.zeros_like(X), np.ones_like(X), np.zeros_like(X)]
+        for col in sym.T:
+            for s in np.unique(col[col > 0]).tolist():
+                sk = spec.skew[s - 1]
+                if not sk.fiber.affine:
+                    raise ParameterError("envelopes need affine-in-y fiber maps")
+                rows = np.flatnonzero(col == s)
+                X[rows], A[rows], B[rows], new = fiber_step(
+                    sk, X[rows], A[rows], B[rows], [c[rows] for c in coef])
+                for c, v in zip(coef, new):
+                    c[rows] = v
+        for o, e in zip(out, envelope_hulls(A, B, coef, hull)):
+            o[start:start + len(part)] = e
+    return out
+
+
 def manifold_envelope(spec, word, x_grid, hull):
     """Per-x position and slope hulls of all tail manifolds through a word.
 
     Returns (pos_lo, pos_hi, slope_lo, slope_hi) arrays over x_grid.  The
     word composes into affine coefficients of the tail position (in [0,1])
     and the tail slope (in ``hull``, the ``tail_slope_hull`` of ``spec``),
-    evaluated pointwise.
+    evaluated pointwise; this is the one-word case of the batched
+    composition ``ntr_sum`` uses.
     """
     word = check_word(spec, word)
-    tlo, thi = hull
-    X = np.asarray(x_grid, dtype=float)
-    A = np.ones_like(X)
-    B = np.zeros_like(X)
-    sy = np.zeros_like(X)
-    sp = np.ones_like(X)
-    s0 = np.zeros_like(X)
-    for s in word:
-        sk = spec.skew[s - 1]
-        fib = sk.fiber
-        if not fib.affine:
-            raise ParameterError("envelopes need affine-in-y fiber maps")
-        sv = fib.slope(X)
-        tv = fib.offset(X)
-        spv = fib.dslope(X)
-        tpv = fib.doffset(X)
-        sy, sp, s0 = (sy * sv + sp * spv,
-                      sp * sv / sk.base_slope,
-                      sy * tv + sp * tpv + s0)
-        A, B = A * sv, A * tv + B
-        X = sk.base_inverse(X)
-    pos_lo = B + np.minimum(A, 0.0)
-    pos_hi = B + np.maximum(A, 0.0)
-    slope_lo = s0 + np.minimum(sy, 0.0) + np.minimum(sp * tlo, sp * thi)
-    slope_hi = s0 + np.maximum(sy, 0.0) + np.maximum(sp * tlo, sp * thi)
-    return pos_lo, pos_hi, slope_lo, slope_hi
+    return tuple(e[0] for e in _envelope_rows(spec, [word], x_grid, hull))
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +356,49 @@ def _symbol_pair_transversal(spec, delta, xg, hull, margin):
     return pruned
 
 
+def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
+    """Classify the word pairs (I[k], J[k]) of an inventory.
+
+    Pairs not marked ``live`` (pruned by their leads) are never charged.
+    The envelopes of the words in live pairs are built once, then the live
+    pairs are classified ``BLOCK`` rows at a time.  Returns the charged
+    flags and the charged values vol * |I_a| * |I_b| (zero when uncharged).
+    """
+    charged = np.zeros(len(I), dtype=bool)
+    vals = np.zeros(len(I))
+    ks = np.flatnonzero(live)
+    need = np.unique(np.concatenate((I[ks], J[ks])))
+    row = np.empty(len(inv.words), dtype=np.intp)
+    row[need] = np.arange(len(need))
+    env = _envelope_rows(spec, [inv.words[k] for k in need], xg, hull)
+    for start in range(0, len(ks), BLOCK):
+        kb = ks[start:start + BLOCK]
+        env_a = [e[row[I[kb]]] for e in env]
+        env_b = [e[row[J[kb]]] for e in env]
+        pos_gap, slope_gap = _gap_arrays(env_a, env_b)
+        ch = ~((pos_gap > delta + margin)
+               | (slope_gap > delta + margin)).all(axis=1)
+        pa, qa = env_a[0][ch], env_a[1][ch]
+        pb, qb = env_b[0][ch], env_b[1][ch]
+        inter = np.clip(np.minimum(qa, qb) - np.maximum(pa, pb), 0.0, None)
+        kc = kb[ch]
+        charged[kc] = True
+        vals[kc] = (np.trapezoid(inter, xg, axis=-1)
+                    * inv.base_len[I[kc]] * inv.base_len[J[kc]])
+    return charged, vals
+
+
 def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
             pair_budget=100_000, seed=7, budget=None):
     """Charged-pair volume sum at scale r.
 
-    Enumerates the scale-r family with envelopes, certifies pairs with
-    distinct leading symbols, and sums r^-2 * vol * |I_a| * |I_b| over
-    pairs not certified transversal.  Small families are done exactly;
-    large ones are estimated by stratified sampling over length pairs with
-    a reported standard error.
+    Enumerates the scale-r family and sums r^-2 * vol * |I_a| * |I_b| over
+    pairs with distinct leading symbols that are not certified transversal.
+    Small families are done exactly; large ones are estimated by stratified
+    sampling over length pairs with a reported standard error.  Every pair
+    is drawn first; then the envelopes of the words in pairs whose leads do
+    not already separate are built once each, and the pairs are classified
+    in batches.
     """
     if not delta > 0.0:
         raise ParameterError("need delta > 0")
@@ -359,40 +407,17 @@ def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
     margin = spec.alpha * (xg[1] - xg[0]) + _FP_MARGIN
     hull = tail_slope_hull(spec, tail_depth=tail_depth)
     pruned = _symbol_pair_transversal(spec, delta, xg, hull, margin)
-
-    idx = [k for k, w in enumerate(inv.words) if len(w) > 0]
-    firsts = {k: inv.words[k][0] for k in idx}
-    lens = {k: len(inv.words[k]) for k in idx}
-
-    # envelopes only for words that actually enter a classified pair
-    env_cache = {}
-
-    def env(i):
-        got = env_cache.get(i)
-        if got is None:
-            got = manifold_envelope(spec, inv.words[i], xg, hull)
-            env_cache[i] = got
-        return got
-
-    def pair_value(i, j):
-        """(charged, contribution) for one unordered pair."""
-        if pruned[(firsts[i], firsts[j])]:
-            return False, 0.0
-        pa, qa, sa, za = env(i)
-        pb, qb, sb, zb = env(j)
-        pos_gap = np.maximum(0.0, np.maximum(pa - qb, pb - qa))
-        slope_gap = np.maximum(0.0, np.maximum(sa - zb, sb - za))
-        cert_t = (pos_gap > delta + margin) | (slope_gap > delta + margin)
-        if bool(cert_t.all()):
-            return False, 0.0
-        inter = np.clip(np.minimum(qa, qb) - np.maximum(pa, pb), 0.0, None)
-        vol = float(np.trapezoid(inter, xg))
-        return True, vol * inv.base_len[i] * inv.base_len[j]
+    # live[a, b]: pairs with leads a != b need classifying
+    live = np.zeros((spec.n_strips + 1,) * 2, dtype=bool)
+    for (a, b), sep in pruned.items():
+        live[a, b] = not sep
+    first = np.array([w[0] if w else 0 for w in inv.words])
 
     # ordered pair count over distinct leading symbols
     by_len = {}
-    for k in idx:
-        by_len.setdefault(lens[k], {}).setdefault(firsts[k], []).append(k)
+    for k, w in enumerate(inv.words):
+        if w:
+            by_len.setdefault(len(w), {}).setdefault(w[0], []).append(k)
     lengths = sorted(by_len)
 
     def cross_count(la, lb):
@@ -417,62 +442,71 @@ def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
                             n_pairs=0, n_ntr=0.0,
                             meta={"words": len(inv.words)})
 
-    if n_pairs // 2 <= pair_budget:
+    exact = n_pairs // 2 <= pair_budget
+    if exact:
+        # every unordered live pair once, in (i, j) order
+        I, J = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for a, b in zip(*np.nonzero(live)):
+            ii, jj = np.meshgrid(np.flatnonzero(first == a),
+                                 np.flatnonzero(first == b), indexing="ij")
+            I.append(ii[ii < jj])
+            J.append(jj[ii < jj])
+        I, J = np.concatenate(I), np.concatenate(J)
+        order = np.lexsort((J, I))
+        I, J = I[order], J[order]
+    else:
+        # stratified sampling over length pairs, deterministic per stratum
+        I, J, shares = [], [], []
+        for la, lb, c in strata:
+            share = max(16, int(round(pair_budget * c / n_pairs)))
+            rng = np.random.default_rng([seed, la, lb])
+            ga, gb = by_len[la], by_len[lb]
+            weights = []
+            combos = []
+            for s in sorted(ga):
+                for t in sorted(gb):
+                    if s == t:
+                        continue
+                    combos.append((s, t))
+                    weights.append(len(ga[s]) * len(gb[t]))
+            weights = np.array(weights, dtype=float)
+            weights /= weights.sum()
+            for pick in rng.choice(len(combos), size=share, p=weights):
+                s, t = combos[pick]
+                I.append(ga[s][rng.integers(len(ga[s]))])
+                J.append(gb[t][rng.integers(len(gb[t]))])
+            shares.append(share)
+        I, J = np.array(I), np.array(J)
+
+    charged, vals = _charged_pairs(spec, inv, I, J, live[first[I], first[J]],
+                                   xg, hull, delta, margin)
+    if exact:
         total = 0.0
-        charged = 0
-        for a_pos, i in enumerate(idx):
-            for j in idx[a_pos + 1:]:
-                if firsts[i] == firsts[j]:
-                    continue
-                ch, v = pair_value(i, j)
-                total += v
-                charged += ch
+        for v in vals[charged].tolist():
+            total += v
         return NtrSumReport(
             r=float(r), delta=float(delta),
             sum_value=2.0 * total / (r * r),
-            n_pairs=n_pairs, n_ntr=2.0 * charged,
+            n_pairs=n_pairs, n_ntr=2.0 * int(charged.sum()),
             meta={"words": len(inv.words)})
 
-    # stratified sampling over length pairs, deterministic per stratum
+    chs = charged.astype(float)
     total = 0.0
     var_acc = 0.0
     ntr_est = 0.0
-    n_classified = 0
-    for la, lb, c in strata:
-        share = max(16, int(round(pair_budget * c / n_pairs)))
-        rng = np.random.default_rng([seed, la, lb])
-        ga, gb = by_len[la], by_len[lb]
-        syms_a = sorted(ga)
-        weights = []
-        combos = []
-        for s in syms_a:
-            for t in sorted(gb):
-                if s == t:
-                    continue
-                combos.append((s, t))
-                weights.append(len(ga[s]) * len(gb[t]))
-        weights = np.array(weights, dtype=float)
-        weights /= weights.sum()
-        vals = np.empty(share)
-        chs = np.empty(share)
-        picks = rng.choice(len(combos), size=share, p=weights)
-        for k, pick in enumerate(picks):
-            s, t = combos[pick]
-            i = ga[s][rng.integers(len(ga[s]))]
-            j = gb[t][rng.integers(len(gb[t]))]
-            ch, v = pair_value(i, j)
-            vals[k] = v
-            chs[k] = ch
-        n_classified += share
-        total += c * float(vals.mean())
-        ntr_est += c * float(chs.mean())
-        var_acc += (c ** 2) * float(vals.var(ddof=1)) / share
+    start = 0
+    for (_, _, c), share in zip(strata, shares):
+        v = vals[start:start + share]
+        total += c * float(v.mean())
+        ntr_est += c * float(chs[start:start + share].mean())
+        var_acc += (c ** 2) * float(v.var(ddof=1)) / share
+        start += share
     return NtrSumReport(
         r=float(r), delta=float(delta),
         sum_value=total / (r * r),
         n_pairs=n_pairs, n_ntr=ntr_est,
         subsampled=True, sum_se=math.sqrt(var_acc) / (r * r),
-        meta={"words": len(inv.words), "classified": n_classified})
+        meta={"words": len(inv.words), "classified": start})
 
 
 @dataclass

@@ -9,9 +9,10 @@ over an arrival point x.  Widths are measured on the extended fiber J; the
 diameter d(w) is the largest extended width over the base.
 
 Enumeration of the family M(r) -- words whose extended width has dropped to
-scale r -- walks the word tree depth first, carrying the arrival-point grid
-of each node's deep end plus the affine coefficients of the composed fiber
-action, so each child costs O(grid).  Where a node has some children at or
+scale r -- expands the word tree a block of nodes at a time.  Each node
+carries the arrival-point grid of its deep end plus the affine coefficients
+of the composed fiber action, so a block grows by every symbol in a few
+array operations of O(nodes * grid).  Where a node has some children at or
 above scale r and some below, the below-scale children are emitted along
 with the deeper descendants.  The family is prefix-free, so the base
 lengths sum to one (sum |I_w| = 1), and it agrees with the plain "maximal
@@ -36,6 +37,7 @@ from .errors import BudgetError, DegenerateScaleError, ParameterError
 from .maps import GhmSpec
 
 _ALPHABET_CAP = 10 ** 6
+BLOCK = 4096  # rows per block of the batched word-tree and pair kernels
 
 
 def check_word(spec, word):
@@ -199,21 +201,64 @@ def enumerate_M(spec, r, x_grid_n=65, budget=None):
     return m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget).words
 
 
+def fiber_step(sk, X, A, B, coef=None):
+    """Children under branch ``sk`` of a batch of word-tree nodes.
+
+    Rows are nodes and columns grid points: X is the deep-end grid, A and B
+    the composed fiber scale and shift (hat width = |A| * |J|), and ``coef``
+    the slope coefficients (Sy, Sp, S0), with manifold slope
+    Sy * tail_pos + Sp * tail_slope + S0, or None when not tracked.  The
+    one-step slope action is affine in (position, slope), so it composes
+    like the fiber action.  Returns the children's (X, A, B, coef).
+    """
+    fib = sk.fiber
+    sv = fib.slope(X)
+    tv = fib.offset(X)
+    if coef is not None:
+        sy, sp, s0 = coef
+        coef = (sy * sv + sp * fib.dslope(X),
+                sp * sv / sk.base_slope,
+                sy * tv + sp * fib.doffset(X) + s0)
+    return sk.base_inverse(X), A * sv, A * tv + B, coef
+
+
+def envelope_hulls(A, B, coef, hull):
+    """(pos_lo, pos_hi, slope_lo, slope_hi) of composed coefficients.
+
+    Tail positions range over [0, 1] and tail slopes over ``hull``.
+    """
+    tlo, thi = hull
+    sy, sp, s0 = coef
+    return (B + np.minimum(A, 0.0), B + np.maximum(A, 0.0),
+            s0 + np.minimum(sy, 0.0) + np.minimum(sp * tlo, sp * thi),
+            s0 + np.maximum(sy, 0.0) + np.maximum(sp * tlo, sp * thi))
+
+
+def _join(parts):
+    """One block out of row-wise parts; a lone part is used as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return [np.concatenate(f) for f in zip(*parts)]
+
+
 def m_inventory(spec, r, x_grid_n=65, budget=None, tail_hull=None):
     """Enumerate M(r) with base intervals, diameters, optional envelopes.
 
-    Walks the tree depth first.  A node is of the family when its extended
-    width is still >= r but every child drops below r; children below r at
-    nodes that stay partly above are emitted too (see module docstring).
-    The base lengths sum to one, but the base intervals need not tile
-    [0,1] when the family mixes depths.
+    A node is of the family when its extended width is still >= r but every
+    child drops below r; children below r at nodes that stay partly above
+    are emitted too (see module docstring).  The base lengths sum to one,
+    but the base intervals need not tile [0,1] when the family mixes depths.
+    ``budget`` caps the number of tree nodes expanded.
+
+    The tree is expanded in blocks of at most ``BLOCK`` nodes of one depth.
+    Words of one length are base cylinders of that length, so their left
+    ends differ, and sorting by (left end, length) fixes the order whatever
+    the order of expansion.
 
     ``tail_hull = (lo, hi)`` additionally propagates manifold envelopes: the
     fiber interval of each word together with the slope hull obtained by
     pushing tail slopes in [lo, hi] (and tail positions in [0, 1]) through
-    the word.  The one-step slope action is affine in the pair (position,
-    slope), so the whole word composes into per-grid-point coefficients that
-    extend the (scale, shift) pair; envelopes come out of one min/max.
+    the word (see ``fiber_step`` and ``envelope_hulls``).
     """
     r = float(r)
     jlen = spec.fiber_len
@@ -221,7 +266,7 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, tail_hull=None):
         raise DegenerateScaleError(f"scale {r} is not below the fiber length {jlen}")
     if r <= 0.0:
         raise ParameterError("scale must be positive")
-    slopes = _affine_slopes(spec)
+    _affine_slopes(spec)
     contraction = max(b for _, b in spec.fiber_slope_bounds())
     if contraction >= 1.0:
         raise ParameterError("fiber maps must contract (max slope below 1)")
@@ -229,91 +274,93 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, tail_hull=None):
         raise ParameterError("need at least 2 base grid points")
     xg = np.linspace(0.0, 1.0, x_grid_n)
     n_sym = spec.n_strips
+    sym_type = np.min_scalar_type(n_sym)
 
     track_env = tail_hull is not None
     if track_env:
-        tlo, thi = float(tail_hull[0]), float(tail_hull[1])
+        hull = (float(tail_hull[0]), float(tail_hull[1]))
 
+    # a block is a list of per-node arrays for nodes of one depth: words
+    # (n, depth), base interval lo and len, then (n, grid) arrays X, A, B
+    # and, when envelopes are tracked, Sy, Sp, S0 (see fiber_step)
     words = []
-    base_lo = []
-    base_len = []
-    diam = []
-    env_pos = [] if track_env else None
-    env_slope = [] if track_env else None
+    # emitted groups: (length, base lo, base len, diam[, envelopes])
+    out = []
 
-    def emit(word, lo, ln, d, A, B, coef):
-        words.append(word)
-        base_lo.append(lo)
-        base_len.append(ln)
-        diam.append(d)
+    def emit(fields, keep, d):
+        # fields: words, base lo, base len and, for envelopes, A, B, Sy, Sp, S0
+        if not keep.any():
+            return
+        word, lo, ln = (f[keep] for f in fields[:3])
+        words.extend(map(tuple, word.tolist()))
+        env = ()
         if track_env:
-            sy, sp, s0 = coef
-            env_pos.append((B + np.minimum(A, 0.0), B + np.maximum(A, 0.0)))
-            env_slope.append((
-                s0 + np.minimum(sy, 0.0) + np.minimum(sp * tlo, sp * thi),
-                s0 + np.maximum(sy, 0.0) + np.maximum(sp * tlo, sp * thi)))
+            A, B, *coef = (f[keep] for f in fields[3:])
+            env = envelope_hulls(A, B, coef, hull)
+        out.append((word.shape[1], lo, ln, d[keep], *env))
 
-    # stack entries: word, interval lo, interval len, deep-end grid X,
-    # composed fiber scale A and shift B on the grid (hat width = |A| * |J|),
-    # and, when envelopes are tracked, the slope coefficients (Sy, Sp, S0)
-    # with manifold slope = Sy * tail_pos + Sp * tail_slope + S0.
-    zero = np.zeros_like(xg)
-    root_coef = (zero, np.ones_like(xg), zero) if track_env else None
-    root = ((), 0.0, 1.0, xg, np.ones_like(xg), zero, root_coef)
-    stack = [root]
+    zero = np.zeros((1, len(xg)))
+    one = np.ones((1, len(xg)))
+    stack = [[np.zeros((1, 0), dtype=sym_type), np.zeros(1), np.ones(1),
+              xg[None, :], one, zero] + ([zero, one, zero] if track_env else [])]
     visited = 0
     while stack:
-        word, ilo, iln, X, A, B, coef = stack.pop()
-        visited += 1
+        block = stack.pop()
+        word, lo, ln, X, A, B = block[:6]
+        visited += len(word)
         if budget is not None and visited > budget:
             raise BudgetError(f"enumeration exceeded node budget {budget}")
-        above = []
-        below = []
-        for s in range(n_sym, 0, -1):
+        # a child is kept whole only in its above-scale rows; the rest wait
+        # in ``below`` until it is known whether their parent is a leaf
+        leaf = np.ones(len(word), dtype=bool)
+        grown, below = [], []
+        for s in range(1, n_sym + 1):
             sk = spec.skew[s - 1]
-            fib = sk.fiber
-            sv = slopes[s - 1](X)
-            tv = fib.offset(X)
-            A_c = A * sv
-            B_c = A * tv + B
-            X_c = sk.base_inverse(X)
-            if track_env:
-                sy, sp, s0 = coef
-                spv = fib.dslope(X)
-                tpv = fib.doffset(X)
-                coef_c = (sy * sv + sp * spv,
-                          sp * sv / sk.base_slope,
-                          sy * tv + sp * tpv + s0)
-            else:
-                coef_c = None
-            lo_c = float(sk.base_inverse(np.array([ilo, ilo + iln])).min())
-            iln_c = iln / sk.base_slope
-            d_c = float(np.abs(A_c).max()) * jlen
-            entry = (word + (s,), lo_c, iln_c, X_c, A_c, B_c, coef_c)
-            if d_c >= r:
-                above.append(entry)
-            else:
-                below.append((entry, d_c))
-        if not above:
-            d_here = float(np.abs(A).max()) * jlen
-            emit(word, ilo, iln, d_here, A, B, coef)
-        else:
-            stack.extend(above)
-            for entry, d_c in below:
-                emit(entry[0], entry[1], entry[2], d_c, entry[4], entry[5],
-                     entry[6])
+            X_c, A_c, B_c, coef_c = fiber_step(sk, X, A, B,
+                                               tuple(block[6:]) or None)
+            d_c = np.abs(A_c).max(axis=1) * jlen
+            above = d_c >= r
+            leaf &= ~above
+            child = [np.concatenate(
+                         (word, np.full((len(word), 1), s, dtype=sym_type)),
+                         axis=1),
+                     np.minimum(sk.base_inverse(lo), sk.base_inverse(lo + ln)),
+                     ln / sk.base_slope, X_c, A_c, B_c, *(coef_c or ())]
+            if above.any():
+                grown.append([f[above] for f in child])
+            below.append((~above, d_c,
+                          child[:3] + child[4:] if track_env else child[:3]))
+        emit(block[:3] + block[4:], leaf, np.abs(A).max(axis=1) * jlen)
+        for below_c, d_c, fields in below:
+            emit(fields, below_c & ~leaf, d_c)
+        # above-scale children go on in blocks of at most BLOCK rows; each
+        # symbol's share has at most as many rows as the parent block
+        batch = []
+        for part in grown:
+            if batch and sum(len(p[0]) for p in batch) + len(part[0]) > BLOCK:
+                stack.append(_join(batch))
+                batch = []
+            batch.append(part)
+        if batch:
+            stack.append(_join(batch))
 
-    order = np.lexsort((np.array([len(w) for w in words]), np.array(base_lo)))
+    def column(j):
+        return np.concatenate([g[j] for g in out])
+
+    order = np.lexsort((np.repeat([g[0] for g in out], [len(g[1]) for g in out]),
+                        column(1)))
     inv = MInventory(
         r=r,
         x_grid=xg,
         words=[words[k] for k in order],
-        base_lo=np.array(base_lo)[order],
-        base_len=np.array(base_len)[order],
-        diam=np.array(diam)[order],
-        env_pos=[env_pos[k] for k in order] if track_env else None,
-        env_slope=[env_slope[k] for k in order] if track_env else None,
+        base_lo=column(1)[order],
+        base_len=column(2)[order],
+        diam=column(3)[order],
     )
+    if track_env:
+        pos_lo, pos_hi, slope_lo, slope_hi = (column(j)[order] for j in range(4, 8))
+        inv.env_pos = list(zip(pos_lo, pos_hi))
+        inv.env_slope = list(zip(slope_lo, slope_hi))
     return inv
 
 

@@ -272,6 +272,32 @@ def test_subsampled_sum_is_deterministic_and_consistent(affine):
     assert abs(sub1.sum_value - exact.sum_value) < 4.0 * se + 0.05 * exact.sum_value
 
 
+@pytest.mark.parametrize("r, kwargs, want", [
+    (2.0 ** -3, {}, ("2.1248905304348384", "3960.0", "0.0", None)),
+    (2.0 ** -5, {"pair_budget": 300, "seed": 7},
+     ("4.606803344000234", "707780.0", "0.13140782182985986", 880)),
+    (2.0 ** -7, {"pair_budget": 2000, "seed": 1},
+     ("5.687939929607821", "132609250.75", "0.14881659789266272", 3064)),
+], ids=["exact", "sampled_2^-5", "sampled_2^-7"])
+def test_charged_sum_pinned(affine, r, kwargs, want):
+    """Exact and sampled sums, bit for bit, at delta = (a - b) / 4."""
+    rep = ntr_sum(affine, r=r, delta=0.0625, **kwargs)
+    got = (repr(rep.sum_value), repr(rep.n_ntr), repr(rep.sum_se),
+           rep.meta.get("classified"))
+    assert got == want
+
+
+def test_ntr_csv_fields_are_plain_numbers(tmp_path):
+    path = tmp_path / "ntr.csv"
+    ntr_sweep(make_baker(2.0 ** -0.5), [2.0 ** -3], 0.1).to_csv(path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "r,delta,n_pairs,n_ntr,sum,sum_se,subsampled"
+    assert rows
+    for row in rows:
+        for field in row.split(","):
+            float(field)
+
+
 def test_sweep_validation(baker06):
     with pytest.raises(ParameterError):
         ntr_sweep(baker06, [0.1, 0.2], delta=0.1)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from horseshoe.conditions import tail_slope_hull
 from horseshoe.errors import BudgetError, CacheError, ParameterError
-from horseshoe.maps import make_baker
+from horseshoe.maps import affine_fiber, make_affine_example, make_baker, make_custom_skew
 from horseshoe.symbolic import (
     backward_orbit,
     base_cylinder,
@@ -107,6 +108,94 @@ def test_affine_scale_family_tiles_base(affine):
     assert inv.base_lo[0] == pytest.approx(0.0, abs=1e-12)
     assert np.abs(inv.base_lo[1:] - ends[:-1]).max() < 1e-12
     assert ends[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _dfs_inventory(spec, r, tail_hull, x_grid_n=65):
+    """Node-at-a-time depth-first M(r) walk: the reference for the kernel.
+
+    Returns the words, base left ends, base lengths, diameters and the
+    envelopes (pos_lo, pos_hi, slope_lo, slope_hi) in left-to-right order.
+    """
+    jlen = spec.fiber_len
+    tlo, thi = tail_hull
+    xg = np.linspace(0.0, 1.0, x_grid_n)
+    one, zero = np.ones_like(xg), np.zeros_like(xg)
+    stack = [((), 0.0, 1.0, xg, one, zero, (zero, one, zero))]
+    rows = []
+    while stack:
+        node = stack.pop()
+        word, ilo, iln, X, A, B, (sy, sp, s0) = node
+        above, below = [], []
+        for s in range(spec.n_strips, 0, -1):
+            sk = spec.skew[s - 1]
+            fib = sk.fiber
+            sv, tv = fib.slope(X), fib.offset(X)
+            child = (word + (s,),
+                     float(sk.base_inverse(np.array([ilo, ilo + iln])).min()),
+                     iln / sk.base_slope, sk.base_inverse(X), A * sv,
+                     A * tv + B,
+                     (sy * sv + sp * fib.dslope(X), sp * sv / sk.base_slope,
+                      sy * tv + sp * fib.doffset(X) + s0))
+            d_c = float(np.abs(child[4]).max()) * jlen
+            (above if d_c >= r else below).append((child, d_c))
+        if above:
+            stack.extend(child for child, _ in above)
+            rows.extend(below)
+        else:
+            rows.append((node, float(np.abs(A).max()) * jlen))
+    base_lo = np.array([node[1] for node, _ in rows])
+    order = np.lexsort((np.array([len(node[0]) for node, _ in rows]), base_lo))
+    rows = [rows[k] for k in order]
+    env = [(B + np.minimum(A, 0.0), B + np.maximum(A, 0.0),
+            s0 + np.minimum(sy, 0.0) + np.minimum(sp * tlo, sp * thi),
+            s0 + np.maximum(sy, 0.0) + np.maximum(sp * tlo, sp * thi))
+           for (_, _, _, _, A, B, (sy, sp, s0)), _ in rows]
+    return ([node[0] for node, _ in rows], base_lo[order],
+            np.array([node[2] for node, _ in rows]),
+            np.array([d for _, d in rows]), env)
+
+
+def _three_strip_skew():
+    """Unequal breaks, u-dependent fiber slopes and offsets."""
+    return make_custom_skew((0.0, 0.3, 0.55, 1.0), [
+        affine_fiber(lambda u: 0.5 + 0.1 * u, lambda u: 0.05 * u, 0.1, 0.05),
+        affine_fiber(lambda u: 0.45 - 0.05 * u, lambda u: 0.3 + 0.02 * u * u,
+                     -0.05, lambda u: 0.04 * u),
+        affine_fiber(0.4, lambda u: 0.55 - 0.1 * u, 0.0, -0.1),
+    ])
+
+
+@pytest.mark.parametrize("spec, r", [
+    (make_baker(0.6), 2.0 ** -6 * 1.2),
+    (make_affine_example(0.8, 0.55), 2.0 ** -6),
+    (_three_strip_skew(), 2.0 ** -5),
+], ids=["baker06", "affine", "three_strip"])
+def test_block_kernel_matches_node_walk(spec, r):
+    hull = tail_slope_hull(spec)
+    inv = m_inventory(spec, r, tail_hull=hull)
+    words, base_lo, base_len, diam, env = _dfs_inventory(spec, r, hull)
+    assert len(set(len(w) for w in words)) > 1 or spec.label == "baker"
+
+    def packed(ws):
+        return (np.array([s for w in ws for s in w], dtype=np.int64).tobytes(),
+                np.array([len(w) for w in ws]).tobytes())
+
+    assert packed(inv.words) == packed(words)
+    assert inv.base_lo.tobytes() == base_lo.tobytes()
+    assert inv.base_len.tobytes() == base_len.tobytes()
+    assert inv.diam.tobytes() == diam.tobytes()
+    assert np.array(inv.env_pos).tobytes() == np.array(
+        [e[:2] for e in env]).tobytes()
+    assert np.array(inv.env_slope).tobytes() == np.array(
+        [e[2:] for e in env]).tobytes()
+
+
+def test_scale_family_budget_counts_nodes(affine):
+    """M(2^-6) expands 9291 nodes, however they are batched."""
+    inv = m_inventory(affine, 2.0 ** -6, budget=9291)
+    assert len(inv.words) == 4646
+    with pytest.raises(BudgetError):
+        m_inventory(affine, 2.0 ** -6, budget=9290)
 
 
 def test_scale_family_word_budget(baker06):
