@@ -46,7 +46,6 @@ from .symbolic import (
     base_interval_length,
     cylinder_diameter,
     cylinder_table,
-    enumerate_M,
     fiber_image,
     fiber_width_fn,
     load_inventory,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, cache
-from .conditions import fatness_fit, ntr_sweep
+from . import __version__, cache, conditions
+from .conditions import fatness_fit
 from .diagnostics import run_diagnostics
 from .errors import (
     CacheError,
@@ -140,11 +140,13 @@ def finalize_config(config):
         raise ConfigError("seed must be an integer (and is mandatory)")
     for name in ("grid_n", "depth_max", "x_grid_n", "bins", "samples",
                  "iters", "workers", "fiber_bins", "y_bins", "tail_depth",
-                 "pair_budget", "fat_depth", "figure_n", "figure_grid",
-                 "diag_word_depth", "diag_lattice", "cone_depth"):
+                 "pair_budget", "fat_depth", "fat_depth_min", "figure_n",
+                 "figure_grid", "diag_word_depth", "diag_lattice", "cone_depth"):
         if int(getattr(config, name)) < 1:
             raise ConfigError(f"{name} must be a positive integer")
         setattr(config, name, int(getattr(config, name)))
+    if config.fat_depth_min >= config.fat_depth:
+        raise ConfigError("fat_depth_min must be below fat_depth")
     unknown = set(config.formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown output formats {sorted(unknown)}")
@@ -196,6 +198,17 @@ def _acip(ctx):
         cfg = ctx["config"]
         ctx["acip"] = ulam_acip(_spec(ctx), bins=cfg.bins)
     return ctx["acip"]
+
+
+def _inventories(ctx):
+    """M(r) for every ``enum_r`` scale, built once per run."""
+    if "inventories" not in ctx:
+        cfg = ctx["config"]
+        ctx["inventories"] = [
+            m_inventory(_spec(ctx), r, x_grid_n=cfg.x_grid_n,
+                        budget=cfg.word_budget)
+            for r in cfg.enum_r]
+    return ctx["inventories"]
 
 
 def _srb(ctx):
@@ -254,15 +267,12 @@ def stage_validate(ctx):
 
 def stage_enumerate(ctx):
     cfg = ctx["config"]
-    spec = _spec(ctx)
     summary = {}
-    for r in cfg.enum_r:
-        inv = m_inventory(spec, r, x_grid_n=cfg.x_grid_n,
-                          budget=cfg.word_budget)
-        name = f"inventory_r{r:.10g}.blob"
-        save_inventory(inv, Path(cfg.out_dir) / name, spec)
+    for inv in _inventories(ctx):
+        name = f"inventory_r{inv.r:.10g}.blob"
+        save_inventory(inv, Path(cfg.out_dir) / name, _spec(ctx))
         lens = [len(w) for w in inv.words]
-        summary[f"{r:.10g}"] = {
+        summary[f"{inv.r:.10g}"] = {
             "file": name,
             "words": len(inv.words),
             "mass": inv.mass(),
@@ -340,10 +350,12 @@ def stage_fatness(ctx):
 
 def stage_transversality(ctx):
     cfg = ctx["config"]
-    sweep = ntr_sweep(_spec(ctx), cfg.enum_r, default_delta(cfg),
-                      x_grid_n=cfg.x_grid_n, tail_depth=cfg.tail_depth,
-                      pair_budget=cfg.pair_budget, seed=cfg.seed,
-                      budget=cfg.word_budget)
+    # called through its module, so wrappers put on conditions.ntr_sum see it
+    sweep = conditions.NtrSweep.fit([
+        conditions.ntr_sum(_spec(ctx), inv, default_delta(cfg),
+                           tail_depth=cfg.tail_depth,
+                           pair_budget=cfg.pair_budget, seed=cfg.seed)
+        for inv in _inventories(ctx)])
     if "csv" in cfg.formats:
         sweep.to_csv(Path(cfg.out_dir) / "ntr.csv")
     sweep.to_json(Path(cfg.out_dir) / "ntr.json")

@@ -68,23 +68,21 @@ def fatness_fit(spec, depth_max, depth_min=2, x_grid_n=65, budget=400_000):
     so the exponent has to come from the growth rate of the binding
     constraints: per depth the word maximizing |I|/d is the one that limits
     the exponent, and the fitted epsilon is the least-squares slope of
-    log|I| against log d through those binding points, minus one.  This
-    recovers the exact exponent for collinear families and the worst
-    slope-product rate otherwise.  The constant k1 is then the smallest
-    admissible one over every enumerated word, so the reported slack is
-    zero up to rounding.
+    log|I| against log d through those binding points (two at least),
+    minus one.  This recovers the exact exponent for collinear families and
+    the worst slope-product rate otherwise.  The constant k1 is then the
+    smallest admissible one over every enumerated word, so the reported
+    slack is zero up to rounding.
     """
-    if depth_max < 2:
-        raise ParameterError("need depth_max >= 2")
-    if not 1 <= depth_min <= depth_max:
-        raise ParameterError("need 1 <= depth_min <= depth_max")
+    if not 1 <= depth_min < depth_max:
+        raise ParameterError("need 1 <= depth_min < depth_max")
     words, lens, diams, complete = cylinder_table(
         spec, depth_max, x_grid_n=x_grid_n, budget=budget)
     partial = complete < depth_max
     depth_hi = min(depth_max, complete)
-    if depth_hi < depth_min:
+    if depth_hi <= depth_min:
         raise ParameterError(
-            f"budget {budget} cannot reach depth {depth_min}")
+            f"budget {budget} leaves fewer than two depths from {depth_min}")
     depths = np.array([len(w) for w in words])
     log_i = np.log(lens)
     log_d = np.log(diams)
@@ -388,13 +386,12 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     return charged, vals
 
 
-def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
-            pair_budget=100_000, seed=7, budget=None):
-    """Charged-pair volume sum at scale r.
+def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
+    """Charged-pair volume sum over ``inv``, the ``m_inventory`` of M(r).
 
-    Enumerates the scale-r family and sums r^-2 * vol * |I_a| * |I_b| over
-    pairs with distinct leading symbols that are not certified transversal.
-    Small families are done exactly; large ones are estimated by stratified
+    Sums r^-2 * vol * |I_a| * |I_b| over pairs with distinct leading symbols
+    that are not certified transversal, on the inventory's grid.  Small
+    families are done exactly; large ones are estimated by stratified
     sampling over length pairs with a reported standard error.  Every pair
     is drawn first; then the envelopes of the words in pairs whose leads do
     not already separate are built once each, and the pairs are classified
@@ -402,7 +399,7 @@ def ntr_sum(spec, r, delta, x_grid_n=65, tail_depth=48,
     """
     if not delta > 0.0:
         raise ParameterError("need delta > 0")
-    inv = m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget)
+    r = inv.r
     xg = inv.x_grid
     margin = spec.alpha * (xg[1] - xg[0]) + _FP_MARGIN
     hull = tail_slope_hull(spec, tail_depth=tail_depth)
@@ -514,6 +511,23 @@ class NtrSweep:
     reports: list
     exponent: float | None
 
+    @classmethod
+    def fit(cls, reports):
+        """The sweep of ``reports`` with the log-log slope of sum against r.
+
+        Only positive sums enter the fit, and every report records it;
+        all-zero sweeps (exactly tiling families) report None.
+        """
+        pos = [(rep.r, rep.sum_value) for rep in reports if rep.sum_value > 0]
+        exponent = None
+        if len(pos) >= 2:
+            lr = np.log([p[0] for p in pos])
+            ls = np.log([p[1] for p in pos])
+            exponent = float(np.polyfit(lr, ls, 1)[0])
+        for rep in reports:
+            rep.exponent_fit = exponent
+        return cls(reports=reports, exponent=exponent)
+
     def to_csv(self, path):
         lines = ["r,delta,n_pairs,n_ntr,sum,sum_se,subsampled"]
         for rep in self.reports:
@@ -533,23 +547,16 @@ class NtrSweep:
         return payload
 
 
-def ntr_sweep(spec, r_list, delta, **kwargs):
+def ntr_sweep(spec, r_list, delta, x_grid_n=65, budget=None, **kwargs):
     """Sweep the charged sum over decreasing scales and fit its decay rate.
 
-    The exponent is the log-log slope of the sum against the scale over the
-    reports with positive sums; all-zero sweeps (exactly tiling families)
-    report None.
+    Each M(r) comes from ``m_inventory(spec, r, x_grid_n, budget)``; the
+    other keywords go to ``ntr_sum``, and ``NtrSweep.fit`` fits the rate.
     """
     r_list = [float(r) for r in r_list]
     if any(b >= a for a, b in zip(r_list, r_list[1:])):
         raise ParameterError("scale sweep must be strictly decreasing")
-    reports = [ntr_sum(spec, r, delta, **kwargs) for r in r_list]
-    pos = [(rep.r, rep.sum_value) for rep in reports if rep.sum_value > 0]
-    exponent = None
-    if len(pos) >= 2:
-        lr = np.log([p[0] for p in pos])
-        ls = np.log([p[1] for p in pos])
-        exponent = float(np.polyfit(lr, ls, 1)[0])
-    for rep in reports:
-        rep.exponent_fit = exponent
-    return NtrSweep(reports=reports, exponent=exponent)
+    return NtrSweep.fit([
+        ntr_sum(spec, m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget),
+                delta, **kwargs)
+        for r in r_list])

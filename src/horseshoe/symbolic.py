@@ -8,26 +8,42 @@ and its fiber image U_w(x) is the vertical interval the composition leaves
 over an arrival point x.  Widths are measured on the extended fiber J; the
 diameter d(w) is the largest extended width over the base.
 
-Enumeration of the family M(r) -- words whose extended width has dropped to
-scale r -- expands the word tree a block of nodes at a time.  Each node
-carries the arrival-point grid of its deep end plus the affine coefficients
-of the composed fiber action, so a block grows by every symbol in a few
-array operations of O(nodes * grid).  Where a node has some children at or
-above scale r and some below, the below-scale children are emitted along
-with the deeper descendants.  The family is prefix-free, so the base
-lengths sum to one (sum |I_w| = 1), and it agrees with the plain "maximal
-word" rule whenever sibling widths cross the threshold together.
+Every walk that shares prefixes goes through one walker, ``_walk``.  It
+pops a block of at most ``BLOCK`` nodes of one depth and grows each node
+by every symbol with ``fiber_step``: a node carries the arrival-point grid
+of its deep end and the composed fiber scale, so a block grows in a few
+array operations of O(nodes * grid).  The caller sees the block with its
+children and says by mask which children are pushed.  ``m_inventory``
+keeps the children at or above scale r, ``cylinder_table`` those above its
+last complete depth, and ``window_count`` those above the window's lower
+end.
+
+M(r) is the family of words whose extended width has dropped to scale r.
+Where a node has some children at or above scale r and some below, the
+below-scale children are emitted along with the deeper descendants.  The
+family is prefix-free, so the base lengths sum to one (sum |I_w| = 1), and
+it agrees with the plain "maximal word" rule whenever sibling widths cross
+the threshold together.
 
 The base intervals need not tile [0,1], though.  A word grows by appending
 the symbol that acts first, so I_ws is not contained in I_w.  A family of
 uniform depth (the baker family) still tiles; one of mixed depths may
 overlap and leave gaps.  For the affine family a = 0.8, b = 0.55 the
 intervals of M(2^-4) cover only about 0.77 of [0,1].
+
+``fiber_image`` composes one word on its own, from the deep end toward the
+arrival point, and the word walks of ``diagnostics`` and ``figures`` stay
+on it.  The walker composes prefix by prefix instead, which rounds
+differently: for each of the 126 affine words to depth 6 the extended
+width grid differs from the ``fiber_image`` one in the last bits (by up to
+1.2e-15 relative), so moving those walks would change their outputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 
@@ -41,7 +57,11 @@ BLOCK = 4096  # rows per block of the batched word-tree and pair kernels
 
 
 def check_word(spec, word):
-    word = tuple(int(s) for s in word)
+    word = tuple(word)
+    try:
+        word = tuple(map(operator.index, word))
+    except TypeError as exc:
+        raise ParameterError(f"word {word} has a non-integer symbol") from exc
     for s in word:
         if not 1 <= s <= spec.n_strips:
             raise ParameterError(f"symbol {s} outside 1..{spec.n_strips} in word {word}")
@@ -169,19 +189,9 @@ def cylinder_diameter(spec, word, x_grid_n=257, refine=True):
     return max(best, fc, fd)
 
 
-def _affine_slopes(spec):
-    slopes = []
-    for sk in spec.skew:
-        if not sk.fiber.affine:
-            raise ParameterError(
-                "maximal-word enumeration needs affine-in-y fiber maps")
-        slopes.append(sk.fiber.slope)
-    return slopes
-
-
 @dataclass
 class MInventory:
-    """The family M(r) with per-word scalars (and optional envelopes)."""
+    """The family M(r) with per-word base intervals and diameters."""
 
     r: float
     x_grid: np.ndarray
@@ -189,37 +199,32 @@ class MInventory:
     base_lo: np.ndarray
     base_len: np.ndarray
     diam: np.ndarray
-    env_pos: list | None = None       # per word: (lo, hi) arrays of U_w on grid
-    env_slope: list | None = None     # per word: (lo, hi) manifold slope hulls
 
     def mass(self):
         return math.fsum(self.base_len.tolist())
 
 
-def enumerate_M(spec, r, x_grid_n=65, budget=None):
-    """Words of the scale-r family, in left-to-right base order."""
-    return m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget).words
-
-
-def fiber_step(sk, X, A, B, coef=None):
+def fiber_step(sk, X, A, B=None, coef=None):
     """Children under branch ``sk`` of a batch of word-tree nodes.
 
     Rows are nodes and columns grid points: X is the deep-end grid, A and B
     the composed fiber scale and shift (hat width = |A| * |J|), and ``coef``
     the slope coefficients (Sy, Sp, S0), with manifold slope
-    Sy * tail_pos + Sp * tail_slope + S0, or None when not tracked.  The
-    one-step slope action is affine in (position, slope), so it composes
-    like the fiber action.  Returns the children's (X, A, B, coef).
+    Sy * tail_pos + Sp * tail_slope + S0.  The one-step slope action is
+    affine in (position, slope), so it composes like the fiber action.
+    Returns the children's (X, A, B, coef); walks that need only widths
+    leave out B and coef and get them back as None.
     """
     fib = sk.fiber
     sv = fib.slope(X)
-    tv = fib.offset(X)
     if coef is not None:
+        tv = fib.offset(X)
         sy, sp, s0 = coef
         coef = (sy * sv + sp * fib.dslope(X),
                 sp * sv / sk.base_slope,
                 sy * tv + sp * fib.doffset(X) + s0)
-    return sk.base_inverse(X), A * sv, A * tv + B, coef
+        B = A * tv + B
+    return sk.base_inverse(X), A * sv, B, coef
 
 
 def envelope_hulls(A, B, coef, hull):
@@ -234,15 +239,67 @@ def envelope_hulls(A, B, coef, hull):
             s0 + np.maximum(sy, 0.0) + np.maximum(sp * tlo, sp * thi))
 
 
+# Word-tree nodes of one depth, one row each: the words as an (n, depth)
+# symbol array, the base intervals' left ends and lengths, the (n, grid)
+# deep-end grids X and fiber scales A, and the extended widths |A| * |J|.
+_Nodes = namedtuple("_Nodes", "word lo ln X A diam")
+
+
 def _join(parts):
     """One block out of row-wise parts; a lone part is used as it is."""
     if len(parts) == 1:
         return parts[0]
-    return [np.concatenate(f) for f in zip(*parts)]
+    return _Nodes(*(np.concatenate(f) for f in zip(*parts)))
 
 
-def m_inventory(spec, r, x_grid_n=65, budget=None, tail_hull=None):
-    """Enumerate M(r) with base intervals, diameters, optional envelopes.
+def _walk(spec, x_grid_n, keep):
+    """Depth-first walk of the word tree, a block of same-depth nodes at a time.
+
+    Starts from the empty word and yields (block, children, kept) for each
+    popped block: ``children[s - 1]`` holds the block's children under
+    symbol s, row for row, and ``kept[s - 1]`` the mask ``keep(child)``
+    returned for them.  Only kept children are pushed, those of all symbols
+    together in blocks of at most ``BLOCK`` rows; each symbol's share has at
+    most as many rows as the parent block.
+    """
+    if not all(sk.fiber.affine for sk in spec.skew):
+        raise ParameterError("word-tree walks need affine-in-y fiber maps")
+    if x_grid_n < 2:
+        raise ParameterError("need at least 2 base grid points")
+    jlen = spec.fiber_len
+    xg = np.linspace(0.0, 1.0, x_grid_n)
+    sym_type = np.min_scalar_type(spec.n_strips)
+    stack = [_Nodes(np.zeros((1, 0), dtype=sym_type), np.zeros(1), np.ones(1),
+                    xg[None, :], np.ones((1, x_grid_n)), np.array([jlen]))]
+    while stack:
+        block = stack.pop()
+        children, kept = [], []
+        for s, sk in enumerate(spec.skew, 1):
+            X, A, _, _ = fiber_step(sk, block.X, block.A)
+            child = _Nodes(
+                np.concatenate((block.word, np.full((len(block.ln), 1), s,
+                                                    dtype=sym_type)), axis=1),
+                np.minimum(sk.base_inverse(block.lo),
+                           sk.base_inverse(block.lo + block.ln)),
+                block.ln / sk.base_slope, X, A, np.abs(A).max(axis=1) * jlen)
+            children.append(child)
+            kept.append(keep(child))
+        yield block, children, kept
+        batch, rows = [], 0
+        for child, k in zip(children, kept):
+            if not k.any():
+                continue
+            if batch and rows + int(k.sum()) > BLOCK:
+                stack.append(_join(batch))
+                batch, rows = [], 0
+            batch.append(_Nodes(*(f[k] for f in child)))
+            rows += int(k.sum())
+        if batch:
+            stack.append(_join(batch))
+
+
+def m_inventory(spec, r, x_grid_n=65, budget=None):
+    """Enumerate M(r) with base intervals and diameters.
 
     A node is of the family when its extended width is still >= r but every
     child drops below r; children below r at nodes that stay partly above
@@ -250,118 +307,51 @@ def m_inventory(spec, r, x_grid_n=65, budget=None, tail_hull=None):
     but the base intervals need not tile [0,1] when the family mixes depths.
     ``budget`` caps the number of tree nodes expanded.
 
-    The tree is expanded in blocks of at most ``BLOCK`` nodes of one depth.
-    Words of one length are base cylinders of that length, so their left
-    ends differ, and sorting by (left end, length) fixes the order whatever
-    the order of expansion.
-
-    ``tail_hull = (lo, hi)`` additionally propagates manifold envelopes: the
-    fiber interval of each word together with the slope hull obtained by
-    pushing tail slopes in [lo, hi] (and tail positions in [0, 1]) through
-    the word (see ``fiber_step`` and ``envelope_hulls``).
+    The walk pushes the children at or above scale r.  Words of one length
+    are base cylinders of that length, so their left ends differ, and
+    sorting by (left end, length) fixes the order whatever the order of
+    expansion.
     """
     r = float(r)
-    jlen = spec.fiber_len
-    if r >= jlen:
-        raise DegenerateScaleError(f"scale {r} is not below the fiber length {jlen}")
+    if r >= spec.fiber_len:
+        raise DegenerateScaleError(
+            f"scale {r} is not below the fiber length {spec.fiber_len}")
     if r <= 0.0:
         raise ParameterError("scale must be positive")
-    _affine_slopes(spec)
-    contraction = max(b for _, b in spec.fiber_slope_bounds())
-    if contraction >= 1.0:
+    if max(b for _, b in spec.fiber_slope_bounds()) >= 1.0:
         raise ParameterError("fiber maps must contract (max slope below 1)")
-    if x_grid_n < 2:
-        raise ParameterError("need at least 2 base grid points")
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    n_sym = spec.n_strips
-    sym_type = np.min_scalar_type(n_sym)
 
-    track_env = tail_hull is not None
-    if track_env:
-        hull = (float(tail_hull[0]), float(tail_hull[1]))
-
-    # a block is a list of per-node arrays for nodes of one depth: words
-    # (n, depth), base interval lo and len, then (n, grid) arrays X, A, B
-    # and, when envelopes are tracked, Sy, Sp, S0 (see fiber_step)
     words = []
-    # emitted groups: (length, base lo, base len, diam[, envelopes])
-    out = []
+    out = []  # emitted groups: (lengths, base lo, base len, diam)
 
-    def emit(fields, keep, d):
-        # fields: words, base lo, base len and, for envelopes, A, B, Sy, Sp, S0
-        if not keep.any():
-            return
-        word, lo, ln = (f[keep] for f in fields[:3])
-        words.extend(map(tuple, word.tolist()))
-        env = ()
-        if track_env:
-            A, B, *coef = (f[keep] for f in fields[3:])
-            env = envelope_hulls(A, B, coef, hull)
-        out.append((word.shape[1], lo, ln, d[keep], *env))
+    def emit(nodes, mask):
+        if mask.any():
+            words.extend(map(tuple, nodes.word[mask].tolist()))
+            out.append((np.full(mask.sum(), nodes.word.shape[1]),
+                        nodes.lo[mask], nodes.ln[mask], nodes.diam[mask]))
 
-    zero = np.zeros((1, len(xg)))
-    one = np.ones((1, len(xg)))
-    stack = [[np.zeros((1, 0), dtype=sym_type), np.zeros(1), np.ones(1),
-              xg[None, :], one, zero] + ([zero, one, zero] if track_env else [])]
     visited = 0
-    while stack:
-        block = stack.pop()
-        word, lo, ln, X, A, B = block[:6]
-        visited += len(word)
+    for block, children, kept in _walk(spec, x_grid_n, lambda c: c.diam >= r):
+        visited += len(block.ln)
         if budget is not None and visited > budget:
             raise BudgetError(f"enumeration exceeded node budget {budget}")
-        # a child is kept whole only in its above-scale rows; the rest wait
-        # in ``below`` until it is known whether their parent is a leaf
-        leaf = np.ones(len(word), dtype=bool)
-        grown, below = [], []
-        for s in range(1, n_sym + 1):
-            sk = spec.skew[s - 1]
-            X_c, A_c, B_c, coef_c = fiber_step(sk, X, A, B,
-                                               tuple(block[6:]) or None)
-            d_c = np.abs(A_c).max(axis=1) * jlen
-            above = d_c >= r
-            leaf &= ~above
-            child = [np.concatenate(
-                         (word, np.full((len(word), 1), s, dtype=sym_type)),
-                         axis=1),
-                     np.minimum(sk.base_inverse(lo), sk.base_inverse(lo + ln)),
-                     ln / sk.base_slope, X_c, A_c, B_c, *(coef_c or ())]
-            if above.any():
-                grown.append([f[above] for f in child])
-            below.append((~above, d_c,
-                          child[:3] + child[4:] if track_env else child[:3]))
-        emit(block[:3] + block[4:], leaf, np.abs(A).max(axis=1) * jlen)
-        for below_c, d_c, fields in below:
-            emit(fields, below_c & ~leaf, d_c)
-        # above-scale children go on in blocks of at most BLOCK rows; each
-        # symbol's share has at most as many rows as the parent block
-        batch = []
-        for part in grown:
-            if batch and sum(len(p[0]) for p in batch) + len(part[0]) > BLOCK:
-                stack.append(_join(batch))
-                batch = []
-            batch.append(part)
-        if batch:
-            stack.append(_join(batch))
+        # a leaf has no child at or above r; the below-scale children of
+        # the other nodes are emitted next to their deeper siblings
+        leaf = ~np.logical_or.reduce(kept)
+        emit(block, leaf)
+        for child, k in zip(children, kept):
+            emit(child, ~k & ~leaf)
 
-    def column(j):
-        return np.concatenate([g[j] for g in out])
-
-    order = np.lexsort((np.repeat([g[0] for g in out], [len(g[1]) for g in out]),
-                        column(1)))
-    inv = MInventory(
+    length, lo, ln, diam = (np.concatenate(c) for c in zip(*out))
+    order = np.lexsort((length, lo))
+    return MInventory(
         r=r,
-        x_grid=xg,
+        x_grid=np.linspace(0.0, 1.0, x_grid_n),
         words=[words[k] for k in order],
-        base_lo=column(1)[order],
-        base_len=column(2)[order],
-        diam=column(3)[order],
+        base_lo=lo[order],
+        base_len=ln[order],
+        diam=diam[order],
     )
-    if track_env:
-        pos_lo, pos_hi, slope_lo, slope_hi = (column(j)[order] for j in range(4, 8))
-        inv.env_pos = list(zip(pos_lo, pos_hi))
-        inv.env_slope = list(zip(slope_lo, slope_hi))
-    return inv
 
 
 def truncate_alphabet(contractions, r):
@@ -387,40 +377,37 @@ def truncate_alphabet(contractions, r):
 def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
     """All words to depth_max with base lengths and extended widths.
 
-    Breadth-first by depth so a budget cut still leaves complete levels;
-    returns (words, base_len array, diam array, deepest complete depth).
+    The tree is full, so a node budget resolves to a depth before the walk:
+    the table stops at the deepest complete depth d, the largest with
+    1 + N + ... + N^d <= budget.  Returns (words, base_len array, diam
+    array, d), the words depth by depth and in lexicographic order within
+    each depth.
     """
-    _affine_slopes(spec)
     if depth_max < 1:
         raise ParameterError("need depth_max >= 1")
-    jlen = spec.fiber_len
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    words, lens, diams = [], [], []
-    level = [((), 1.0, xg, np.ones_like(xg))]
-    visited = 1
-    complete = 0
-    for depth in range(1, depth_max + 1):
-        nxt = []
-        for word, iln, X, A in level:
-            for s in range(1, spec.n_strips + 1):
-                sk = spec.skew[s - 1]
-                A_c = A * sk.fiber.slope(X)
-                entry = (word + (s,), iln / sk.base_slope,
-                         sk.base_inverse(X), A_c)
-                nxt.append(entry)
-        visited += len(nxt)
-        if budget is not None and visited > budget:
+    complete, nodes = 0, 1
+    while complete < depth_max:
+        nodes += spec.n_strips ** (complete + 1)
+        if budget is not None and nodes > budget:
             break
-        for word, iln, X, A in nxt:
-            words.append(word)
-            lens.append(iln)
-            diams.append(float(np.abs(A).max()) * jlen)
-        complete = depth
-        level = nxt
+        complete += 1
     if complete == 0:
         raise BudgetError(
             f"budget {budget} too small for even one full level")
-    return words, np.array(lens), np.array(diams), complete
+    levels = [[] for _ in range(complete)]
+    for block, children, _ in _walk(
+            spec, x_grid_n,
+            lambda c: np.full(len(c.ln), c.word.shape[1] < complete)):
+        levels[block.word.shape[1]].extend((c.word, c.ln, c.diam)
+                                           for c in children)
+    words, lens, diams = [], [], []
+    for level in levels:
+        word, ln, diam = (np.concatenate(f) for f in zip(*level))
+        order = np.lexsort(word.T[::-1])
+        words.extend(map(tuple, word[order].tolist()))
+        lens.append(ln[order])
+        diams.append(diam[order])
+    return words, np.concatenate(lens), np.concatenate(diams), complete
 
 
 def window_count(spec, depth_max, c1, c2, x_grid_n=65):
@@ -433,22 +420,15 @@ def window_count(spec, depth_max, c1, c2, x_grid_n=65):
     """
     if not 0.0 < c1 < c2:
         raise ParameterError("need 0 < c1 < c2")
-    _affine_slopes(spec)
     jlen = spec.fiber_len
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    total = 0.0
-    stack = [((), 1.0, xg, np.ones_like(xg))]
-    while stack:
-        word, iln, X, A = stack.pop()
-        d = float(np.abs(A).max()) * jlen
-        if c1 < d < c2:
-            total += iln
-        if len(word) >= depth_max or d <= c1:
-            continue
-        for s in range(1, spec.n_strips + 1):
-            sk = spec.skew[s - 1]
-            stack.append((word + (s,), iln / sk.base_slope,
-                          sk.base_inverse(X), A * sk.fiber.slope(X)))
+    total = 1.0 if c1 < jlen < c2 else 0.0  # the empty word
+    if depth_max < 1 or jlen <= c1:
+        return total
+    for _, children, _ in _walk(
+            spec, x_grid_n,
+            lambda c: (c.diam > c1) & (c.word.shape[1] < depth_max)):
+        for c in children:
+            total += float(c.ln[(c1 < c.diam) & (c.diam < c2)].sum())
     return total
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horseshoe import cache
+from horseshoe import cache, cli
 from horseshoe.cli import (
     RunConfig,
     cache_roundtrip,
@@ -94,6 +94,10 @@ def test_finalize_rejects_bad_settings(tmp_path):
         finalize_config(RunConfig(formats=("csv", "exe"), **base))
     with pytest.raises(ConfigError):
         finalize_config(RunConfig(samples=0, **base))
+    with pytest.raises(ConfigError):
+        finalize_config(RunConfig(fat_depth_min=0, **base))
+    with pytest.raises(ConfigError):
+        finalize_config(RunConfig(fat_depth_min=10, fat_depth=10, **base))
 
 
 def test_default_delta_by_family(tmp_path):
@@ -144,6 +148,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["acip", "--formats", "csv,exe", "--out", str(tmp_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    for bad in (["--fat-depth-min", "0"],
+                ["--fat-depth-min", "10", "--fat-depth", "10"]):
+        assert main(["fatness", *bad, "--out", str(tmp_path)]) == 2
+        assert "fat_depth_min" in capsys.readouterr().err
+
+
+def test_each_scale_enumerated_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(spec, r, **kwargs):
+        calls.append(r)
+        return m_inventory(spec, r, **kwargs)
+
+    monkeypatch.setattr(cli, "m_inventory", counted)
+    ctx = {"config": finalize_config(
+        RunConfig(lam=0.5, enum_r=(0.3, 0.15), out_dir=str(tmp_path)))}
+    cli.stage_enumerate(ctx)
+    cli.stage_transversality(ctx)
+    assert calls == [0.3, 0.15]
+    assert [rep.r for rep in ctx["ntr"].reports] == [0.3, 0.15]
 
 
 def test_stage_error_exit_code(tmp_path, capsys):

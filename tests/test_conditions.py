@@ -73,6 +73,14 @@ def test_fatness_validation(baker06):
         fatness_fit(baker06, depth_max=1)
     with pytest.raises(ParameterError):
         fatness_fit(baker06, depth_max=5, depth_min=6)
+    # a line through one binding point fits no exponent
+    with pytest.raises(ParameterError):
+        fatness_fit(baker06, depth_max=5, depth_min=5)
+    # budget 8 completes depth 2 only (1 + 2 + 4 nodes)
+    with pytest.raises(ParameterError):
+        fatness_fit(baker06, depth_max=5, budget=8)
+    fit = fatness_fit(baker06, depth_max=5, budget=16)
+    assert fit.partial and fit.depth_max == 3
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +122,6 @@ def test_tail_hull_shrinks_with_depth(affine):
     lo1, hi1 = tail_slope_hull(affine, tail_depth=2)
     lo2, hi2 = tail_slope_hull(affine, tail_depth=20)
     assert lo1 <= lo2 <= hi2 <= hi1
-
-
-def test_envelope_matches_inventory_route(affine):
-    """Same hulls out of the per-word recursion and the inventory walk."""
-    hull = tail_slope_hull(affine)
-    inv = m_inventory(affine, 0.12, x_grid_n=33, tail_hull=hull)
-    for k, word in enumerate(inv.words):
-        plo, phi, slo, shi = manifold_envelope(affine, word, inv.x_grid, hull)
-        assert np.abs(inv.env_pos[k][0] - plo).max() < 1e-12
-        assert np.abs(inv.env_pos[k][1] - phi).max() < 1e-12
-        assert np.abs(inv.env_slope[k][0] - slo).max() < 1e-12
-        assert np.abs(inv.env_slope[k][1] - shi).max() < 1e-12
 
 
 def test_envelope_position_is_hat_strip(baker06):
@@ -230,7 +226,7 @@ def test_transversal_pairs_obey_volume_bound(baker04, affine):
 
 def test_charged_sum_two_strip_oracle(baker06):
     """Two overlapping strips: sum = 2 * vol * |I|^2 / r^2 exactly."""
-    rep = ntr_sum(baker06, r=0.72, delta=0.1)
+    rep = ntr_sum(baker06, m_inventory(baker06, 0.72), delta=0.1)
     assert rep.sum_value == pytest.approx(2.0 * 0.2 * 0.25 / 0.72 ** 2,
                                           abs=1e-12)
     assert rep.n_pairs == 2
@@ -246,25 +242,26 @@ def test_tiling_family_sums_to_zero(baker_half):
 
 
 def test_separated_leads_prune_everything(baker04):
-    rep = ntr_sum(baker04, r=0.3, delta=0.05)
+    rep = ntr_sum(baker04, m_inventory(baker04, 0.3), delta=0.05)
     assert rep.n_ntr == 0
     assert rep.sum_value == 0.0
     assert rep.charged_fraction == 0.0
 
 
 def test_charged_fraction_decays_for_overlapping_bands(baker07):
-    coarse = ntr_sum(baker07, r=0.5, delta=0.05)
-    fine = ntr_sum(baker07, r=0.18, delta=0.05)
+    coarse = ntr_sum(baker07, m_inventory(baker07, 0.5), delta=0.05)
+    fine = ntr_sum(baker07, m_inventory(baker07, 0.18), delta=0.05)
     assert coarse.charged_fraction == 1.0
     assert fine.charged_fraction < coarse.charged_fraction
     assert fine.sum_value > 0.0
 
 
 def test_subsampled_sum_is_deterministic_and_consistent(affine):
-    exact = ntr_sum(affine, r=2.0 ** -3, delta=0.0625)
+    inv = m_inventory(affine, 2.0 ** -3)
+    exact = ntr_sum(affine, inv, delta=0.0625)
     assert not exact.subsampled
-    sub1 = ntr_sum(affine, r=2.0 ** -3, delta=0.0625, pair_budget=40)
-    sub2 = ntr_sum(affine, r=2.0 ** -3, delta=0.0625, pair_budget=40)
+    sub1 = ntr_sum(affine, inv, delta=0.0625, pair_budget=40)
+    sub2 = ntr_sum(affine, inv, delta=0.0625, pair_budget=40)
     assert sub1.subsampled
     assert sub1.sum_value == sub2.sum_value
     assert sub1.n_ntr == sub2.n_ntr
@@ -281,7 +278,7 @@ def test_subsampled_sum_is_deterministic_and_consistent(affine):
 ], ids=["exact", "sampled_2^-5", "sampled_2^-7"])
 def test_charged_sum_pinned(affine, r, kwargs, want):
     """Exact and sampled sums, bit for bit, at delta = (a - b) / 4."""
-    rep = ntr_sum(affine, r=r, delta=0.0625, **kwargs)
+    rep = ntr_sum(affine, m_inventory(affine, r), delta=0.0625, **kwargs)
     got = (repr(rep.sum_value), repr(rep.n_ntr), repr(rep.sum_se),
            rep.meta.get("classified"))
     assert got == want
@@ -302,4 +299,4 @@ def test_sweep_validation(baker06):
     with pytest.raises(ParameterError):
         ntr_sweep(baker06, [0.1, 0.2], delta=0.1)
     with pytest.raises(ParameterError):
-        ntr_sum(baker06, r=0.5, delta=-1.0)
+        ntr_sum(baker06, m_inventory(baker06, 0.5), delta=-1.0)

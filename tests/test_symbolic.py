@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from horseshoe.conditions import tail_slope_hull
+from horseshoe.conditions import _envelope_rows, tail_slope_hull
 from horseshoe.errors import BudgetError, CacheError, ParameterError
 from horseshoe.maps import affine_fiber, make_affine_example, make_baker, make_custom_skew
 from horseshoe.symbolic import (
     backward_orbit,
     base_cylinder,
     base_interval_length,
+    check_word,
     cylinder_diameter,
     cylinder_table,
-    enumerate_M,
     fiber_image,
     fiber_width_fn,
     load_inventory,
@@ -69,8 +69,8 @@ def test_fiber_width_fn_matches_fiber_image(affine):
 
 
 def test_scale_family_baker_examples(baker06):
-    assert enumerate_M(baker06, 0.5 * 1.2) == [(1,), (2,)]
-    level2 = enumerate_M(baker06, 0.3 * 1.2)
+    assert m_inventory(baker06, 0.5 * 1.2).words == [(1,), (2,)]
+    level2 = m_inventory(baker06, 0.3 * 1.2).words
     assert sorted(level2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
@@ -155,6 +155,12 @@ def _dfs_inventory(spec, r, tail_hull, x_grid_n=65):
             np.array([d for _, d in rows]), env)
 
 
+def _packed(words):
+    """Words as bytes: the symbols in a row, then the lengths."""
+    return (np.array([s for w in words for s in w], dtype=np.int64).tobytes(),
+            np.array([len(w) for w in words]).tobytes())
+
+
 def _three_strip_skew():
     """Unequal breaks, u-dependent fiber slopes and offsets."""
     return make_custom_skew((0.0, 0.3, 0.55, 1.0), [
@@ -172,22 +178,82 @@ def _three_strip_skew():
 ], ids=["baker06", "affine", "three_strip"])
 def test_block_kernel_matches_node_walk(spec, r):
     hull = tail_slope_hull(spec)
-    inv = m_inventory(spec, r, tail_hull=hull)
+    inv = m_inventory(spec, r)
     words, base_lo, base_len, diam, env = _dfs_inventory(spec, r, hull)
     assert len(set(len(w) for w in words)) > 1 or spec.label == "baker"
-
-    def packed(ws):
-        return (np.array([s for w in ws for s in w], dtype=np.int64).tobytes(),
-                np.array([len(w) for w in ws]).tobytes())
-
-    assert packed(inv.words) == packed(words)
+    assert _packed(inv.words) == _packed(words)
     assert inv.base_lo.tobytes() == base_lo.tobytes()
     assert inv.base_len.tobytes() == base_len.tobytes()
     assert inv.diam.tobytes() == diam.tobytes()
-    assert np.array(inv.env_pos).tobytes() == np.array(
-        [e[:2] for e in env]).tobytes()
-    assert np.array(inv.env_slope).tobytes() == np.array(
-        [e[2:] for e in env]).tobytes()
+    rows = _envelope_rows(spec, inv.words, inv.x_grid, hull)
+    assert np.stack(rows, axis=1).tobytes() == np.array(env).tobytes()
+
+
+def _level_table(spec, depth_max, budget=None, x_grid_n=65):
+    """Node-at-a-time breadth-first cylinder table: the walker's reference."""
+    xg = np.linspace(0.0, 1.0, x_grid_n)
+    words, lens, diams = [], [], []
+    level = [((), 1.0, xg, np.ones_like(xg))]
+    visited, complete = 1, 0
+    for depth in range(1, depth_max + 1):
+        nxt = [(word + (s,), iln / sk.base_slope, sk.base_inverse(X),
+                A * sk.fiber.slope(X))
+               for word, iln, X, A in level
+               for s, sk in enumerate(spec.skew, 1)]
+        visited += len(nxt)
+        if budget is not None and visited > budget:
+            break
+        for word, iln, X, A in nxt:
+            words.append(word)
+            lens.append(iln)
+            diams.append(float(np.abs(A).max()) * spec.fiber_len)
+        complete, level = depth, nxt
+    return words, np.array(lens), np.array(diams), complete
+
+
+def _node_window_count(spec, depth_max, c1, c2, x_grid_n=65):
+    """Node-at-a-time depth-first window count: the walker's reference."""
+    xg = np.linspace(0.0, 1.0, x_grid_n)
+    total = 0.0
+    stack = [((), 1.0, xg, np.ones_like(xg))]
+    while stack:
+        word, iln, X, A = stack.pop()
+        d = float(np.abs(A).max()) * spec.fiber_len
+        if c1 < d < c2:
+            total += iln
+        if len(word) >= depth_max or d <= c1:
+            continue
+        for s, sk in enumerate(spec.skew, 1):
+            stack.append((word + (s,), iln / sk.base_slope,
+                          sk.base_inverse(X), A * sk.fiber.slope(X)))
+    return total
+
+
+@pytest.mark.parametrize("spec, depth, budget", [
+    (make_affine_example(0.8, 0.55), 10, None),
+    (_three_strip_skew(), 7, None),
+    (make_affine_example(0.8, 0.55), 12, 120),
+    (make_affine_example(0.8, 0.55), 12, 127),
+], ids=["affine", "three_strip", "affine_budget", "affine_budget_edge"])
+def test_cylinder_table_matches_level_walk(spec, depth, budget):
+    got = cylinder_table(spec, depth, budget=budget)
+    want = _level_table(spec, depth, budget=budget)
+    assert _packed(got[0]) == _packed(want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("spec, depth, c1, c2", [
+    (make_affine_example(0.8, 0.55), 12, 0.01, 0.3),
+    (_three_strip_skew(), 8, 0.002, 0.2),
+    (make_baker(0.6), 20, 0.02, 0.3),
+], ids=["affine", "three_strip", "baker06"])
+def test_window_count_matches_node_walk(spec, depth, c1, c2):
+    got = window_count(spec, depth, c1, c2)
+    want = _node_window_count(spec, depth, c1, c2)
+    assert want > 1.0
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_scale_family_budget_counts_nodes(affine):
@@ -266,3 +332,8 @@ def test_bad_symbols_rejected(baker06):
         base_cylinder(baker06, (1, 3))
     with pytest.raises(ParameterError):
         fiber_image(baker06, (0,), 0.5)
+    with pytest.raises(ParameterError):
+        check_word(baker06, (1.7, 2.2))
+    with pytest.raises(ParameterError):
+        base_cylinder(baker06, (1.0, 2))
+    assert check_word(baker06, np.array([1, 2])) == (1, 2)
