@@ -215,25 +215,70 @@ def _draw_base_points(density, n, rng):
 
 
 def _step_chunk(spec, x, y, counters):
-    """One forward application of the strip map to a block of points."""
-    breaks = spec.base_breaks
-    inner = breaks[1:-1]
-    if inner.size:
-        near = np.min(np.abs(x[:, None] - inner[None, :]), axis=1) <= _BOUNDARY_TOL
-        if near.any():
-            counters["jittered"] += int(near.sum())
-            x = np.where(near, x + _JITTER, x)
-    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, spec.n_strips - 1)
-    u = np.empty_like(x)
-    v = np.empty_like(y)
-    for i, sk in enumerate(spec.skew):
-        sel = idx == i
-        if not sel.any():
-            continue
-        uu = sk.base_forward(x[sel])
-        u[sel] = uu
-        v[sel] = sk.fiber.value(uu, y[sel])
+    """One forward application of the strip map to a block of points.
+
+    A point with |x - b| <= ``_BOUNDARY_TOL`` for some inner break b is first
+    moved right by ``_JITTER`` and counted in ``counters["jittered"]``.  A
+    point's branch is then the number of inner breaks <= x, so points left
+    of 0 take the first branch and points right of 1 the last.  The base step
+    applies that branch's slope and offset; each fiber map is evaluated on
+    the whole block and every point keeps the value of its own branch.
+    """
+    inner = spec.base_breaks[1:-1]
+    near = np.zeros(x.shape, dtype=bool)
+    for b in inner:
+        near |= np.abs(x - b) <= _BOUNDARY_TOL
+    n_near = int(np.count_nonzero(near))
+    if n_near:
+        counters["jittered"] += n_near
+        x = np.where(near, x + _JITTER, x)
+    idx = np.zeros(x.shape, dtype=np.intp)
+    for b in inner:
+        idx += x >= b
+    slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
+    offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
+    u = slopes.take(idx) * x
+    u += offsets.take(idx)
+    v = spec.skew[-1].fiber.value(u, y)
+    for i, sk in enumerate(spec.skew[:-1]):
+        v = np.where(idx == i, sk.fiber.value(u, y), v)
     return u, v
+
+
+def _bin_index(v, lo, hi, n):
+    """Bin of each value among n equal bins on [lo, hi], shifted up by one.
+
+    The bins are those of ``np.histogramdd``: edges ``np.linspace(lo, hi,
+    n + 1)``, bin k holding edges[k] <= v < edges[k + 1], and the top edge hi
+    folded into the last bin.  Values below lo (and NaN) get 0, values above
+    hi get n + 1.  The arithmetic floor is at most one bin off next to an
+    edge; one comparison with each edge of the guessed bin corrects it.
+    """
+    edges = np.linspace(lo, hi, n + 1)
+    # lower[s] is the lower edge of shifted bin s; nudging the top edge up one
+    # ulp folds v == hi into bin n
+    lower = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(hi, np.inf)]))
+    t = (v - lo) * (n / (hi - lo))
+    t += 1.0
+    np.fmax(t, 0.0, out=t)
+    np.fmin(t, n, out=t)
+    s = t.astype(np.intp)
+    s -= v < lower.take(s)
+    s += v >= lower.take(s + 1)
+    return s
+
+
+def _grid_counts(x, y, nx, ny, yrange):
+    """int64 counts of the points on nx x ny equal bins over [0,1] x yrange.
+
+    The same counts as NumPy's two-dimensional histogram with ``bins=[nx, ny]``
+    and ``range=[[0, 1], yrange]``: points outside the range fall into the
+    outlier rim and are dropped.
+    """
+    flat = _bin_index(x, 0.0, 1.0, nx) * (ny + 2)
+    flat += _bin_index(y, yrange[0], yrange[1], ny)
+    counts = np.bincount(flat, minlength=(nx + 2) * (ny + 2))
+    return counts.reshape(nx + 2, ny + 2)[1:-1, 1:-1].astype(np.int64)
 
 
 def lift_srb(spec, density, n_iter, n_samples, seed,
@@ -247,6 +292,12 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     caller can compare it with the histogram resolution.  Work is split into
     fixed-size chunks with per-chunk child seeds; results are merged in chunk
     order, so the outcome is identical for any worker count.
+
+    Each step is ``_step_chunk``: a point with |x - b| <= ``_BOUNDARY_TOL``
+    for an inner break b moves right by ``_JITTER`` (counted in ``jittered``)
+    and then takes branch i = the number of inner breaks <= x.  After the
+    last step, points outside [-tol, 1 + tol] x J are discarded; the rest are
+    counted on equal bins as ``np.histogramdd`` bins them (``_grid_counts``).
     """
     if n_iter < 1:
         raise ParameterError("need at least one iteration to leave the base line")
@@ -273,11 +324,9 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         dropped = int(m - good.sum())
         if dropped:
             x, y = x[good], y[good]
-        cond, _, _ = np.histogram2d(
-            x, y, bins=[fiber_bins, y_bins], range=[[0.0, 1.0], [jlo, jhi]])
-        sq, _, _ = np.histogram2d(
-            x, y, bins=[sq_bins, sq_bins], range=[[0.0, 1.0], [0.0, 1.0]])
-        return (cond.astype(np.int64), sq.astype(np.int64), dropped,
+        cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi))
+        sq = _grid_counts(x, y, sq_bins, sq_bins, (0.0, 1.0))
+        return (cond, sq, dropped,
                 counters["jittered"], x if keep_samples else None,
                 y if keep_samples else None)
 
@@ -331,17 +380,14 @@ def push_forward(spec, srb):
     if srb.x is None:
         raise ParameterError("estimate was built without retained samples")
     counters = {"jittered": 0}
-    x, y = _step_chunk(spec, srb.x.copy(), srb.y.copy(), counters)
-    jlo, jhi = srb.fiber_range
-    cond, _, _ = np.histogram2d(
-        x, y, bins=[srb.fiber_bins, srb.y_bins], range=[[0.0, 1.0], [jlo, jhi]])
-    sq, _, _ = np.histogram2d(
-        x, y, bins=[srb.sq_bins, srb.sq_bins], range=[[0.0, 1.0], [0.0, 1.0]])
+    x, y = _step_chunk(spec, srb.x, srb.y, counters)
+    cond = _grid_counts(x, y, srb.fiber_bins, srb.y_bins, srb.fiber_range)
+    sq = _grid_counts(x, y, srb.sq_bins, srb.sq_bins, (0.0, 1.0))
     out = SrbEstimate(
         spec_hash=srb.spec_hash, seed=srb.seed, n_samples=srb.n_samples,
         iterations_used=srb.iterations_used + 1, fiber_bins=srb.fiber_bins,
         y_bins=srb.y_bins, fiber_range=srb.fiber_range,
-        cond_counts=cond.astype(np.int64), sq_counts=sq.astype(np.int64),
+        cond_counts=cond, sq_counts=sq,
         sq_bins=srb.sq_bins, kept=len(x), discarded=srb.discarded,
         jittered=srb.jittered + counters["jittered"],
         contraction_budget=srb.contraction_budget, x=x, y=y)
@@ -361,8 +407,7 @@ def density_grid(srb, nx, ny):
         raise ParameterError(
             f"grid {nx}x{ny} does not divide the stored {srb.sq_bins}^2 histogram "
             "and no raw samples were retained")
-    h, _, _ = np.histogram2d(srb.x, srb.y, bins=[nx, ny],
-                             range=[[0.0, 1.0], [0.0, 1.0]])
+    h = _grid_counts(srb.x, srb.y, nx, ny, (0.0, 1.0))
     return h / h.sum()
 
 

@@ -7,8 +7,16 @@ from horseshoe.errors import (
     ParameterError,
     ResolutionError,
 )
-from horseshoe.maps import make_baker
+from horseshoe.maps import (
+    FiberMap,
+    affine_fiber,
+    make_affine_example,
+    make_baker,
+    make_custom_skew,
+)
 from horseshoe.measures import (
+    _BOUNDARY_TOL,
+    _JITTER,
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
@@ -18,6 +26,8 @@ from horseshoe.measures import (
     load_srb,
     push_forward,
     save_srb,
+    _grid_counts,
+    _step_chunk,
     tsujii_criterion,
     ulam_acip,
     ulam_transition,
@@ -88,6 +98,9 @@ def test_lift_worker_count_invariance(baker06):
     assert np.array_equal(a.cond_counts, b.cond_counts)
     assert np.array_equal(a.sq_counts, b.sq_counts)
     assert a.jittered == b.jittered
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.y.tobytes() == b.y.tobytes()
+    assert a.discarded == b.discarded
 
 
 def test_lift_bookkeeping(baker06):
@@ -193,3 +206,114 @@ def test_density1d_cdf_edges():
     d = Density1D(bins=4, masses=np.array([0.1, 0.2, 0.3, 0.4]),
                   l_bound=0.4, L_bound=1.6)
     assert np.allclose(d.cdf_edges(), [0.0, 0.1, 0.3, 0.6, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the lift's step and binning against their mask-based and numpy references
+
+
+def _mask_step(spec, x, y, counters):
+    """Per-branch boolean-mask step with a points-by-breaks distance matrix."""
+    breaks = spec.base_breaks
+    inner = breaks[1:-1]
+    near = np.min(np.abs(x[:, None] - inner[None, :]), axis=1) <= _BOUNDARY_TOL
+    if near.any():
+        counters["jittered"] += int(near.sum())
+        x = np.where(near, x + _JITTER, x)
+    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, spec.n_strips - 1)
+    u = np.empty_like(x)
+    v = np.empty_like(y)
+    for i, sk in enumerate(spec.skew):
+        sel = idx == i
+        if sel.any():
+            uu = sk.base_forward(x[sel])
+            u[sel] = uu
+            v[sel] = sk.fiber.value(uu, y[sel])
+    return u, v
+
+
+def _three_strip_skew():
+    """Unequal breaks, u-dependent fiber slopes and offsets."""
+    return make_custom_skew((0.0, 0.3, 0.55, 1.0), [
+        affine_fiber(lambda u: 0.5 + 0.1 * u, lambda u: 0.05 * u, 0.1, 0.05),
+        affine_fiber(lambda u: 0.45 - 0.05 * u, lambda u: 0.3 + 0.02 * u * u,
+                     -0.05, lambda u: 0.04 * u),
+        affine_fiber(0.4, lambda u: 0.55 - 0.1 * u, 0.0, -0.1),
+    ])
+
+
+def _quadratic_sine_skew():
+    """psi(u, y) = c0 + 0.6 y + 0.05 y^2 + 0.02 sin(u): a non-affine fiber."""
+
+    def fiber(c0):
+        return FiberMap(
+            value=lambda u, y: c0 + 0.6 * y + 0.05 * y * y + 0.02 * np.sin(u),
+            dy=lambda u, y: 0.6 + 0.1 * y + 0.0 * u,
+            du=lambda u, y: 0.02 * np.cos(u) + 0.0 * y,
+            dyy=lambda u, y: 0.1 + 0.0 * (u + y),
+            dyu=lambda u, y: 0.0 * (u + y),
+            duu=lambda u, y: -0.02 * np.sin(u) + 0.0 * y,
+        )
+
+    return make_custom_skew((0.0, 0.5, 1.0), [fiber(0.0), fiber(0.35)],
+                            label="quadratic_sine")
+
+
+def _adversarial_x(spec, rng, n=20_000):
+    """Seeded points plus points on, within and just outside tol of each break."""
+    x = rng.random(n)
+    special = [-0.3, -_BOUNDARY_TOL / 2, 0.0, 1.0, 1.0 + _BOUNDARY_TOL / 2, 1.3]
+    for b in spec.base_breaks[1:-1]:
+        for d in (0.0, 0.5 * _BOUNDARY_TOL, _BOUNDARY_TOL):
+            special += [b + d, b - d]
+        for d in (np.nextafter(_BOUNDARY_TOL, 1.0), 2.0 * _BOUNDARY_TOL):
+            special += [b + d, b - d]
+        special += [np.nextafter(b, 0.0), np.nextafter(b, 1.0)]
+    x[:len(special)] = special
+    return rng.permutation(x)
+
+
+@pytest.mark.parametrize("spec", [
+    make_baker(0.6), make_affine_example(0.8, 0.55), _three_strip_skew(),
+    _quadratic_sine_skew(),
+], ids=["baker06", "affine", "three_strip", "quadratic_sine"])
+def test_step_matches_mask_reference(spec):
+    rng = np.random.default_rng(2024)
+    x = _adversarial_x(spec, rng)
+    y = rng.uniform(*spec.extended_fiber, size=x.size)
+    ref_x, ref_y, ref_c = x, y, {"jittered": 0}
+    new_x, new_y, new_c = x, y, {"jittered": 0}
+    for _ in range(30):
+        ref_x, ref_y = _mask_step(spec, ref_x, ref_y, ref_c)
+        new_x, new_y = _step_chunk(spec, new_x, new_y, new_c)
+        assert new_x.tobytes() == ref_x.tobytes()
+        assert new_y.tobytes() == ref_y.tobytes()
+    assert new_c == ref_c
+    assert ref_c["jittered"] >= 6 * (spec.n_strips - 1)
+
+
+@pytest.mark.parametrize("nx, ny, yrange", [
+    (64, 1200, (-0.1, 1.1)), (256, 256, (0.0, 1.0)), (100, 30, (0.0, 1.0)),
+], ids=["cond", "sq", "density_grid"])
+def test_grid_counts_match_numpy_histogram(nx, ny, yrange):
+    rng = np.random.default_rng(7)
+
+    def adversarial(lo, hi, n):
+        edges = np.linspace(lo, hi, n + 1)
+        outside = [lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf),
+                   np.nextafter(hi, np.inf), -np.inf, np.inf, np.nan]
+        v = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf), outside, [hi] * 5,
+                            rng.uniform(lo - 0.2, hi + 0.2, 40_000)])
+        return rng.permutation(v)
+
+    x = adversarial(0.0, 1.0, nx)
+    y = adversarial(yrange[0], yrange[1], ny)
+    m = min(x.size, y.size)
+    for xs, ys in [(x[:m], y[:m]), (x[:m], np.sort(y[:m])),
+                   (np.sort(x[:m]), np.sort(y[:m]))]:
+        want, _, _ = np.histogram2d(xs, ys, bins=[nx, ny],
+                                    range=[[0.0, 1.0], list(yrange)])
+        got = _grid_counts(xs, ys, nx, ny, yrange)
+        assert got.dtype == np.int64 and got.shape == (nx, ny)
+        assert np.array_equal(got, want.astype(np.int64))
