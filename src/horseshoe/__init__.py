@@ -59,7 +59,6 @@ from .measures import (
     Density1D,
     SrbEstimate,
     density_grid,
-    fiber_l2_norm,
     fiber_l2_norms,
     lift_srb,
     load_srb,

@@ -57,7 +57,6 @@ class RunConfig:
     grid_n: int = 256
     strict_a4: bool = False
     # enumeration
-    depth_max: int = 24
     x_grid_n: int = 65
     enum_r: tuple = (2.0 ** -4, 2.0 ** -5, 2.0 ** -6)
     word_budget: int = 400_000
@@ -138,7 +137,7 @@ def finalize_config(config):
     config.r_list = _decreasing(config.r_list, "r_list")
     if not isinstance(config.seed, int):
         raise ConfigError("seed must be an integer (and is mandatory)")
-    for name in ("grid_n", "depth_max", "x_grid_n", "bins", "samples",
+    for name in ("grid_n", "x_grid_n", "bins", "samples",
                  "iters", "workers", "fiber_bins", "y_bins", "tail_depth",
                  "pair_budget", "fat_depth", "fat_depth_min", "figure_n",
                  "figure_grid", "diag_word_depth", "diag_lattice", "cone_depth"):
@@ -271,14 +270,13 @@ def stage_enumerate(ctx):
     for inv in _inventories(ctx):
         name = f"inventory_r{inv.r:.10g}.blob"
         save_inventory(inv, Path(cfg.out_dir) / name, _spec(ctx))
-        lens = [len(w) for w in inv.words]
         summary[f"{inv.r:.10g}"] = {
             "file": name,
             "words": len(inv.words),
             "mass": inv.mass(),
             "mass_defect": abs(inv.mass() - 1.0),
-            "len_min": min(lens),
-            "len_max": max(lens),
+            "len_min": int(inv.lengths.min()),
+            "len_max": int(inv.lengths.max()),
         }
     _write_json(Path(cfg.out_dir) / "enumeration.json", summary)
     ctx["enumeration"] = summary
@@ -495,7 +493,6 @@ def _add_flags(p):
     g.add_argument("--grid-n", type=int)
     g.add_argument("--strict-a4", action="store_true", default=None)
     g = p.add_argument_group("enumeration")
-    g.add_argument("--depth-max", type=int)
     g.add_argument("--x-grid-n", type=int)
     g.add_argument("--enum-r", type=str, help="comma-separated decreasing scales")
     g.add_argument("--word-budget", type=int)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def fatness_fit(spec, depth_max, depth_min=2, x_grid_n=65, budget=400_000):
     if depth_hi <= depth_min:
         raise ParameterError(
             f"budget {budget} leaves fewer than two depths from {depth_min}")
-    depths = np.array([len(w) for w in words])
+    depths = np.count_nonzero(words, axis=1)
     log_i = np.log(lens)
     log_d = np.log(diams)
     ratio = log_i - log_d
@@ -153,20 +152,17 @@ def tail_slope_hull(spec, tail_depth=48, u_grid_n=257):
 def _envelope_rows(spec, words, x_grid, hull):
     """Envelopes of many words at once, one row per word.
 
-    Words are composed ``BLOCK`` at a time as rows of a symbol array,
-    zero-padded on the right: at step k the rows whose k-th symbol is s
-    take branch s (``fiber_step``), and padded rows stay put.  Returns
-    (pos_lo, pos_hi, slope_lo, slope_hi), each of shape (words, grid).
+    ``words`` is a symbol array, one word per row, zero-padded on the
+    right.  Rows are composed ``BLOCK`` at a time: at step k the rows whose
+    k-th symbol is s take branch s (``fiber_step``), and padded rows stay
+    put.  Returns (pos_lo, pos_hi, slope_lo, slope_hi), each of shape
+    (words, grid).
     """
     xg = np.asarray(x_grid, dtype=float)
     out = [np.empty((len(words), xg.size)) for _ in range(4)]
     for start in range(0, len(words), BLOCK):
-        part = words[start:start + BLOCK]
-        lens = np.array([len(w) for w in part])
-        sym = np.zeros((len(part), lens.max()), dtype=np.intp)
-        sym[np.arange(sym.shape[1]) < lens[:, None]] = list(
-            chain.from_iterable(part))
-        X = np.tile(xg, (len(part), 1))
+        sym = words[start:start + BLOCK]
+        X = np.tile(xg, (len(sym), 1))
         A, B = np.ones_like(X), np.zeros_like(X)
         coef = [np.zeros_like(X), np.ones_like(X), np.zeros_like(X)]
         for col in sym.T:
@@ -180,7 +176,7 @@ def _envelope_rows(spec, words, x_grid, hull):
                 for c, v in zip(coef, new):
                     c[rows] = v
         for o, e in zip(out, envelope_hulls(A, B, coef, hull)):
-            o[start:start + len(part)] = e
+            o[start:start + len(sym)] = e
     return out
 
 
@@ -193,8 +189,8 @@ def manifold_envelope(spec, word, x_grid, hull):
     evaluated pointwise; this is the one-word case of the batched
     composition ``ntr_sum`` uses.
     """
-    word = check_word(spec, word)
-    return tuple(e[0] for e in _envelope_rows(spec, [word], x_grid, hull))
+    word = np.array([check_word(spec, word)], dtype=np.intp)
+    return tuple(e[0] for e in _envelope_rows(spec, word, x_grid, hull))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,7 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     need = np.unique(np.concatenate((I[ks], J[ks])))
     row = np.empty(len(inv.words), dtype=np.intp)
     row[need] = np.arange(len(need))
-    env = _envelope_rows(spec, [inv.words[k] for k in need], xg, hull)
+    env = _envelope_rows(spec, inv.words[need], xg, hull)
     for start in range(0, len(ks), BLOCK):
         kb = ks[start:start + BLOCK]
         env_a = [e[row[I[kb]]] for e in env]
@@ -408,14 +404,19 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     live = np.zeros((spec.n_strips + 1,) * 2, dtype=bool)
     for (a, b), sep in pruned.items():
         live[a, b] = not sep
-    first = np.array([w[0] if w else 0 for w in inv.words])
+    # lead symbols; the empty word, which is all of M(r) when it occurs,
+    # leads with 0 and so pairs with nothing
+    first = (inv.words[:, 0] if inv.words.shape[1]
+             else np.zeros(len(inv.words), dtype=inv.words.dtype))
 
-    # ordered pair count over distinct leading symbols
+    # ordered pair count over distinct leading symbols; by_len[n][s] holds
+    # the rows of the words of length n and lead s, in row order
+    lengths = np.unique(inv.lengths).tolist()
     by_len = {}
-    for k, w in enumerate(inv.words):
-        if w:
-            by_len.setdefault(len(w), {}).setdefault(w[0], []).append(k)
-    lengths = sorted(by_len)
+    for n in lengths:
+        at = np.flatnonzero(inv.lengths == n)
+        by_len[n] = {s: at[first[at] == s]
+                     for s in np.unique(first[at]).tolist()}
 
     def cross_count(la, lb):
         ga, gb = by_len[la], by_len[lb]

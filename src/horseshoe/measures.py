@@ -421,20 +421,13 @@ def _window_breakpoints(edges, r):
 
 
 def _cdf_at(masses, edges, z):
-    """Piecewise-linear CDF of a histogram, vectorized over z.
-
-    ``masses`` may be 1-D (one column) or 2-D (columns x cells); the result
-    broadcasts accordingly.
-    """
+    """Piecewise-linear CDFs of histogram rows (columns x cells) at z."""
     nbins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     width = (hi - lo) / nbins
     zc = np.clip(z, lo, hi)
     j = np.minimum(((zc - lo) / width).astype(int), nbins - 1)
     frac = (zc - (lo + j * width)) / width
-    if masses.ndim == 1:
-        cums = np.concatenate([[0.0], np.cumsum(masses)])
-        return cums[j] + masses[j] * frac
     cums = np.concatenate([np.zeros((masses.shape[0], 1)), np.cumsum(masses, axis=1)],
                           axis=1)
     return cums[:, j] + masses[:, j] * frac
@@ -449,30 +442,8 @@ def _sliding_sq_integral(masses, edges, r):
     bp = _window_breakpoints(edges, r)
     w = _cdf_at(masses, edges, bp + r) - _cdf_at(masses, edges, bp - r)
     seg = np.diff(bp)
-    if masses.ndim == 1:
-        w1, w2 = w[:-1], w[1:]
-        return float(np.sum(seg * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0))
     w1, w2 = w[:, :-1], w[:, 1:]
     return np.sum(seg[None, :] * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0, axis=1)
-
-
-def fiber_l2_norm(srb, x_bin, r):
-    """Squared L2 window norm of one fiber conditional at radius r.
-
-    Refuses radii at or below the conditional histogram cell height rather
-    than extrapolating below resolution.
-    """
-    r = float(r)
-    cell = srb.y_cell
-    if r <= 0.0 or r < cell:
-        raise ResolutionError(
-            f"radius {r} below conditional histogram resolution {cell:.3g}")
-    counts = srb.cond_counts[x_bin].astype(float)
-    tot = counts.sum()
-    if tot <= 0:
-        raise ParameterError(f"fiber bin {x_bin} holds no samples")
-    edges = np.linspace(srb.fiber_range[0], srb.fiber_range[1], srb.y_bins + 1)
-    return _sliding_sq_integral(counts / tot, edges, r)
 
 
 def fiber_l2_norms(srb, r):

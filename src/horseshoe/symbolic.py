@@ -1,12 +1,18 @@
 """Words, cylinder geometry, and maximal-word families.
 
-A word is a tuple of 1-based strip indices, most recent symbol first: the
+A word is a row of 1-based strip indices, most recent symbol first: the
 cylinder of w = (a1, ..., an) is the image strip obtained by applying branch
 an first and branch a1 last.  Its base interval I_w collects the starting
 points whose base itinerary runs through the word in that (reversed) order,
 and its fiber image U_w(x) is the vertical interval the composition leaves
 over an arrival point x.  Widths are measured on the extended fiber J; the
 diameter d(w) is the largest extended width over the base.
+
+Functions of one word take it as a tuple.  A family of words is kept in
+the walker's format: an (n, L) symbol array, one word per row, zero-padded
+on the right to the longest length L (0 is no symbol), with the lengths
+beside it.  ``MInventory`` and ``cylinder_table`` return their words so,
+and the envelopes and the checkpoint read them so.
 
 Every walk that shares prefixes goes through one walker, ``_walk``.  It
 pops a block of at most ``BLOCK`` nodes of one depth and grows each node
@@ -21,9 +27,11 @@ end.
 M(r) is the family of words whose extended width has dropped to scale r.
 Where a node has some children at or above scale r and some below, the
 below-scale children are emitted along with the deeper descendants.  The
-family is prefix-free, so the base lengths sum to one (sum |I_w| = 1), and
-it agrees with the plain "maximal word" rule whenever sibling widths cross
-the threshold together.
+family is prefix-free and complete over the alphabet (each proper prefix of
+a word has all N children, each a word or again a prefix), so the base
+lengths sum to one (sum |I_w| = 1).  It agrees with the plain "maximal
+word" rule whenever sibling widths cross the threshold together.  When
+every one-symbol word is below scale r, M(r) is the empty word alone.
 
 The base intervals need not tile [0,1], though.  A word grows by appending
 the symbol that acts first, so I_ws is not contained in I_w.  A family of
@@ -191,11 +199,17 @@ def cylinder_diameter(spec, word, x_grid_n=257, refine=True):
 
 @dataclass
 class MInventory:
-    """The family M(r) with per-word base intervals and diameters."""
+    """The family M(r) with per-word base intervals and diameters.
+
+    ``words`` is an (n, L) symbol array, one word per row, zero-padded on
+    the right to the longest length L; ``lengths`` holds the word lengths.
+    Rows run in (base_lo, length) order.
+    """
 
     r: float
     x_grid: np.ndarray
-    words: list
+    words: np.ndarray
+    lengths: np.ndarray
     base_lo: np.ndarray
     base_len: np.ndarray
     diam: np.ndarray
@@ -250,6 +264,12 @@ def _join(parts):
     if len(parts) == 1:
         return parts[0]
     return _Nodes(*(np.concatenate(f) for f in zip(*parts)))
+
+
+def _padded(rows, width):
+    """Symbol arrays of any depths as one (n, width) array, padded with 0."""
+    return np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[1])))
+                           for w in rows])
 
 
 def _walk(spec, x_grid_n, keep):
@@ -321,13 +341,12 @@ def m_inventory(spec, r, x_grid_n=65, budget=None):
     if max(b for _, b in spec.fiber_slope_bounds()) >= 1.0:
         raise ParameterError("fiber maps must contract (max slope below 1)")
 
-    words = []
-    out = []  # emitted groups: (lengths, base lo, base len, diam)
+    out = []  # emitted groups: (words, lengths, base lo, base len, diam)
 
     def emit(nodes, mask):
         if mask.any():
-            words.extend(map(tuple, nodes.word[mask].tolist()))
-            out.append((np.full(mask.sum(), nodes.word.shape[1]),
+            out.append((nodes.word[mask],
+                        np.full(mask.sum(), nodes.word.shape[1]),
                         nodes.lo[mask], nodes.ln[mask], nodes.diam[mask]))
 
     visited = 0
@@ -342,12 +361,14 @@ def m_inventory(spec, r, x_grid_n=65, budget=None):
         for child, k in zip(children, kept):
             emit(child, ~k & ~leaf)
 
-    length, lo, ln, diam = (np.concatenate(c) for c in zip(*out))
+    words, *rest = zip(*out)
+    length, lo, ln, diam = map(np.concatenate, rest)
     order = np.lexsort((length, lo))
     return MInventory(
         r=r,
         x_grid=np.linspace(0.0, 1.0, x_grid_n),
-        words=[words[k] for k in order],
+        words=_padded(words, length.max())[order],
+        lengths=length[order],
         base_lo=lo[order],
         base_len=ln[order],
         diam=diam[order],
@@ -380,8 +401,8 @@ def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
     The tree is full, so a node budget resolves to a depth before the walk:
     the table stops at the deepest complete depth d, the largest with
     1 + N + ... + N^d <= budget.  Returns (words, base_len array, diam
-    array, d), the words depth by depth and in lexicographic order within
-    each depth.
+    array, d), the words as a (n, d) symbol array padded with 0, depth by
+    depth and in lexicographic order within each depth.
     """
     if depth_max < 1:
         raise ParameterError("need depth_max >= 1")
@@ -404,10 +425,11 @@ def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
     for level in levels:
         word, ln, diam = (np.concatenate(f) for f in zip(*level))
         order = np.lexsort(word.T[::-1])
-        words.extend(map(tuple, word[order].tolist()))
+        words.append(word[order])
         lens.append(ln[order])
         diams.append(diam[order])
-    return words, np.concatenate(lens), np.concatenate(diams), complete
+    return (_padded(words, complete), np.concatenate(lens),
+            np.concatenate(diams), complete)
 
 
 def window_count(spec, depth_max, c1, c2, x_grid_n=65):
@@ -440,14 +462,12 @@ def save_inventory(inv, path, spec=None):
     """Checkpoint an MInventory (words and scalars only) to a cache blob."""
     from .cache import write_blob
 
-    flat = np.array([s for w in inv.words for s in w], dtype=np.int32)
-    lens = np.array([len(w) for w in inv.words], dtype=np.int32)
     meta = {"r": inv.r, "n_words": len(inv.words)}
     if spec is not None:
         meta["map_hash"] = spec.map_hash
     return write_blob(path, "m_inventory", meta, {
-        "symbols": flat,
-        "lengths": lens,
+        "symbols": inv.words[inv.words > 0].astype(np.int32),
+        "lengths": inv.lengths.astype(np.int32),
         "x_grid": inv.x_grid,
         "base_lo": inv.base_lo,
         "base_len": inv.base_len,
@@ -465,13 +485,11 @@ def load_inventory(path, spec=None):
         raise CacheError(
             f"{path}: inventory belongs to map {meta['map_hash'][:12]}, "
             f"not {spec.map_hash[:12]}")
-    words = []
-    pos = 0
-    flat = arrays["symbols"]
-    for n in arrays["lengths"]:
-        words.append(tuple(int(s) for s in flat[pos: pos + int(n)]))
-        pos += int(n)
+    symbols, lengths = arrays["symbols"], arrays["lengths"].astype(int)
+    words = np.zeros((lengths.size, lengths.max(initial=0)),
+                     dtype=np.min_scalar_type(symbols.max(initial=1)))
+    words[np.arange(words.shape[1]) < lengths[:, None]] = symbols
     return MInventory(
         r=float(meta["r"]), x_grid=arrays["x_grid"], words=words,
-        base_lo=arrays["base_lo"], base_len=arrays["base_len"],
-        diam=arrays["diam"])
+        lengths=lengths, base_lo=arrays["base_lo"],
+        base_len=arrays["base_len"], diam=arrays["diam"])

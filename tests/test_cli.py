@@ -152,6 +152,39 @@ def test_config_error_exit_code(tmp_path, capsys):
                 ["--fat-depth-min", "10", "--fat-depth", "10"]):
         assert main(["fatness", *bad, "--out", str(tmp_path)]) == 2
         assert "fat_depth_min" in capsys.readouterr().err
+    # depth_max was a knob no stage read; it is gone
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"depth_max": 24}))
+    assert main(["acip", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'depth_max'" in capsys.readouterr().err
+
+
+def test_enumerate_checkpoint_bytes_pinned(tmp_path):
+    """The inventory blobs and their summary keep their exact bytes.
+
+    ``perfbench/oracles.py`` parses the ``symbols``/``lengths`` arrays of
+    these blobs, so their format is pinned by digest; the blobs must also
+    load back to the inventories they were written from.
+    """
+    assert main(["enumerate", "--family", "affine", "--enum-r",
+                 "0.0625,0.015625", "--seed", "7", "--out", str(tmp_path)]) == 0
+    digests = {name: cache.file_sha256(tmp_path / name) for name in (
+        "inventory_r0.0625.blob", "inventory_r0.015625.blob",
+        "enumeration.json")}
+    assert digests == {
+        "inventory_r0.0625.blob":
+            "b176939c3f544dd941e173cfabfdcfc86fadddef2ec967da374af2e1bf8d2a02",
+        "inventory_r0.015625.blob":
+            "9f192aa13016415f9fde6d77b8cea71a4cb05f53c616ed7be327387b91571da9",
+        "enumeration.json":
+            "120f0431c1678bdd84284f86bfbbe548629956df5610014e05245cc2a55d9b0b",
+    }
+    spec = cli.build_spec(RunConfig(family="affine"))
+    for r in (0.0625, 0.015625):
+        inv = m_inventory(spec, r)
+        back = cache_roundtrip(tmp_path / f"inventory_r{r:.10g}.blob")
+        assert back.words.tolist() == inv.words.tolist()
+        assert back.lengths.tolist() == inv.lengths.tolist()
 
 
 def test_each_scale_enumerated_once(tmp_path, monkeypatch):
@@ -216,7 +249,8 @@ def test_roundtrip_dispatch_inventory(tmp_path, baker06):
     path = tmp_path / "inv.blob"
     save_inventory(inv, path, baker06)
     back = cache_roundtrip(path)
-    assert back.words == inv.words
+    assert back.words.tolist() == inv.words.tolist()
+    assert back.lengths.tolist() == inv.lengths.tolist()
     assert np.array_equal(back.base_len, inv.base_len)
 
 

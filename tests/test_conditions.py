@@ -235,6 +235,14 @@ def test_charged_sum_two_strip_oracle(baker06):
     assert not rep.subsampled
 
 
+def test_charged_sum_of_the_empty_word(baker06):
+    """Above every one-symbol diameter (0.72) M(r) is the empty word alone."""
+    inv = m_inventory(baker06, 1.0)
+    assert inv.words.shape == (1, 0) and inv.lengths.tolist() == [0]
+    rep = ntr_sum(baker06, inv, delta=0.1)
+    assert (rep.n_pairs, rep.n_ntr, rep.sum_value) == (0, 0.0, 0.0)
+
+
 def test_tiling_family_sums_to_zero(baker_half):
     sweep = ntr_sweep(baker_half, [0.6, 0.3, 0.15], delta=0.1)
     assert all(rep.sum_value == 0.0 for rep in sweep.reports)

@@ -27,6 +27,16 @@ from horseshoe.symbolic import (
 words2 = st.lists(st.integers(1, 2), min_size=0, max_size=8).map(tuple)
 
 
+def _word_tuples(words, lengths):
+    """Packed word rows as tuples, checking the zero padding on the way."""
+    rows = words.tolist()
+    lengths = lengths.tolist()
+    assert len(rows) == len(lengths)
+    for row, n in zip(rows, lengths):
+        assert all(row[:n]) and not any(row[n:]), (row, n)
+    return [tuple(row[:n]) for row, n in zip(rows, lengths)]
+
+
 def test_base_cylinder_known_interval(baker06):
     assert base_cylinder(baker06, (1, 2, 1)) == (0.25, 0.375)
     assert base_cylinder(baker06, ()) == (0.0, 1.0)
@@ -69,8 +79,10 @@ def test_fiber_width_fn_matches_fiber_image(affine):
 
 
 def test_scale_family_baker_examples(baker06):
-    assert m_inventory(baker06, 0.5 * 1.2).words == [(1,), (2,)]
-    level2 = m_inventory(baker06, 0.3 * 1.2).words
+    inv = m_inventory(baker06, 0.5 * 1.2)
+    assert _word_tuples(inv.words, inv.lengths) == [(1,), (2,)]
+    inv = m_inventory(baker06, 0.3 * 1.2)
+    level2 = _word_tuples(inv.words, inv.lengths)
     assert sorted(level2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
@@ -87,15 +99,16 @@ def test_scale_family_invariants(lam, r_frac):
     spec = make_baker(lam)
     r = r_frac * 1.2
     inv = m_inventory(spec, r)
-    assert len(set(inv.words)) == len(inv.words)
-    for w, d in zip(inv.words, inv.diam):
+    words = _word_tuples(inv.words, inv.lengths)
+    assert len(set(words)) == len(words)
+    for w, d in zip(words, inv.diam):
         assert d >= r - 1e-12
         for s in (1, 2):
             child = cylinder_diameter(spec, w + (s,))
             assert child < r + 1e-12
     # no member extends another: in sorted order the shortest extension of w
     # would sit directly after w, so neighbor checks cover every pair
-    for w, v in zip(sorted(inv.words), sorted(inv.words)[1:]):
+    for w, v in zip(sorted(words), sorted(words)[1:]):
         assert v[:len(w)] != w
     assert abs(inv.mass() - 1.0) < 1e-12
 
@@ -155,12 +168,6 @@ def _dfs_inventory(spec, r, tail_hull, x_grid_n=65):
             np.array([d for _, d in rows]), env)
 
 
-def _packed(words):
-    """Words as bytes: the symbols in a row, then the lengths."""
-    return (np.array([s for w in words for s in w], dtype=np.int64).tobytes(),
-            np.array([len(w) for w in words]).tobytes())
-
-
 def _three_strip_skew():
     """Unequal breaks, u-dependent fiber slopes and offsets."""
     return make_custom_skew((0.0, 0.3, 0.55, 1.0), [
@@ -181,12 +188,41 @@ def test_block_kernel_matches_node_walk(spec, r):
     inv = m_inventory(spec, r)
     words, base_lo, base_len, diam, env = _dfs_inventory(spec, r, hull)
     assert len(set(len(w) for w in words)) > 1 or spec.label == "baker"
-    assert _packed(inv.words) == _packed(words)
+    assert _word_tuples(inv.words, inv.lengths) == words
     assert inv.base_lo.tobytes() == base_lo.tobytes()
     assert inv.base_len.tobytes() == base_len.tobytes()
     assert inv.diam.tobytes() == diam.tobytes()
     rows = _envelope_rows(spec, inv.words, inv.x_grid, hull)
     assert np.stack(rows, axis=1).tobytes() == np.array(env).tobytes()
+
+
+@pytest.mark.parametrize("spec, r", [
+    (make_affine_example(0.8, 0.55), 2.0 ** -6),
+    (make_affine_example(0.8, 0.55), 2.0 ** -7),
+    (make_baker(0.6), 2.0 ** -6 * 1.2),
+    (_three_strip_skew(), 2.0 ** -5),
+], ids=["affine_2^-6", "affine_2^-7", "baker06", "three_strip"])
+def test_scale_family_is_complete_prefix_code(spec, r):
+    """Every backward itinerary has exactly one prefix in M(r).
+
+    The packed rows are walked as a trie: no word may end at a node that
+    is the prefix of another word, and every proper prefix must have all
+    N children, each either a word or again a prefix.
+    """
+    inv = m_inventory(spec, r)
+    trie = {}  # prefix -> True where a word ends, False where words pass
+    for row, n in zip(inv.words.tolist(), inv.lengths.tolist()):
+        assert all(row[:n]) and not any(row[n:])
+        word = tuple(row[:n])
+        for k in range(n):
+            assert trie.setdefault(word[:k], False) is False, word[:k]
+        assert word not in trie, word
+        trie[word] = True
+    prefixes = [p for p, is_word in trie.items() if not is_word]
+    assert () in prefixes
+    for p in prefixes:
+        for s in range(1, spec.n_strips + 1):
+            assert p + (s,) in trie, p + (s,)
 
 
 def _level_table(spec, depth_max, budget=None, x_grid_n=65):
@@ -238,7 +274,8 @@ def _node_window_count(spec, depth_max, c1, c2, x_grid_n=65):
 def test_cylinder_table_matches_level_walk(spec, depth, budget):
     got = cylinder_table(spec, depth, budget=budget)
     want = _level_table(spec, depth, budget=budget)
-    assert _packed(got[0]) == _packed(want[0])
+    assert got[0].shape == (len(want[0]), want[3])
+    assert _word_tuples(got[0], np.array([len(w) for w in want[0]])) == want[0]
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2].tobytes() == want[2].tobytes()
     assert got[3] == want[3]
@@ -271,16 +308,18 @@ def test_scale_family_word_budget(baker06):
 
 def test_cylinder_table_budget_keeps_complete_levels(affine):
     words, lens, diams, complete = cylinder_table(affine, 6, budget=30)
+    depths = np.count_nonzero(words, axis=1)
     assert complete < 6
-    assert max(len(w) for w in words) == complete
-    assert 2 ** complete == sum(1 for w in words if len(w) == complete)
+    assert words.shape[1] == depths.max() == complete
+    assert 2 ** complete == np.sum(depths == complete)
     with pytest.raises(BudgetError):
         cylinder_table(affine, 3, budget=1)
 
 
 def test_cylinder_diameter_agrees_with_inventory(affine):
     inv = m_inventory(affine, 0.12)
-    for w, d in zip(inv.words[:12], inv.diam[:12]):
+    words = _word_tuples(inv.words, inv.lengths)
+    for w, d in zip(words[:12], inv.diam[:12]):
         assert abs(cylinder_diameter(affine, w) - d) < 5e-4
 
 
@@ -301,14 +340,20 @@ def test_truncate_alphabet_prefix_rule(baker06):
     assert truncate_alphabet(baker06, 0.65) == 0
 
 
-def test_inventory_roundtrip(tmp_path, baker06):
-    inv = m_inventory(baker06, 2.0 ** -6 * 1.2)
-    path = tmp_path / "inv.blob"
-    save_inventory(inv, path, baker06)
-    back = load_inventory(path, baker06)
-    assert back.words == inv.words
-    assert np.array_equal(back.base_len, inv.base_len)
-    assert np.array_equal(back.diam, inv.diam)
+def test_inventory_roundtrip(tmp_path, baker06, affine):
+    # uniform depths, mixed depths, and M(r) = {()} above every one-symbol
+    # diameter
+    for spec, r in ((baker06, 2.0 ** -6 * 1.2), (affine, 2.0 ** -5),
+                    (baker06, 1.0)):
+        inv = m_inventory(spec, r)
+        path = tmp_path / "inv.blob"
+        save_inventory(inv, path, spec)
+        back = load_inventory(path, spec)
+        assert (_word_tuples(back.words, back.lengths)
+                == _word_tuples(inv.words, inv.lengths))
+        assert back.words.shape == inv.words.shape
+        assert np.array_equal(back.base_len, inv.base_len)
+        assert np.array_equal(back.diam, inv.diam)
 
 
 def test_inventory_rejects_other_map(tmp_path, baker06, affine):
