@@ -62,7 +62,6 @@ from .measures import (
     fiber_l2_norms,
     lift_srb,
     load_srb,
-    push_forward,
     save_srb,
     tsujii_criterion,
     ulam_acip,

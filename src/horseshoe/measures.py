@@ -11,8 +11,7 @@ criterion integrates squared sliding-window masses of those conditionals.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -28,6 +27,7 @@ from .maps import GhmSpec
 _BOUNDARY_TOL = 1e-12
 _JITTER = 1e-12
 _CHUNK = 1 << 18
+_SQ_BINS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,7 @@ class SrbEstimate:
 
     ``cond_counts`` is the (x-bin, y-bin) histogram over [0,1] x J used for
     fiber conditionals; ``sq_counts`` is a square histogram over [0,1]^2 for
-    density grids.  Raw endpoints are retained only for moderate sample
-    counts (pushing the estimate forward needs them; conditionals do not).
+    density grids.  The two count histograms are all the lift keeps.
     """
 
     spec_hash: str
@@ -179,9 +178,6 @@ class SrbEstimate:
     discarded: int
     jittered: int
     contraction_budget: float
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def weight(self):
@@ -282,8 +278,7 @@ def _grid_counts(x, y, nx, ny, yrange):
 
 
 def lift_srb(spec, density, n_iter, n_samples, seed,
-             fiber_bins=256, y_bins=4096, sq_bins=256,
-             keep_samples=None, workers=1, max_discard_frac=0.01):
+             fiber_bins=256, y_bins=4096, workers=1, max_discard_frac=0.01):
     """Push base-density samples through the map and histogram the endpoints.
 
     The iteration count realizes the lifting limit at finite depth: fibers
@@ -297,15 +292,15 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     for an inner break b moves right by ``_JITTER`` (counted in ``jittered``)
     and then takes branch i = the number of inner breaks <= x.  After the
     last step, points outside [-tol, 1 + tol] x J are discarded; the rest are
-    counted on equal bins as ``np.histogramdd`` bins them (``_grid_counts``).
+    counted on equal bins as ``np.histogramdd`` bins them (``_grid_counts``),
+    into ``cond_counts`` and the ``_SQ_BINS`` square ``sq_counts``; the
+    endpoints themselves are not kept.
     """
     if n_iter < 1:
         raise ParameterError("need at least one iteration to leave the base line")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
     jlo, jhi = spec.extended_fiber
-    if keep_samples is None:
-        keep_samples = n_samples <= 2_000_000
     contraction = max(hi for _, hi in spec.fiber_slope_bounds())
 
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
@@ -325,10 +320,8 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         if dropped:
             x, y = x[good], y[good]
         cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi))
-        sq = _grid_counts(x, y, sq_bins, sq_bins, (0.0, 1.0))
-        return (cond, sq, dropped,
-                counters["jittered"], x if keep_samples else None,
-                y if keep_samples else None)
+        sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0))
+        return cond, sq, dropped, counters["jittered"]
 
     args = list(zip(seeds, sizes))
     if workers > 1:
@@ -338,18 +331,14 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         results = [run_chunk(a) for a in args]
 
     cond = np.zeros((fiber_bins, y_bins), dtype=np.int64)
-    sq = np.zeros((sq_bins, sq_bins), dtype=np.int64)
+    sq = np.zeros((_SQ_BINS, _SQ_BINS), dtype=np.int64)
     discarded = 0
     jittered = 0
-    xs, ys = [], []
-    for c, s, d, j, x, y in results:
+    for c, s, d, j in results:
         cond += c
         sq += s
         discarded += d
         jittered += j
-        if keep_samples:
-            xs.append(x)
-            ys.append(y)
     if discarded > max_discard_frac * n_samples:
         raise SampleDiscardError(
             f"{discarded} of {n_samples} orbit samples left the domain",
@@ -365,50 +354,29 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         fiber_range=(jlo, jhi),
         cond_counts=cond,
         sq_counts=sq,
-        sq_bins=int(sq_bins),
+        sq_bins=_SQ_BINS,
         kept=int(kept),
         discarded=int(discarded),
         jittered=int(jittered),
         contraction_budget=float(contraction ** n_iter * (jhi - jlo)),
-        x=np.concatenate(xs) if keep_samples else None,
-        y=np.concatenate(ys) if keep_samples else None,
     )
 
 
-def push_forward(spec, srb):
-    """Advance a sample-carrying estimate one more step (for invariance checks)."""
-    if srb.x is None:
-        raise ParameterError("estimate was built without retained samples")
-    counters = {"jittered": 0}
-    x, y = _step_chunk(spec, srb.x, srb.y, counters)
-    cond = _grid_counts(x, y, srb.fiber_bins, srb.y_bins, srb.fiber_range)
-    sq = _grid_counts(x, y, srb.sq_bins, srb.sq_bins, (0.0, 1.0))
-    out = SrbEstimate(
-        spec_hash=srb.spec_hash, seed=srb.seed, n_samples=srb.n_samples,
-        iterations_used=srb.iterations_used + 1, fiber_bins=srb.fiber_bins,
-        y_bins=srb.y_bins, fiber_range=srb.fiber_range,
-        cond_counts=cond, sq_counts=sq,
-        sq_bins=srb.sq_bins, kept=len(x), discarded=srb.discarded,
-        jittered=srb.jittered + counters["jittered"],
-        contraction_budget=srb.contraction_budget, x=x, y=y)
-    return out
-
-
 def density_grid(srb, nx, ny):
-    """Weight-normalized histogram of the estimate over the unit square."""
+    """Weight-normalized histogram of the estimate over the unit square.
+
+    The grid is read off the stored square histogram by summing blocks, so
+    nx and ny must divide ``srb.sq_bins``.
+    """
     if nx < 1 or ny < 1:
         raise ParameterError("grid shape must be at least 1x1")
-    if srb.sq_bins % nx == 0 and srb.sq_bins % ny == 0:
-        fx = srb.sq_bins // nx
-        fy = srb.sq_bins // ny
-        blocks = srb.sq_counts.reshape(nx, fx, ny, fy).sum(axis=(1, 3))
-        return blocks / blocks.sum()
-    if srb.x is None:
+    if srb.sq_bins % nx or srb.sq_bins % ny:
         raise ParameterError(
-            f"grid {nx}x{ny} does not divide the stored {srb.sq_bins}^2 histogram "
-            "and no raw samples were retained")
-    h = _grid_counts(srb.x, srb.y, nx, ny, (0.0, 1.0))
-    return h / h.sum()
+            f"grid {nx}x{ny} does not divide the stored {srb.sq_bins}^2 histogram")
+    fx = srb.sq_bins // nx
+    fy = srb.sq_bins // ny
+    blocks = srb.sq_counts.reshape(nx, fx, ny, fy).sum(axis=(1, 3))
+    return blocks / blocks.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +514,6 @@ def save_srb(path, srb):
     from . import cache
 
     arrays = {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts}
-    if srb.x is not None:
-        arrays["x"] = srb.x
-        arrays["y"] = srb.y
     meta = {
         "spec_hash": srb.spec_hash, "seed": srb.seed, "n_samples": srb.n_samples,
         "iterations_used": srb.iterations_used, "fiber_bins": srb.fiber_bins,
@@ -572,5 +537,4 @@ def load_srb(path, expect_spec_hash=None):
         y_bins=meta["y_bins"], fiber_range=tuple(meta["fiber_range"]),
         cond_counts=arrays["cond_counts"], sq_counts=arrays["sq_counts"],
         sq_bins=meta["sq_bins"], kept=meta["kept"], discarded=meta["discarded"],
-        jittered=meta["jittered"], contraction_budget=meta["contraction_budget"],
-        x=arrays.get("x"), y=arrays.get("y"))
+        jittered=meta["jittered"], contraction_budget=meta["contraction_budget"])

@@ -187,6 +187,23 @@ def test_enumerate_checkpoint_bytes_pinned(tmp_path):
         assert back.lengths.tolist() == inv.lengths.tolist()
 
 
+def test_lift_checkpoint_bytes_pinned(tmp_path):
+    """The lift checkpoint holds the two count histograms and nothing else."""
+    assert main(["lift", "--family", "baker", "--lam", "0.5", "--samples",
+                 "20000", "--iters", "10", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    digests = {name: cache.file_sha256(tmp_path / name)
+               for name in ("srb.blob", "lift.json")}
+    assert digests == {
+        "srb.blob":
+            "2861c65fd01887c014b3fbc8afafc7e8d92193f9b0a8a2be1f545d104bee9186",
+        "lift.json":
+            "1206d1ef740c17f72d49e30001d16b444beb15edc66511ab59bb400ca52f2e17",
+    }
+    _, arrays = cache.read_blob(tmp_path / "srb.blob")
+    assert sorted(arrays) == ["cond_counts", "sq_counts"]
+
+
 def test_each_scale_enumerated_once(tmp_path, monkeypatch):
     calls = []
 

@@ -24,7 +24,6 @@ from horseshoe.measures import (
     fiber_l2_norms,
     lift_srb,
     load_srb,
-    push_forward,
     save_srb,
     _grid_counts,
     _step_chunk,
@@ -98,8 +97,6 @@ def test_lift_worker_count_invariance(baker06):
     assert np.array_equal(a.cond_counts, b.cond_counts)
     assert np.array_equal(a.sq_counts, b.sq_counts)
     assert a.jittered == b.jittered
-    assert a.x.tobytes() == b.x.tobytes()
-    assert a.y.tobytes() == b.y.tobytes()
     assert a.discarded == b.discarded
 
 
@@ -128,9 +125,16 @@ def test_density_grid_block_path_mass(baker_half):
     assert np.abs(g - 1.0 / 4096).max() < 6.0 / 4096
 
 
-def test_push_forward_preserves_histogram_shape(baker_half):
+def test_density_grid_rejects_grid_not_dividing_histogram(baker_half):
+    srb = _lift(baker_half)
+    with pytest.raises(ParameterError):
+        density_grid(srb, 100, 30)
+
+
+def test_extra_step_preserves_histogram_shape(baker_half):
     srb = _lift(baker_half, n=20_000)
-    again = push_forward(baker_half, srb)
+    # the same seed draws the same base points, so this is their one-step push
+    again = _lift(baker_half, n=20_000, iters=13)
     assert again.cond_counts.shape == srb.cond_counts.shape
     assert again.kept > 0.99 * srb.kept
     # invariance: pushed density grid stays near uniform
@@ -151,7 +155,7 @@ def _uniform_estimate(y_bins=1200, fiber_bins=8):
         fiber_range=(jlo, jhi), cond_counts=cond,
         sq_counts=np.ones((4, 4)), sq_bins=4,
         kept=int(cond.sum()), discarded=0, jittered=0,
-        contraction_budget=0.0, x=None, y=None, meta={})
+        contraction_budget=0.0)
 
 
 @pytest.mark.parametrize("r", [2.0 ** -3, 2.0 ** -5, 2.0 ** -7])

@@ -225,6 +225,29 @@ def test_scale_family_is_complete_prefix_code(spec, r):
             assert p + (s,) in trie, p + (s,)
 
 
+@pytest.mark.parametrize("spec", [
+    make_affine_example(0.8, 0.55),
+    make_baker(0.6),
+    _three_strip_skew(),
+], ids=["affine", "baker06", "three_strip"])
+@pytest.mark.parametrize("hat", [False, True], ids=["plain", "hat"])
+def test_appended_symbol_nests_fiber_image(spec, hat):
+    """U_ws(x) lies inside U_w(x), exactly, at every grid point.
+
+    Appending s acts first: the strip of ws is the strip of w applied to
+    the image of the fiber under F_s, which stays inside the fiber.
+    """
+    xg = np.linspace(0.0, 1.0, 65)
+    level = [()]
+    for _ in range(6):
+        for w in level:
+            lo, hi = fiber_image(spec, w, xg, hat=hat)
+            for s in range(1, spec.n_strips + 1):
+                lo_s, hi_s = fiber_image(spec, w + (s,), xg, hat=hat)
+                assert np.all(lo <= lo_s) and np.all(hi_s <= hi), (w, s)
+        level = [w + (s,) for w in level for s in range(1, spec.n_strips + 1)]
+
+
 def _level_table(spec, depth_max, budget=None, x_grid_n=65):
     """Node-at-a-time breadth-first cylinder table: the walker's reference."""
     xg = np.linspace(0.0, 1.0, x_grid_n)
