@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
 )
 from .maps import apply_branch, branch_derivative
-from .symbolic import base_cylinder, check_word, fiber_image
+from .symbolic import base_cylinder, check_word, fiber_image, lex_words
 
 _FRAME_FLOOR = 1e-10
 
@@ -33,7 +33,7 @@ _FRAME_FLOOR = 1e-10
 
 
 def _slope_contraction(spec):
-    worst_slope = max(hi for _, hi in spec.fiber_slope_bounds())
+    worst_slope = max(hi for _, hi in spec.fiber_slope_bounds)
     min_base = min(sk.base_slope for sk in spec.skew)
     return worst_slope / min_base
 
@@ -122,25 +122,19 @@ def fiber_ratio_constant(spec, word, x_grid_n=129):
     return float(widths.max() / widths.min())
 
 
-def _walk_words(spec, depth_max, x_grid_n=65):
-    """Yield (word, extended fiber width grid) for every word to depth_max."""
+def _level_widths(spec, depth_max, x_grid_n=65):
+    """Extended width grids of the ``lex_words`` rows of each length 1..depth_max."""
     xg = np.linspace(0.0, 1.0, x_grid_n)
-    stack = [()]
-    while stack:
-        word = stack.pop()
-        if word:
-            lo, hi = fiber_image(spec, word, xg, hat=True)
-            yield word, np.asarray(hi) - np.asarray(lo)
-        if len(word) < depth_max:
-            for s in range(1, spec.n_strips + 1):
-                stack.append(word + (s,))
+    for d in range(1, depth_max + 1):
+        lo, hi = fiber_image(spec, lex_words(spec.n_strips, d), xg, hat=True)
+        yield hi - lo
 
 
 def fiber_ratio_sup(spec, depth_max, x_grid_n=65):
     """Largest width spread over every word to depth_max."""
     out = 1.0
-    for _, wd in _walk_words(spec, depth_max, x_grid_n):
-        out = max(out, float(wd.max() / wd.min()))
+    for wd in _level_widths(spec, depth_max, x_grid_n):
+        out = max(out, float((wd.max(axis=1) / wd.min(axis=1)).max()))
     return out
 
 
@@ -338,17 +332,14 @@ def _concatenation_constant(spec, depth, x_grid_n=65):
     """Worst two-sided defect of width multiplicativity under splicing."""
     jlen = spec.fiber_len
     cap = min(depth, 6)
-    table = {}
-    for word, wd in _walk_words(spec, cap, x_grid_n):
-        table[word] = float(wd.max())
+    diam = [None] + [wd.max(axis=1) for wd in _level_widths(spec, cap, x_grid_n)]
     worst = 1.0
-    for wa, da in table.items():
-        for wb, db in table.items():
-            if len(wa) + len(wb) > cap:
-                continue
-            dc = table[wa + wb]
-            q = dc * jlen / (da * db)
-            worst = max(worst, q, 1.0 / q)
+    for la in range(1, cap):
+        for lb in range(1, cap - la + 1):
+            # wa + wb is row i_a * N^lb + i_b of its length: entry (i_a, i_b)
+            dc = diam[la + lb].reshape(diam[la].size, diam[lb].size)
+            q = dc * jlen / (diam[la][:, None] * diam[lb][None, :])
+            worst = max(worst, float(q.max()), float((1.0 / q).max()))
     return worst
 
 

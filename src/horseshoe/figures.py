@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .symbolic import fiber_image
+from .symbolic import fiber_image, lex_words
 
 _PALETTE = ("#27557b", "#b3372b", "#3d7a3f", "#8e5e24",
             "#5c4a7d", "#1d7c84", "#a03d6b", "#556b1f")
@@ -24,7 +24,7 @@ def word_label(word):
 def strip_polygons(spec, n, x_grid_n=129, budget=4096, hat=False):
     """Band polygons for every length-n word, in lexicographic order.
 
-    Returns a list of (word, vertices) with vertices an (2*x_grid_n, 2)
+    Returns a list of (word row, vertices), the vertices an (2*x_grid_n, 2)
     array tracing the upper envelope left to right and the lower one back.
     """
     if n < 1:
@@ -34,21 +34,14 @@ def strip_polygons(spec, n, x_grid_n=129, budget=4096, hat=False):
         raise BudgetError(
             f"{count} bands at depth {n} exceed the budget of {budget}")
     xg = np.linspace(0.0, 1.0, x_grid_n)
-    out = []
-    words = [()]
-    for _ in range(n):
-        words = [w + (s,) for w in words for s in range(1, spec.n_strips + 1)]
-    for word in sorted(words):
-        lo, hi = fiber_image(spec, word, xg, hat=hat)
-        lo = np.asarray(lo)
-        hi = np.asarray(hi)
-        verts = np.empty((2 * x_grid_n, 2))
-        verts[:x_grid_n, 0] = xg
-        verts[:x_grid_n, 1] = hi
-        verts[x_grid_n:, 0] = xg[::-1]
-        verts[x_grid_n:, 1] = lo[::-1]
-        out.append((word, verts))
-    return out
+    words = lex_words(spec.n_strips, n)
+    lo, hi = fiber_image(spec, words, xg, hat=hat)
+    verts = np.empty((count, 2 * x_grid_n, 2))
+    verts[:, :x_grid_n, 0] = xg
+    verts[:, :x_grid_n, 1] = hi
+    verts[:, x_grid_n:, 0] = xg[::-1]
+    verts[:, x_grid_n:, 1] = lo[:, ::-1]
+    return list(zip(words, verts))
 
 
 def _svg_text(polygons, size=640, pad=24, y_range=None):
@@ -75,7 +68,8 @@ def _svg_text(polygons, size=640, pad=24, y_range=None):
         'stroke="#999999" stroke-width="1"/>',
     ]
     for k, (word, verts) in enumerate(polygons):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in verts)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(
+            sx(verts[:, 0]).tolist(), sy(verts[:, 1]).tolist()))
         color = _PALETTE[k % len(_PALETTE)]
         lines.append(
             f'<polygon points="{pts}" fill="{color}" fill-opacity="0.35" '
@@ -103,8 +97,8 @@ def emit_strip_polygons(spec, n, svg_path=None, csv_path=None,
         for word, verts in polygons:
             lab = word_label(word)
             rows.extend(
-                f"{lab},{i},{float(x)!r},{float(y)!r}"
-                for i, (x, y) in enumerate(verts))
+                f"{lab},{i},{x!r},{y!r}"
+                for i, (x, y) in enumerate(verts.tolist()))
         with open(csv_path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     return polygons

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -242,17 +243,14 @@ class GhmSpec:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def fiber_slope_bounds(self, grid_n=257):
-        """Per-strip (min, max) of |d psi / d y| over [0,1] x J."""
+    @cached_property
+    def fiber_slope_bounds(self):
+        """Per-strip (min, max) of |d psi / d y| on a 257^2 lattice of [0,1] x J."""
         jlo, jhi = self.extended_fiber
-        u = np.linspace(0.0, 1.0, grid_n)
-        y = np.linspace(jlo, jhi, grid_n)
-        uu, yy = np.meshgrid(u, y, indexing="ij")
-        out = []
-        for sk in self.skew:
-            d = np.abs(sk.fiber.dy(uu, yy))
-            out.append((float(d.min()), float(d.max())))
-        return out
+        uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 257), np.linspace(jlo, jhi, 257),
+                             indexing="ij")
+        d = [np.abs(sk.fiber.dy(uu, yy)) for sk in self.skew]
+        return tuple((float(v.min()), float(v.max())) for v in d)
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     if n_samples < 1:
         raise ParameterError("need at least one sample")
     jlo, jhi = spec.extended_fiber
-    contraction = max(hi for _, hi in spec.fiber_slope_bounds())
+    contraction = max(hi for _, hi in spec.fiber_slope_bounds)
 
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -383,35 +383,47 @@ def density_grid(srb, nx, ny):
 # sliding-window L2 machinery
 
 
-def _window_breakpoints(edges, r):
-    bp = np.unique(np.concatenate([edges - r, edges + r]))
-    return bp
+_NORM_ROWS = 32  # histogram rows per block of the window integrals
 
 
-def _cdf_at(masses, edges, z):
-    """Piecewise-linear CDFs of histogram rows (columns x cells) at z."""
+def _sliding_sq_integrals(masses, edges, radii):
+    """(radii, rows) array: integral of (mass of the radius-r window)^2 dz, exactly.
+
+    The window mass W(z) = C(z+r) - C(z-r) of a row is piecewise linear
+    between the breakpoints edges -/+ r; each segment contributes
+    len * (w1^2 + w1*w2 + w2^2)/3.  The piecewise-linear CDFs C are built
+    once; each radius is evaluated ``_NORM_ROWS`` rows at a time.
+    """
     nbins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     width = (hi - lo) / nbins
-    zc = np.clip(z, lo, hi)
-    j = np.minimum(((zc - lo) / width).astype(int), nbins - 1)
-    frac = (zc - (lo + j * width)) / width
-    cums = np.concatenate([np.zeros((masses.shape[0], 1)), np.cumsum(masses, axis=1)],
-                          axis=1)
-    return cums[:, j] + masses[:, j] * frac
+    cums = np.cumsum(np.pad(masses, ((0, 0), (1, 0))), axis=1)
+    out = np.empty((len(radii), masses.shape[0]))
+    for k, r in enumerate(radii):
+        bp = np.unique(np.concatenate([edges - r, edges + r]))
+        zc = np.clip(np.stack((bp + r, bp - r)), lo, hi)
+        j = np.minimum(((zc - lo) / width).astype(int), nbins - 1)
+        frac = (zc - (lo + j * width)) / width
+        seg = np.diff(bp)
+        for start in range(0, masses.shape[0], _NORM_ROWS):
+            rows = slice(start, start + _NORM_ROWS)
+            c, m = cums[rows], masses[rows]
+            w = (c[:, j[0]] + m[:, j[0]] * frac[0]) - (c[:, j[1]] + m[:, j[1]] * frac[1])
+            w1, w2 = w[:, :-1], w[:, 1:]
+            out[k, rows] = np.sum(seg[None, :] * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0,
+                                  axis=1)
+    return out
 
 
-def _sliding_sq_integral(masses, edges, r):
-    """integral of (mass of the radius-r window)^2 dz, exactly.
-
-    The window mass W(z) = C(z+r) - C(z-r) is piecewise linear between
-    breakpoints; each segment contributes len * (w1^2 + w1*w2 + w2^2)/3.
-    """
-    bp = _window_breakpoints(edges, r)
-    w = _cdf_at(masses, edges, bp + r) - _cdf_at(masses, edges, bp - r)
-    seg = np.diff(bp)
-    w1, w2 = w[:, :-1], w[:, 1:]
-    return np.sum(seg[None, :] * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0, axis=1)
+def _l2_norms(srb, radii):
+    """Squared window norms of every fiber bin, one row per radius."""
+    cell = srb.y_cell
+    for r in radii:
+        if r <= 0.0 or r < cell:
+            raise ResolutionError(
+                f"radius {r} below conditional histogram resolution {cell:.3g}")
+    edges = np.linspace(srb.fiber_range[0], srb.fiber_range[1], srb.y_bins + 1)
+    return _sliding_sq_integrals(srb.conditionals(), edges, radii)
 
 
 def fiber_l2_norms(srb, r):
@@ -419,23 +431,15 @@ def fiber_l2_norms(srb, r):
 
     Empty bins yield 0; callers weight them out.
     """
-    r = float(r)
-    cell = srb.y_cell
-    if r <= 0.0 or r < cell:
-        raise ResolutionError(
-            f"radius {r} below conditional histogram resolution {cell:.3g}")
-    probs = srb.conditionals()
-    edges = np.linspace(srb.fiber_range[0], srb.fiber_range[1], srb.y_bins + 1)
-    return _sliding_sq_integral(probs, edges, r)
+    return _l2_norms(srb, [float(r)])[0]
 
 
 @dataclass
 class CriterionTable:
-    """I(r) sweep: radii, values, per-bin window norms, and a window verdict."""
+    """I(r) sweep: radii, values, and a window verdict."""
 
     r_values: np.ndarray
     i_of_r: np.ndarray
-    fiber_norms: np.ndarray
     weighting: str
     verdict: str
     bounded_ratio: float
@@ -485,10 +489,9 @@ def tsujii_criterion(srb, r_list, weighting="lebesgue",
         weights = np.where(nonempty, 1.0 / srb.fiber_bins, 0.0)
     else:
         weights = col_mass
-    norms = np.empty((len(r_list), srb.fiber_bins))
+    norms = _l2_norms(srb, r_list)
     i_vals = np.empty(len(r_list))
     for k, r in enumerate(r_list):
-        norms[k] = fiber_l2_norms(srb, r)
         i_vals[k] = float(np.dot(weights, norms[k])) / (r * r)
     small = i_vals[-3:] if len(i_vals) >= 3 else i_vals
     slope = float(np.polyfit(np.log(r_list), np.log(i_vals), 1)[0]) if len(r_list) > 1 else 0.0
@@ -501,7 +504,7 @@ def tsujii_criterion(srb, r_list, weighting="lebesgue",
     else:
         verdict = "indeterminate"
     return CriterionTable(
-        r_values=np.array(r_list), i_of_r=i_vals, fiber_norms=norms,
+        r_values=np.array(r_list), i_of_r=i_vals,
         weighting=weighting, verdict=verdict,
         bounded_ratio=bounded_ratio, diverging_slope=diverging_slope)
 

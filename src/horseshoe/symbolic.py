@@ -39,12 +39,13 @@ uniform depth (the baker family) still tiles; one of mixed depths may
 overlap and leave gaps.  For the affine family a = 0.8, b = 0.55 the
 intervals of M(2^-4) cover only about 0.77 of [0,1].
 
-``fiber_image`` composes one word on its own, from the deep end toward the
-arrival point, and the word walks of ``diagnostics`` and ``figures`` stay
-on it.  The walker composes prefix by prefix instead, which rounds
-differently: for each of the 126 affine words to depth 6 the extended
-width grid differs from the ``fiber_image`` one in the last bits (by up to
-1.2e-15 relative), so moving those walks would change their outputs.
+``fiber_image`` composes whole words, each from the deep end toward the
+arrival point, a block of equal-length rows at a time; the width families
+of ``diagnostics`` and the bands of ``figures`` go through it, a length at
+a time, with ``lex_words`` rows.  The walker composes prefix by prefix
+instead, which rounds differently: for each of the 126 affine words to
+depth 6 the extended width grid differs from the ``fiber_image`` one in the
+last bits (by up to 1.2e-15 relative), so those families stay off it.
 """
 
 from __future__ import annotations
@@ -107,33 +108,46 @@ def backward_orbit(spec, word, x):
     return orbit
 
 
-def fiber_image(spec, word, x, hat=False):
-    """Fiber interval U_w(x) (or the extended version over J) at base point x.
+def lex_words(n_strips, depth):
+    """All words of one length as (n_strips**depth, depth) rows, lexicographic."""
+    return np.indices((n_strips,) * depth).reshape(depth, n_strips ** depth).T + 1
 
-    Pushes the full fiber from the deep end of the word toward the arrival
-    point.  Returns (lo, hi) as floats for scalar x, arrays otherwise.
-    Every branch is full, so every itinerary is feasible.
+
+def fiber_image(spec, words, x, hat=False):
+    """Fiber intervals U_w(x) (or the extended ones over J) at base points x.
+
+    ``words`` is one word as a tuple, or equal-length words as an (n, d)
+    symbol array, one word per row.  Each row takes the backward base orbit
+    of x, then pushes the full fiber from the deep end of the word toward
+    the arrival point, ``BLOCK`` rows at a time and grouped by symbol at
+    each step.  Returns (lo, hi): floats for one word at scalar x, else
+    arrays of x's shape, with a leading row axis for a row array.
     """
-    word = check_word(spec, word)
-    orbit = backward_orbit(spec, word, x)
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    if hat:
-        lo0, hi0 = spec.extended_fiber
-    else:
-        lo0, hi0 = 0.0, 1.0
-    shape = np.shape(orbit[0])
-    lo = np.full(shape, lo0, dtype=float)
-    hi = np.full(shape, hi0, dtype=float)
-    for k in range(len(word), 0, -1):
-        fm = spec.skew[word[k - 1] - 1].fiber
-        u = orbit[k - 1]
-        a = fm.value(u, lo)
-        b = fm.value(u, hi)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-    if scalar:
-        return float(lo), float(hi)
-    return lo, hi
+    one = np.ndim(words) < 2
+    rows = np.asarray([words] if one else words)
+    check_word(spec, np.unique(rows).tolist())
+    x = np.asarray(x, dtype=float)
+    lo = np.full(rows.shape[:1] + x.shape, spec.extended_fiber[0] if hat else 0.0)
+    hi = np.full(rows.shape[:1] + x.shape, spec.extended_fiber[1] if hat else 1.0)
+    for start in range(0, len(rows), BLOCK):
+        block = rows[start:start + BLOCK]
+        blo, bhi = lo[start:start + BLOCK], hi[start:start + BLOCK]
+        orbit = [np.broadcast_to(x, blo.shape)]
+        for col in block.T:
+            orbit.append(np.empty(blo.shape))
+            for s in np.unique(col).tolist():
+                r = np.flatnonzero(col == s)
+                orbit[-1][r] = spec.skew[s - 1].base_inverse(orbit[-2][r])
+        for k in range(block.shape[1], 0, -1):
+            for s in np.unique(block[:, k - 1]).tolist():
+                r = np.flatnonzero(block[:, k - 1] == s)
+                fm = spec.skew[s - 1].fiber
+                u = orbit[k - 1][r]
+                a, b = fm.value(u, blo[r]), fm.value(u, bhi[r])
+                blo[r], bhi[r] = np.minimum(a, b), np.maximum(a, b)
+    if not one:
+        return lo, hi
+    return (float(lo[0]), float(hi[0])) if x.ndim == 0 else (lo[0], hi[0])
 
 
 def fiber_width_fn(spec, word):
@@ -338,7 +352,7 @@ def m_inventory(spec, r, x_grid_n=65, budget=None):
             f"scale {r} is not below the fiber length {spec.fiber_len}")
     if r <= 0.0:
         raise ParameterError("scale must be positive")
-    if max(b for _, b in spec.fiber_slope_bounds()) >= 1.0:
+    if max(b for _, b in spec.fiber_slope_bounds) >= 1.0:
         raise ParameterError("fiber maps must contract (max slope below 1)")
 
     out = []  # emitted groups: (words, lengths, base lo, base len, diam)
@@ -383,7 +397,7 @@ def truncate_alphabet(contractions, r):
     generator; iteration stops at the first failure or at a safety cap.
     """
     if isinstance(contractions, GhmSpec):
-        values = [lo for lo, _ in contractions.fiber_slope_bounds()]
+        values = [lo for lo, _ in contractions.fiber_slope_bounds]
     else:
         values = contractions
     n = 0

@@ -204,6 +204,33 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
     assert sorted(arrays) == ["cond_counts", "sq_counts"]
 
 
+@pytest.mark.parametrize("args, digests", [
+    (["diagnostics", "--family", "affine", "--seed", "7"], {
+        "diagnostics.json":
+            "af08bdd8a6cea1ae81cc66adff197aad36dc2cb6cabfd72645cf464682c1a913",
+        "diagnostics_lattice.csv":
+            "bbc3f63a0cd79b6f400ef9f114efa97b7f7a6e5377b56820808e8bf8f67fa58f",
+    }),
+    (["figure", "--family", "affine", "--figure-n", "5"], {
+        "strips_n5.svg":
+            "fb5b00d675399faa43c3a845649f88cf41669ca66e1a33e5e8c208b0f4919cdc",
+        "strips_n5.csv":
+            "b411fa5ac857e4324ae5b1bbc933e288d4b591ad8c2a9d70bf86ec54cbfefbda",
+    }),
+    (["criterion", "--family", "affine", "--samples", "20000", "--iters", "10",
+      "--seed", "7"], {
+        "criterion.csv":
+            "164a1d69f4f6ced76436d26fa68b34b18f9c92a483d91367ba25983d4f361c9d",
+        "criterion.json":
+            "adc492df0d1565cc1f14e90c68191e6070bdf2c61edfee9b1c4c6287d845c5ac",
+    }),
+], ids=["diagnostics", "figure", "criterion"])
+def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):
+    """The width constants, strip bands and I(r) sweep keep their exact bytes."""
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert {name: cache.file_sha256(tmp_path / name) for name in digests} == digests
+
+
 def test_each_scale_enumerated_once(tmp_path, monkeypatch):
     calls = []
 

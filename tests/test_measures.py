@@ -17,6 +17,7 @@ from horseshoe.maps import (
 from horseshoe.measures import (
     _BOUNDARY_TOL,
     _JITTER,
+    _NORM_ROWS,
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
@@ -26,6 +27,7 @@ from horseshoe.measures import (
     load_srb,
     save_srb,
     _grid_counts,
+    _sliding_sq_integrals,
     _step_chunk,
     tsujii_criterion,
     ulam_acip,
@@ -186,6 +188,54 @@ def test_tsujii_radius_validation(baker_half):
         tsujii_criterion(srb, [1e-8])
     with pytest.raises(ParameterError):
         tsujii_criterion(srb, [0.1], weighting="nope")
+
+
+def _one_radius_sq_integral(masses, edges, r):
+    """The whole-array window integral of one radius, as it was computed
+    before the CDFs were shared across radii and rows were blocked."""
+
+    def cdf_at(z):
+        nbins = edges.size - 1
+        lo, hi = edges[0], edges[-1]
+        width = (hi - lo) / nbins
+        zc = np.clip(z, lo, hi)
+        j = np.minimum(((zc - lo) / width).astype(int), nbins - 1)
+        frac = (zc - (lo + j * width)) / width
+        cums = np.concatenate([np.zeros((masses.shape[0], 1)),
+                               np.cumsum(masses, axis=1)], axis=1)
+        return cums[:, j] + masses[:, j] * frac
+
+    bp = np.unique(np.concatenate([edges - r, edges + r]))
+    w = cdf_at(bp + r) - cdf_at(bp - r)
+    seg = np.diff(bp)
+    w1, w2 = w[:, :-1], w[:, 1:]
+    return np.sum(seg[None, :] * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0, axis=1)
+
+
+def test_blocked_window_integral_matches_whole_array():
+    """Byte for byte, with a row count that is no multiple of the block."""
+    rng = np.random.default_rng(4)
+    rows = 3 * _NORM_ROWS + 5
+    counts = rng.poisson(0.4, size=(rows, 300)).astype(float)
+    counts[7] = 0.0
+    tot = counts.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        masses = np.where(tot > 0, counts / tot, 0.0)
+    edges = np.linspace(-0.1, 1.1, 301)
+    radii = [0.3, 2.0 ** -3, 0.01, 2.0 ** -7]
+    got = _sliding_sq_integrals(masses, edges, radii)
+    assert got.shape == (len(radii), rows)
+    for k, r in enumerate(radii):
+        assert got[k].tobytes() == _one_radius_sq_integral(masses, edges, r).tobytes()
+
+
+def test_criterion_norms_equal_per_radius_norms():
+    srb = _lift(make_affine_example(0.8, 0.55), n=20_000)
+    radii = [2.0 ** -3, 2.0 ** -5, 2.0 ** -7]
+    table = tsujii_criterion(srb, radii)
+    weights = np.where(srb.column_mass() > 0, 1.0 / srb.fiber_bins, 0.0)
+    for r, got in zip(radii, table.i_of_r.tolist()):
+        assert got == float(np.dot(weights, fiber_l2_norms(srb, r))) / (r * r)
 
 
 def test_tsujii_factor_weighting_runs():

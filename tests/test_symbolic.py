@@ -248,6 +248,46 @@ def test_appended_symbol_nests_fiber_image(spec, hat):
         level = [w + (s,) for w in level for s in range(1, spec.n_strips + 1)]
 
 
+def _separated_skew():
+    """Three strips whose fiber images lie in disjoint bands; slopes vary with u."""
+    return make_custom_skew((0.0, 0.4, 0.7, 1.0), [
+        affine_fiber(lambda u: 0.25 + 0.05 * u, 0.0, 0.05, 0.0),
+        affine_fiber(lambda u: 0.3 - 0.05 * u, lambda u: 0.35 + 0.02 * u,
+                     -0.05, 0.02),
+        affine_fiber(lambda u: 0.2 + 0.1 * u * u, 0.7, lambda u: 0.2 * u, 0.0),
+    ], label="separated")
+
+
+def _scale_family_overlaps(spec, r):
+    """Count of adjacent overlapping plain fibers U_w(x), w in M(r), over the grid.
+
+    Rows of each length are composed together; at every grid x the fibers
+    are sorted by lower end and each must end strictly below the next.
+    """
+    inv = m_inventory(spec, r)
+    parts = [fiber_image(spec, inv.words[inv.lengths == n, :n], inv.x_grid)
+             for n in np.unique(inv.lengths).tolist()]
+    lo = np.concatenate([p[0] for p in parts])
+    hi = np.concatenate([p[1] for p in parts])
+    assert lo.shape == (len(inv.words), len(inv.x_grid))
+    order = np.argsort(lo, axis=0, kind="stable")
+    lo, hi = (np.take_along_axis(v, order, axis=0) for v in (lo, hi))
+    return len(np.unique(inv.lengths)), int((hi[:-1] >= lo[1:]).sum())
+
+
+def test_scale_family_fibers_are_disjoint():
+    """Without overlaps between strip images, M(r) splits every fiber.
+
+    Two words of a prefix-free family first differ at some symbol; at a
+    common arrival point their fibers then sit in the images of two
+    different branches, which are disjoint, under the same injective prefix.
+    The overlapping affine family is the control: its fibers do meet.
+    """
+    lengths, overlaps = _scale_family_overlaps(_separated_skew(), 2.0 ** -13)
+    assert lengths > 1 and overlaps == 0
+    assert _scale_family_overlaps(make_affine_example(0.8, 0.55), 2.0 ** -5)[1] > 0
+
+
 def _level_table(spec, depth_max, budget=None, x_grid_n=65):
     """Node-at-a-time breadth-first cylinder table: the walker's reference."""
     xg = np.linspace(0.0, 1.0, x_grid_n)
