@@ -26,12 +26,10 @@ from .errors import (
     StageError,
 )
 from .maps import (
-    AffineConjugacy,
     FiberMap,
     GhmSpec,
     HyperbolicityReport,
     SkewBranch,
-    Strip,
     affine_fiber,
     apply_branch,
     branch_derivative,
@@ -43,23 +41,18 @@ from .maps import (
 from .symbolic import (
     MInventory,
     base_cylinder,
-    base_interval_length,
     cylinder_diameter,
     cylinder_table,
     fiber_image,
-    fiber_width_fn,
     load_inventory,
     m_inventory,
     save_inventory,
-    truncate_alphabet,
-    window_count,
 )
 from .measures import (
     CriterionTable,
     Density1D,
     SrbEstimate,
     density_grid,
-    fiber_l2_norms,
     lift_srb,
     load_srb,
     save_srb,
@@ -83,7 +76,6 @@ from .conditions import (
 from .diagnostics import (
     DiagnosticsReport,
     adapted_derivative,
-    fiber_ratio_constant,
     margin_constants,
     run_diagnostics,
     stable_distortion_ratio,

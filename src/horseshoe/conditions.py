@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .symbolic import (
     BLOCK,
+    _need_affine,
     check_word,
     cylinder_table,
     envelope_hulls,
@@ -28,6 +29,7 @@ from .symbolic import (
 )
 
 _FP_MARGIN = 1e-12
+_HULL_U_N = 257  # arrival points sampled by tail_slope_hull
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +121,17 @@ def fatness_fit(spec, depth_max, depth_min=2, x_grid_n=65, budget=400_000):
 # manifold envelopes
 
 
-def tail_slope_hull(spec, tail_depth=48, u_grid_n=257):
+def tail_slope_hull(spec, tail_depth=48):
     """Slope interval containing every manifold slope after many steps.
 
     Starts from the invariant cone aperture and repeatedly applies the hull
     of the one-step slope action over all branches, arrival points, and
     positions; cone invariance makes the iterates nested, which is also
-    enforced numerically.
+    enforced numerically.  Arrival points are sampled at ``_HULL_U_N``
+    grid points.
     """
-    ug = np.linspace(0.0, 1.0, u_grid_n)
+    _need_affine(spec)
+    ug = np.linspace(0.0, 1.0, _HULL_U_N)
     plo, phi = -spec.alpha, spec.alpha
     for _ in range(tail_depth):
         lo_new, hi_new = np.inf, -np.inf
@@ -158,6 +162,7 @@ def _envelope_rows(spec, words, x_grid, hull):
     put.  Returns (pos_lo, pos_hi, slope_lo, slope_hi), each of shape
     (words, grid).
     """
+    _need_affine(spec)
     xg = np.asarray(x_grid, dtype=float)
     out = [np.empty((len(words), xg.size)) for _ in range(4)]
     for start in range(0, len(words), BLOCK):
@@ -168,8 +173,6 @@ def _envelope_rows(spec, words, x_grid, hull):
         for col in sym.T:
             for s in np.unique(col[col > 0]).tolist():
                 sk = spec.skew[s - 1]
-                if not sk.fiber.affine:
-                    raise ParameterError("envelopes need affine-in-y fiber maps")
                 rows = np.flatnonzero(col == s)
                 X[rows], A[rows], B[rows], new = fiber_step(
                     sk, X[rows], A[rows], B[rows], [c[rows] for c in coef])
@@ -206,9 +209,6 @@ class TransversalityVerdict:
     margin: float
     x_grid_n: int
     tail_depth: int
-
-    def __bool__(self):
-        return self.status == "transversal"
 
 
 def _gap_arrays(env_a, env_b):

@@ -26,6 +26,7 @@ from .maps import apply_branch, branch_derivative
 from .symbolic import base_cylinder, check_word, fiber_image, lex_words
 
 _FRAME_FLOOR = 1e-10
+_PARTNER_OFFSET = 1e-3  # distance of a lattice point's partner along its direction
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +113,6 @@ def stable_distortion_ratio(spec, word, z, w):
     return worst
 
 
-def fiber_ratio_constant(spec, word, x_grid_n=129):
-    """Spread of the extended fiber width of one word across the base."""
-    if x_grid_n < 2:
-        raise ParameterError("need at least 2 grid points")
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    lo, hi = fiber_image(spec, word, xg, hat=True)
-    widths = np.asarray(hi) - np.asarray(lo)
-    return float(widths.max() / widths.min())
-
-
 def _level_widths(spec, depth_max, x_grid_n=65):
     """Extended width grids of the ``lex_words`` rows of each length 1..depth_max."""
     xg = np.linspace(0.0, 1.0, x_grid_n)
@@ -152,10 +143,6 @@ class MarginReport:
     violations: int
     control_r: float
     control_violations: int
-
-    @property
-    def corollary_ok(self):
-        return self.violations == 0
 
 
 def margin_constants(spec, word, x_grid_n=129, n_points=1000, seed=5):
@@ -344,13 +331,13 @@ def _concatenation_constant(spec, depth, x_grid_n=65):
 
 
 def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
-                    offset=1e-3, csv_path=None):
+                    csv_path=None):
     """Estimate every distortion constant on one instance.
 
     Lattice points are taken inside each branch image (so the inverse step
     is always defined) with the unstable direction of the constant past of
-    that branch; the displaced partner sits ``offset`` along the direction.
-    Suprema are over the recorded samples only.
+    that branch; the displaced partner sits ``_PARTNER_OFFSET`` along the
+    direction.  Suprema are over the recorded samples only.
     """
     rng = np.random.default_rng(seed)
     # stable distortion over sampled words and fiber pairs
@@ -390,7 +377,8 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
             for t in np.linspace(0.05, 0.95, max(2, lattice_n // 8)):
                 z = (float(xi), float(lo + t * (hi - lo)))
                 vec, _ = unstable_direction(spec, history, z, depth)
-                w = (z[0] + offset * vec[0], z[1] + offset * vec[1])
+                w = (z[0] + _PARTNER_OFFSET * vec[0],
+                     z[1] + _PARTNER_OFFSET * vec[1])
                 if not 0.0 <= w[0] <= 1.0:
                     continue
                 got = adapted_derivative(spec, z, w, vec, branch=s)

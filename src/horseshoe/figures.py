@@ -13,6 +13,7 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 from .symbolic import fiber_image, lex_words
 
+_BAND_BUDGET = 4096  # most bands one figure draws
 _PALETTE = ("#27557b", "#b3372b", "#3d7a3f", "#8e5e24",
             "#5c4a7d", "#1d7c84", "#a03d6b", "#556b1f")
 
@@ -21,18 +22,19 @@ def word_label(word):
     return ".".join(str(s) for s in word)
 
 
-def strip_polygons(spec, n, x_grid_n=129, budget=4096, hat=False):
+def strip_polygons(spec, n, x_grid_n=129, hat=False):
     """Band polygons for every length-n word, in lexicographic order.
 
     Returns a list of (word row, vertices), the vertices an (2*x_grid_n, 2)
     array tracing the upper envelope left to right and the lower one back.
+    More than ``_BAND_BUDGET`` bands raise ``BudgetError``.
     """
     if n < 1:
         raise ParameterError(f"iterate count must be >= 1, got {n}")
     count = spec.n_strips ** n
-    if count > budget:
+    if count > _BAND_BUDGET:
         raise BudgetError(
-            f"{count} bands at depth {n} exceed the budget of {budget}")
+            f"{count} bands at depth {n} exceed the budget of {_BAND_BUDGET}")
     xg = np.linspace(0.0, 1.0, x_grid_n)
     words = lex_words(spec.n_strips, n)
     lo, hi = fiber_image(spec, words, xg, hat=hat)
@@ -80,15 +82,14 @@ def _svg_text(polygons, size=640, pad=24, y_range=None):
 
 
 def emit_strip_polygons(spec, n, svg_path=None, csv_path=None,
-                        x_grid_n=129, budget=4096, hat=False):
+                        x_grid_n=129, hat=False):
     """Write the depth-n band figure as SVG and/or a CSV vertex list.
 
     The CSV has one row per vertex (word, vertex index, x, y), bands in
     lexicographic word order so output is deterministic.  Returns the
     polygon list of strip_polygons for further inspection.
     """
-    polygons = strip_polygons(spec, n, x_grid_n=x_grid_n, budget=budget,
-                              hat=hat)
+    polygons = strip_polygons(spec, n, x_grid_n=x_grid_n, hat=hat)
     if svg_path is not None:
         with open(svg_path, "w") as fh:
             fh.write(_svg_text(polygons))

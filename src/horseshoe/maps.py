@@ -27,6 +27,8 @@ import numpy as np
 from .errors import OutOfDomainError, ParameterError
 
 _EDGE_TOL = 1e-12
+_INCONCLUSIVE_BELOW = 1e-3  # |margin| under which a lattice check is not trusted
+_BUILTIN_LABELS = ("baker", "affine_example")  # families fixed by label and params
 
 
 def _const(value):
@@ -111,13 +113,6 @@ def affine_fiber(slope, offset, dslope, doffset, d2slope=None, d2offset=None):
 
 
 @dataclass(frozen=True)
-class Strip:
-    """A full-height vertical strip of the square over its base interval."""
-
-    base_interval: tuple
-
-
-@dataclass(frozen=True)
 class SkewBranch:
     """One skew-product branch: base u = m*x + c onto [0,1], fiber ``fiber``."""
 
@@ -146,46 +141,25 @@ def _invert_fiber_bisect(fm, u, v, lo=-10.0, hi=10.0, iters=80):
 
 
 @dataclass(frozen=True)
-class AffineConjugacy:
-    """Affine change to an alternate published coordinate frame.
-
-    original = scale * unit + offset, componentwise.  ``branch_order`` maps a
-    1-based branch index in the original frame to the 1-based unit-frame strip
-    index (branch enumeration conventions differ between frames).
-    """
-
-    scale: tuple
-    offset: tuple
-    branch_order: tuple
-
-    def to_unit(self, z):
-        return ((z[0] - self.offset[0]) / self.scale[0],
-                (z[1] - self.offset[1]) / self.scale[1])
-
-    def to_original(self, z):
-        return (self.scale[0] * z[0] + self.offset[0],
-                self.scale[1] * z[1] + self.offset[1])
-
-
-@dataclass(frozen=True)
 class GhmSpec:
     """Immutable description of a skew-product instance.
 
-    ``skew`` holds one SkewBranch per strip.  ``alpha`` is the cone aperture
-    (max-norm sectors around the horizontal / vertical axes), ``k0`` the
-    claimed one-step expansion floor for vectors in those cones.
+    ``breaks`` is the base partition 0 = x_0 < ... < x_N = 1, strip i
+    lying over [x_{i-1}, x_i]; ``skew`` holds one SkewBranch per strip, its
+    base map sending that interval onto [0,1].  ``alpha`` is the cone
+    aperture (max-norm sectors around the horizontal / vertical axes),
+    ``k0`` the claimed one-step expansion floor for vectors in those cones.
     ``extended_fiber`` is the interval J strictly containing [0,1] used by
     all strip-geometry analysis.
     """
 
-    strips: tuple
+    breaks: tuple
     alpha: float
     k0: float
     extended_fiber: tuple
     label: str
     params: tuple
     skew: tuple
-    conjugacy: Optional[AffineConjugacy] = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -196,22 +170,23 @@ class GhmSpec:
         if not (jlo < 0.0 < 1.0 < jhi):
             raise ParameterError(
                 f"extended fiber must strictly contain [0,1], got {self.extended_fiber}")
-        if len(self.strips) != len(self.skew):
+        if len(self.breaks) != len(self.skew) + 1:
             raise ParameterError("one branch per strip required")
-        lo = 0.0
-        for s in self.strips:
-            a, b = s.base_interval
-            if abs(a - lo) > 1e-9 or b <= a:
-                raise ParameterError("strip base intervals must tile [0,1] in order")
-            lo = b
-        if abs(lo - 1.0) > 1e-9:
-            raise ParameterError("strip base intervals must cover [0,1]")
+        if (abs(self.breaks[0]) > 1e-9 or abs(self.breaks[-1] - 1.0) > 1e-9
+                or any(b <= a for a, b in zip(self.breaks, self.breaks[1:]))):
+            raise ParameterError("strip breaks must increase from 0 to 1")
+        for i, sk in enumerate(self.skew, 1):
+            ends = sorted(sk.base_forward(self.breaks[i - 1:i + 1]).tolist())
+            if abs(ends[0]) > 1e-9 or abs(ends[1] - 1.0) > 1e-9:
+                raise ParameterError(
+                    f"branch {i} does not map [{self.breaks[i - 1]}, "
+                    f"{self.breaks[i]}] onto [0,1]")
 
     # -- structural helpers -------------------------------------------------
 
     @property
     def n_strips(self):
-        return len(self.strips)
+        return len(self.skew)
 
     @property
     def fiber_len(self):
@@ -219,28 +194,43 @@ class GhmSpec:
 
     @property
     def base_breaks(self):
-        edges = [s.base_interval[0] for s in self.strips]
-        edges.append(self.strips[-1].base_interval[1])
-        return np.array(edges)
+        return np.array(self.breaks)
 
     @property
     def params_dict(self):
         return dict(self.params)
 
-    @property
+    @cached_property
     def map_hash(self):
-        payload = json.dumps(
-            {
-                "label": self.label,
-                "params": dict(self.params),
-                "alpha": self.alpha,
-                "k0": self.k0,
-                "fiber": list(self.extended_fiber),
-                "kind": "skew_product",
-                "n": self.n_strips,
-            },
-            sort_keys=True,
-        )
+        """sha256 of what the map is, keying its checkpoints.
+
+        Label and params fix a built-in family.  Any other map also hashes
+        its base coefficients and its fiber values and partials (value, dy,
+        du) on a fixed 17 x 17 lattice of [0,1] x J, so two maps that share
+        label, params and constants still get their own hash.
+        """
+        fields = {
+            "label": self.label,
+            "params": dict(self.params),
+            "alpha": self.alpha,
+            "k0": self.k0,
+            "fiber": list(self.extended_fiber),
+            "kind": "skew_product",
+            "n": self.n_strips,
+        }
+        if self.label not in _BUILTIN_LABELS:
+            uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 17),
+                                 np.linspace(*self.extended_fiber, 17),
+                                 indexing="ij")
+            lattice = [np.array([[sk.base_slope, sk.base_offset]
+                                 for sk in self.skew])]
+            for sk in self.skew:
+                lattice += [np.broadcast_to(f(uu, yy), uu.shape)
+                            for f in (sk.fiber.value, sk.fiber.dy, sk.fiber.du)]
+            fields["fingerprint"] = hashlib.sha256(b"".join(
+                np.ascontiguousarray(a, dtype="<f8").tobytes()
+                for a in lattice)).hexdigest()
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     @cached_property
@@ -261,28 +251,25 @@ def make_baker(lam, alpha=0.5, extended_fiber=(-0.1, 1.1)):
     """Two-branch baker family: doubling base, constant fiber contraction.
 
     The published form of this family lives on the square [-1,1]^2; we work
-    on the unit square and record the affine conjugacy (including the branch
-    reindexing: the original first branch is the right-hand strip here).
+    on the unit square, where the original first branch is the right-hand
+    strip.
     """
     lam = float(lam)
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"contraction must be in (0,1), got {lam}")
-    strips = (Strip((0.0, 0.5)), Strip((0.5, 1.0)))
     skew = (
         SkewBranch(2.0, 0.0, affine_fiber(lam, 0.0, 0.0, 0.0)),
         SkewBranch(2.0, -1.0, affine_fiber(lam, 1.0 - lam, 0.0, 0.0)),
     )
     k0 = min(2.0, 1.0 / lam)
     return GhmSpec(
-        strips=strips,
+        breaks=(0.0, 0.5, 1.0),
         alpha=float(alpha),
         k0=k0,
         extended_fiber=tuple(float(v) for v in extended_fiber),
         label="baker",
         params=(("lambda", lam),),
         skew=skew,
-        conjugacy=AffineConjugacy(scale=(2.0, 2.0), offset=(-1.0, -1.0),
-                                  branch_order=(2, 1)),
     )
 
 
@@ -307,7 +294,6 @@ def make_affine_example(a, b, alpha=None, extended_fiber=(-0.1, 1.1)):
     def offset1(u):
         return (1.0 - a) * np.asarray(u, dtype=float) * (a - b)
 
-    strips = (Strip((0.0, 0.5)), Strip((0.5, 1.0)))
     skew = (
         SkewBranch(2.0, 0.0, affine_fiber(sigma, offset1, b - a, (1.0 - a) * (a - b))),
         SkewBranch(2.0, -1.0, affine_fiber(sigma, 0.0, b - a, 0.0)),
@@ -326,14 +312,13 @@ def make_affine_example(a, b, alpha=None, extended_fiber=(-0.1, 1.1)):
         alpha = min(alpha, 0.999)
     k0 = min(2.0, (1.0 - alpha * f2x_max / 2.0) / f2y_max)
     return GhmSpec(
-        strips=strips,
+        breaks=(0.0, 0.5, 1.0),
         alpha=float(alpha),
         k0=k0,
         extended_fiber=(jlo, jhi),
         label="affine_example",
         params=(("a", a), ("b", b)),
         skew=skew,
-        conjugacy=None,
     )
 
 
@@ -353,7 +338,6 @@ def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
         raise ParameterError("breaks must increase from 0 to 1")
     if len(fiber_maps) != len(breaks) - 1:
         raise ParameterError("one fiber map per base interval required")
-    strips = tuple(Strip((b1, b2)) for b1, b2 in zip(breaks, breaks[1:]))
     skew = []
     for (b1, b2), fm in zip(zip(breaks, breaks[1:]), fiber_maps):
         m = 1.0 / (b2 - b1)
@@ -379,14 +363,13 @@ def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
         if k0 is None:
             k0 = min(m_min, (1.0 - alpha * f2x_max / m_min) / f2y_max)
     return GhmSpec(
-        strips=strips,
+        breaks=tuple(breaks),
         alpha=float(alpha),
         k0=float(k0),
         extended_fiber=(jlo, jhi),
         label=label,
         params=tuple(params),
         skew=skew,
-        conjugacy=None,
     )
 
 
@@ -399,28 +382,14 @@ def _check_index(spec, i):
         raise ParameterError(f"branch index {i} out of range 1..{spec.n_strips}")
 
 
-def apply_branch(spec, i, z, direction="forward", frame="unit"):
-    """Apply branch ``i`` (1-based) to the point ``z``, or its inverse.
-
-    ``frame="original"`` routes through the recorded conjugacy, including its
-    branch reindexing, and returns coordinates in the original frame.
-    """
-    if frame == "original":
-        if spec.conjugacy is None:
-            raise ParameterError("this instance records no original frame")
-        _check_index(spec, i)
-        zu = spec.conjugacy.to_unit(z)
-        iu = spec.conjugacy.branch_order[i - 1]
-        xu, yu = apply_branch(spec, iu, zu, direction=direction)
-        return spec.conjugacy.to_original((xu, yu))
-    if frame != "unit":
-        raise ParameterError(f"unknown frame {frame!r}")
+def apply_branch(spec, i, z, direction="forward"):
+    """Apply branch ``i`` (1-based) to the point ``z``, or its inverse."""
     _check_index(spec, i)
     x, y = float(z[0]), float(z[1])
     sk = spec.skew[i - 1]
     fm = sk.fiber
     jlo, jhi = spec.extended_fiber
-    lo, hi = spec.strips[i - 1].base_interval
+    lo, hi = spec.breaks[i - 1:i + 1]
     if direction == "forward":
         if not (lo - _EDGE_TOL <= x <= hi + _EDGE_TOL and jlo - _EDGE_TOL <= y <= jhi + _EDGE_TOL):
             raise OutOfDomainError(
@@ -444,7 +413,7 @@ def branch_derivative(spec, i, z, order=1):
     """First (2x2) or second (2x3, six partials) derivative table of branch i."""
     _check_index(spec, i)
     x, y = float(z[0]), float(z[1])
-    lo, hi = spec.strips[i - 1].base_interval
+    lo, hi = spec.breaks[i - 1:i + 1]
     jlo, jhi = spec.extended_fiber
     if not (lo - _EDGE_TOL <= x <= hi + _EDGE_TOL and jlo - _EDGE_TOL <= y <= jhi + _EDGE_TOL):
         raise OutOfDomainError(
@@ -460,11 +429,6 @@ def branch_derivative(spec, i, z, order=1):
             [float(fm.duu(u, y)) * m * m, float(fm.dyu(u, y)) * m, float(fm.dyy(u, y))],
         ])
     raise ParameterError(f"derivative order must be 1 or 2, got {order}")
-
-
-def branch_jacobian_det(spec, i, z):
-    d = branch_derivative(spec, i, z, order=1)
-    return float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -485,50 +449,29 @@ class HyperbolicityReport:
     """Grid-based margins for the cone, ratio and regularity conditions.
 
     Margins are bound minus worst observed value, so nonnegative means the
-    condition held on the lattice.  Margins smaller than ``inconclusive_below``
-    in absolute value are listed in ``inconclusive`` rather than trusted.
+    condition held on the lattice.  Margins smaller than
+    ``_INCONCLUSIVE_BELOW`` in absolute value are listed in ``inconclusive``
+    rather than trusted.
     """
 
     grid_resolution: int
     checks: dict = field(default_factory=dict)
     c0: float = 0.0
     c1: float = 0.0
-    inconclusive_below: float = 1e-3
 
     def __getitem__(self, name):
         return self.checks[name]
 
     @property
-    def h1_pass(self):
-        return self.checks["h1"].passed
-
-    @property
-    def h2_pass(self):
-        return self.checks["h2"].passed
-
-    @property
-    def a4_pass(self):
-        return self.checks["a4"].passed
-
-    @property
     def inconclusive(self):
         return sorted(name for name, c in self.checks.items()
-                      if abs(c.margin) < self.inconclusive_below)
+                      if abs(c.margin) < _INCONCLUSIVE_BELOW)
 
     def passed(self, strict_a4=False):
         names = ["h1", "h2", "eq5", "eq6", "eq7", "eq8", "a2"]
         if strict_a4:
             names.append("a4")
         return all(self.checks[n].passed for n in names)
-
-    def summary(self):
-        lines = []
-        for name in sorted(self.checks):
-            c = self.checks[name]
-            state = "ok" if c.passed else "FAIL"
-            lines.append(f"{name:5s} {state:4s} observed={c.observed:.6g} "
-                         f"bound={c.bound:.6g} margin={c.margin:.6g}")
-        return "\n".join(lines)
 
 
 def validate_hyperbolicity(spec, grid_n=512):
@@ -559,8 +502,8 @@ def validate_hyperbolicity(spec, grid_n=512):
         if better:
             stats[name] = (v, (strip_i, float(xx.flat[k]), float(yy.flat[k])))
 
-    for si, (strip, sk) in enumerate(zip(spec.strips, spec.skew), start=1):
-        lo, hi = strip.base_interval
+    for si, sk in enumerate(spec.skew, start=1):
+        lo, hi = spec.breaks[si - 1:si + 1]
         xg = np.linspace(lo, hi, grid_n)
         yg = np.linspace(jlo, jhi, grid_n)
         xx, yy = np.meshgrid(xg, yg, indexing="ij")

@@ -28,6 +28,8 @@ _BOUNDARY_TOL = 1e-12
 _JITTER = 1e-12
 _CHUNK = 1 << 18
 _SQ_BINS = 256
+_MAX_DISCARD_FRAC = 0.01  # share of samples that may leave the domain
+_DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +181,6 @@ class SrbEstimate:
     jittered: int
     contraction_budget: float
 
-    @property
-    def weight(self):
-        return 1.0 / self.kept
-
     def column_mass(self):
         return self.cond_counts.sum(axis=1) / self.kept
 
@@ -278,7 +276,7 @@ def _grid_counts(x, y, nx, ny, yrange):
 
 
 def lift_srb(spec, density, n_iter, n_samples, seed,
-             fiber_bins=256, y_bins=4096, workers=1, max_discard_frac=0.01):
+             fiber_bins=256, y_bins=4096, workers=1):
     """Push base-density samples through the map and histogram the endpoints.
 
     The iteration count realizes the lifting limit at finite depth: fibers
@@ -294,7 +292,8 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     last step, points outside [-tol, 1 + tol] x J are discarded; the rest are
     counted on equal bins as ``np.histogramdd`` bins them (``_grid_counts``),
     into ``cond_counts`` and the ``_SQ_BINS`` square ``sq_counts``; the
-    endpoints themselves are not kept.
+    endpoints themselves are not kept.  More than ``_MAX_DISCARD_FRAC`` of
+    the samples discarded raises ``SampleDiscardError``.
     """
     if n_iter < 1:
         raise ParameterError("need at least one iteration to leave the base line")
@@ -339,7 +338,7 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         sq += s
         discarded += d
         jittered += j
-    if discarded > max_discard_frac * n_samples:
+    if discarded > _MAX_DISCARD_FRAC * n_samples:
         raise SampleDiscardError(
             f"{discarded} of {n_samples} orbit samples left the domain",
             discarded, n_samples)
@@ -426,14 +425,6 @@ def _l2_norms(srb, radii):
     return _sliding_sq_integrals(srb.conditionals(), edges, radii)
 
 
-def fiber_l2_norms(srb, r):
-    """Vector of squared window norms over all nonempty fiber bins.
-
-    Empty bins yield 0; callers weight them out.
-    """
-    return _l2_norms(srb, [float(r)])[0]
-
-
 @dataclass
 class CriterionTable:
     """I(r) sweep: radii, values, and a window verdict."""
@@ -442,8 +433,6 @@ class CriterionTable:
     i_of_r: np.ndarray
     weighting: str
     verdict: str
-    bounded_ratio: float
-    diverging_slope: float
 
     def loglog_slope(self):
         return float(np.polyfit(np.log(self.r_values), np.log(self.i_of_r), 1)[0])
@@ -465,8 +454,7 @@ class CriterionTable:
         }
 
 
-def tsujii_criterion(srb, r_list, weighting="lebesgue",
-                     bounded_ratio=2.0, diverging_slope=-0.2):
+def tsujii_criterion(srb, r_list, weighting="lebesgue", bounded_ratio=2.0):
     """I(r) over a decreasing radius sweep, with a boundedness verdict.
 
     I(r) = r^-2 * integral of the squared window norms across the base,
@@ -474,7 +462,7 @@ def tsujii_criterion(srb, r_list, weighting="lebesgue",
     density's column masses ("factor_acip").  The verdict examines only the
     computed window: "bounded" when the three smallest radii vary by less
     than ``bounded_ratio``, "diverging" when the log-log slope is at or
-    below ``diverging_slope``, else "indeterminate"; no limit claim is made.
+    below ``_DIVERGING_SLOPE``, else "indeterminate"; no limit claim is made.
     """
     r_list = [float(r) for r in r_list]
     if not r_list:
@@ -497,7 +485,7 @@ def tsujii_criterion(srb, r_list, weighting="lebesgue",
     slope = float(np.polyfit(np.log(r_list), np.log(i_vals), 1)[0]) if len(r_list) > 1 else 0.0
     # systematic growth toward small r outranks a narrow-window ratio: the
     # window ratio of a slowly diverging sweep can sit below any fixed bound
-    if slope <= diverging_slope:
+    if slope <= _DIVERGING_SLOPE:
         verdict = "diverging"
     elif float(small.max()) / float(small.min()) < bounded_ratio:
         verdict = "bounded"
@@ -505,8 +493,7 @@ def tsujii_criterion(srb, r_list, weighting="lebesgue",
         verdict = "indeterminate"
     return CriterionTable(
         r_values=np.array(r_list), i_of_r=i_vals,
-        weighting=weighting, verdict=verdict,
-        bounded_ratio=bounded_ratio, diverging_slope=diverging_slope)
+        weighting=weighting, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ by every symbol with ``fiber_step``: a node carries the arrival-point grid
 of its deep end and the composed fiber scale, so a block grows in a few
 array operations of O(nodes * grid).  The caller sees the block with its
 children and says by mask which children are pushed.  ``m_inventory``
-keeps the children at or above scale r, ``cylinder_table`` those above its
-last complete depth, and ``window_count`` those above the window's lower
-end.
+keeps the children at or above scale r, and ``cylinder_table`` those above
+its last complete depth.  ``cylinder_diameter`` composes one word with the
+same ``fiber_step``, a symbol at a time, so its grid widths are the
+walker's bit for bit.  The walker, ``cylinder_diameter`` and the envelopes
+of ``conditions`` read the fiber slopes and offsets, so they need
+affine-in-y fiber maps; ``fiber_image`` takes any ``FiberMap``.
 
 M(r) is the family of words whose extended width has dropped to scale r.
 Where a node has some children at or above scale r and some below, the
@@ -54,14 +57,11 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import BudgetError, DegenerateScaleError, ParameterError
-from .maps import GhmSpec
 
-_ALPHABET_CAP = 10 ** 6
 BLOCK = 4096  # rows per block of the batched word-tree and pair kernels
 
 
@@ -87,25 +87,6 @@ def base_cylinder(spec, word):
         b = float(sk.base_inverse(hi))
         lo, hi = (a, b) if a <= b else (b, a)
     return lo, hi
-
-
-def base_interval_length(spec, word):
-    """|I_w| as the exact product of inverse base slopes."""
-    word = check_word(spec, word)
-    out = 1.0
-    for s in word:
-        out /= spec.skew[s - 1].base_slope
-    return out
-
-
-def backward_orbit(spec, word, x):
-    """Arrival-to-deep base orbit: X[0] = x, X[k] = preimage under symbol k."""
-    word = check_word(spec, word)
-    x = np.asarray(x, dtype=float)
-    orbit = [x]
-    for s in word:
-        orbit.append(spec.skew[s - 1].base_inverse(orbit[-1]))
-    return orbit
 
 
 def lex_words(n_strips, depth):
@@ -150,64 +131,53 @@ def fiber_image(spec, words, x, hat=False):
     return (float(lo[0]), float(hi[0])) if x.ndim == 0 else (lo[0], hi[0])
 
 
-def fiber_width_fn(spec, word):
-    """Vectorized x -> |hat U_w(x)|, exact for affine-in-y fibers."""
-    word = check_word(spec, word)
-    jlen = spec.fiber_len
-    all_affine = all(spec.skew[s - 1].fiber.affine for s in word)
-
-    def width(x):
-        if not all_affine:
-            lo, hi = fiber_image(spec, word, x, hat=True)
-            return np.abs(np.asarray(hi) - np.asarray(lo))
-        orbit = backward_orbit(spec, word, x)
-        w = np.full(np.shape(orbit[0]), jlen, dtype=float)
-        for k in range(len(word), 0, -1):
-            fm = spec.skew[word[k - 1] - 1].fiber
-            w = w * np.abs(fm.slope(orbit[k - 1]))
-        return w
-
-    return width
-
-
 _golden = (math.sqrt(5.0) - 1.0) / 2.0
+_DIAM_GRID_N = 257  # base grid of cylinder_diameter, refined around its maximum
 
 
-def cylinder_diameter(spec, word, x_grid_n=257, refine=True):
+def _word_widths(spec, word, x):
+    """|hat U_w(x)| at base points x, composed as the walker composes a node."""
+    X = np.asarray(x, dtype=float)
+    A = np.ones_like(X)
+    for s in word:
+        X, A, _, _ = fiber_step(spec.skew[s - 1], X, A)
+    return np.abs(A) * spec.fiber_len
+
+
+def cylinder_diameter(spec, word):
     """max_x |hat U_w(x)|: grid maximum plus golden-section refinement.
 
-    The grid maximum alone is within the fiber-ratio distortion constant of
-    the true maximum; refinement narrows the remaining bracket around the
-    best grid cell.
+    The widths are those of the word-tree walk, so affine-in-y fibers are
+    required.  The grid maximum alone is within the fiber-ratio distortion
+    constant of the true maximum; refinement narrows the remaining bracket
+    around the best grid cell.
     """
     word = check_word(spec, word)
-    if x_grid_n < 2:
-        raise ParameterError("need at least 2 base grid points")
-    width = fiber_width_fn(spec, word)
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    vals = np.asarray(width(xg))
+    _need_affine(spec)
+    xg = np.linspace(0.0, 1.0, _DIAM_GRID_N)
+    vals = _word_widths(spec, word, xg)
     j = int(np.argmax(vals))
     best = float(vals[j])
-    if not refine or len(word) == 0:
+    if len(word) == 0:
         return best
     a = xg[max(j - 1, 0)]
-    b = xg[min(j + 1, x_grid_n - 1)]
+    b = xg[min(j + 1, _DIAM_GRID_N - 1)]
     # golden-section ascent on the bracket around the best grid point
     c = b - _golden * (b - a)
     d = a + _golden * (b - a)
-    fc = float(width(c))
-    fd = float(width(d))
+    fc = float(_word_widths(spec, word, c))
+    fd = float(_word_widths(spec, word, d))
     for _ in range(60):
         if b - a < 1e-13:
             break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _golden * (b - a)
-            fc = float(width(c))
+            fc = float(_word_widths(spec, word, c))
         else:
             a, c, fc = c, d, fd
             d = a + _golden * (b - a)
-            fd = float(width(d))
+            fd = float(_word_widths(spec, word, d))
     return max(best, fc, fd)
 
 
@@ -286,6 +256,12 @@ def _padded(rows, width):
                            for w in rows])
 
 
+def _need_affine(spec):
+    if not all(sk.fiber.affine for sk in spec.skew):
+        raise ParameterError(
+            "word trees and envelopes need affine-in-y fiber maps")
+
+
 def _walk(spec, x_grid_n, keep):
     """Depth-first walk of the word tree, a block of same-depth nodes at a time.
 
@@ -296,8 +272,7 @@ def _walk(spec, x_grid_n, keep):
     together in blocks of at most ``BLOCK`` rows; each symbol's share has at
     most as many rows as the parent block.
     """
-    if not all(sk.fiber.affine for sk in spec.skew):
-        raise ParameterError("word-tree walks need affine-in-y fiber maps")
+    _need_affine(spec)
     if x_grid_n < 2:
         raise ParameterError("need at least 2 base grid points")
     jlen = spec.fiber_len
@@ -389,26 +364,6 @@ def m_inventory(spec, r, x_grid_n=65, budget=None):
     )
 
 
-def truncate_alphabet(contractions, r):
-    """Largest N with every one of the first N strips contracting by more than r.
-
-    ``contractions`` may be a GhmSpec (per-strip minimum fiber contraction is
-    measured) or any iterable of per-strip contraction factors, possibly a
-    generator; iteration stops at the first failure or at a safety cap.
-    """
-    if isinstance(contractions, GhmSpec):
-        values = [lo for lo, _ in contractions.fiber_slope_bounds]
-    else:
-        values = contractions
-    n = 0
-    for v in islice(values, _ALPHABET_CAP):
-        if float(v) > r:
-            n += 1
-        else:
-            break
-    return n
-
-
 def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
     """All words to depth_max with base lengths and extended widths.
 
@@ -444,28 +399,6 @@ def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
         diams.append(diam[order])
     return (_padded(words, complete), np.concatenate(lens),
             np.concatenate(diams), complete)
-
-
-def window_count(spec, depth_max, c1, c2, x_grid_n=65):
-    """Total |I|-weighted count of words (all depths) with c1 < d < c2.
-
-    Used to exercise the crossing bound: a nested chain of cylinders spends
-    at most 1 + log(c2/c1)/log(1/M) generations inside (c1, c2) when each
-    step shrinks widths by at least the factor M < 1, and integrating over
-    the base turns that into this weighted count.
-    """
-    if not 0.0 < c1 < c2:
-        raise ParameterError("need 0 < c1 < c2")
-    jlen = spec.fiber_len
-    total = 1.0 if c1 < jlen < c2 else 0.0  # the empty word
-    if depth_max < 1 or jlen <= c1:
-        return total
-    for _, children, _ in _walk(
-            spec, x_grid_n,
-            lambda c: (c.diam > c1) & (c.word.shape[1] < depth_max)):
-        for c in children:
-            total += float(c.ln[(c1 < c.diam) & (c.diam < c2)].sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

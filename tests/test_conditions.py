@@ -96,9 +96,8 @@ def test_tail_hull_inside_cone(affine, baker06):
 def test_tail_hull_follows_fiber_maps():
     """Maps that differ only in their fiber maps get their own hulls.
 
-    Both maps share label, params, alpha, k0 and J, so they share a map
-    hash; a hull looked up by that hash would hand the first map's hull
-    to the second.
+    Both maps share label, params, alpha, k0 and J; the map hash still
+    tells them apart, since it fingerprints the fiber maps of custom maps.
     """
     flat = make_custom_skew((0.0, 0.5, 1.0),
                             [affine_fiber(0.6, 0.0, 0.0, 0.0),
@@ -109,7 +108,7 @@ def test_tail_hull_follows_fiber_maps():
                                              0.1, 0.0),
                                 affine_fiber(0.6, 0.4, 0.0, 0.0)],
                                alpha=0.5, k0=1.5)
-    assert flat.map_hash == sheared.map_hash
+    assert flat.map_hash != sheared.map_hash
     lo, hi = tail_slope_hull(flat)
     assert abs(lo) < 1e-12 and abs(hi) < 1e-12
     lo, hi = tail_slope_hull(sheared)
@@ -141,14 +140,12 @@ def test_envelope_position_is_hat_strip(baker06):
 def test_separated_strips_transversal(baker04):
     v = classify_transversal(baker04, (1,), (2,), delta=0.05)
     assert v.status == "transversal"
-    assert bool(v)
     assert v.witness["position_gap"] > 0.05
 
 
 def test_overlapping_strips_not_transversal(baker07):
     v = classify_transversal(baker07, (1,), (2,), delta=0.05)
     assert v.status == "non_transversal"
-    assert not bool(v)
 
 
 def test_affine_lead_pair_not_transversal(affine):

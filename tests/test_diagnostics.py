@@ -3,7 +3,6 @@ import pytest
 
 from horseshoe.diagnostics import (
     adapted_derivative,
-    fiber_ratio_constant,
     fiber_ratio_sup,
     margin_constants,
     run_diagnostics,
@@ -117,8 +116,7 @@ def test_stable_distortion_sees_y_dependence():
 
 
 def test_fiber_ratio_single_word_spread(affine):
-    assert fiber_ratio_constant(affine, (1,)) == pytest.approx(0.8 / 0.55,
-                                                               rel=1e-9)
+    assert fiber_ratio_sup(affine, 1) == pytest.approx(0.8 / 0.55, rel=1e-9)
 
 
 def test_fiber_ratio_sup_monotone_in_depth(affine):
@@ -135,7 +133,7 @@ def test_quadratic_fiber_widths_stay_flat():
     # y-nonlinearity alone does not spread widths across the base; that
     # takes u-dependent fiber coefficients
     spec = _quadratic_skew()
-    assert fiber_ratio_constant(spec, (1,)) == pytest.approx(1.0, abs=1e-12)
+    assert fiber_ratio_sup(spec, 1) == pytest.approx(1.0, abs=1e-12)
     assert fiber_ratio_sup(spec, 3) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -179,7 +177,6 @@ def test_margin_inclusion_certificate(affine):
     rep = margin_constants(affine, (1, 2))
     assert rep.k3 > 0.0
     assert rep.violations == 0
-    assert rep.corollary_ok
     assert rep.control_r == pytest.approx(20.0 * rep.r_used)
     assert rep.control_violations > 0
     assert rep.checked == 1000

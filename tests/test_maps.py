@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis
 import numpy as np
 import pytest
@@ -5,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from horseshoe.errors import OutOfDomainError, ParameterError
 from horseshoe.maps import (
+    SkewBranch,
+    affine_fiber,
     apply_branch,
     branch_derivative,
-    branch_jacobian_det,
     make_affine_example,
     make_baker,
     make_custom_skew,
@@ -21,7 +24,7 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 @given(lams, unit, st.floats(min_value=-0.1, max_value=1.1), st.integers(1, 2))
 def test_baker_branch_round_trip(lam, t, y, i):
     spec = make_baker(lam)
-    lo, hi = spec.strips[i - 1].base_interval
+    lo, hi = spec.breaks[i - 1:i + 1]
     x = lo + t * (hi - lo)
     z = apply_branch(spec, i, (x, y))
     back = apply_branch(spec, i, z, direction="inverse")
@@ -32,35 +35,18 @@ def test_baker_branch_round_trip(lam, t, y, i):
 @given(unit, st.floats(min_value=0.0, max_value=1.0), st.integers(1, 2))
 def test_affine_branch_round_trip(t, y, i):
     spec = make_affine_example(0.8, 0.55)
-    lo, hi = spec.strips[i - 1].base_interval
+    lo, hi = spec.breaks[i - 1:i + 1]
     x = lo + t * (hi - lo)
     z = apply_branch(spec, i, (x, y))
     back = apply_branch(spec, i, z, direction="inverse")
     assert abs(back[0] - x) < 1e-12 and abs(back[1] - y) < 1e-12
 
 
-def test_original_frame_routes_through_conjugacy(baker06):
-    conj = baker06.conjugacy
-    z_orig = (0.4, 0.2)   # right-hand strip, the original first branch
-    i = 1
-    got = apply_branch(baker06, i, z_orig, frame="original")
-    zu = conj.to_unit(z_orig)
-    iu = conj.branch_order[i - 1]
-    want = conj.to_original(apply_branch(baker06, iu, zu))
-    assert np.allclose(got, want, atol=1e-12)
-
-
-def test_original_frame_square_is_pm_one(baker06):
-    conj = baker06.conjugacy
-    assert np.allclose(conj.to_unit((-1.0, -1.0)), (0.0, 0.0))
-    assert np.allclose(conj.to_unit((1.0, 1.0)), (1.0, 1.0))
-
-
 @given(lams, unit, st.floats(min_value=-0.45, max_value=0.45), st.integers(1, 2))
 def test_cone_invariance_under_forward_derivative(lam, t, slope_frac, i):
     """Tangent slopes within the aperture stay within it after one step."""
     spec = make_baker(lam)
-    lo, hi = spec.strips[i - 1].base_interval
+    lo, hi = spec.breaks[i - 1:i + 1]
     x = lo + t * (hi - lo)
     d = branch_derivative(spec, i, (x, 0.5))
     v = np.array([1.0, spec.alpha * slope_frac / 0.45])
@@ -71,7 +57,7 @@ def test_cone_invariance_under_forward_derivative(lam, t, slope_frac, i):
 def test_jacobian_matches_finite_differences(affine):
     h = 1e-6
     for i in (1, 2):
-        lo, hi = affine.strips[i - 1].base_interval
+        lo, hi = affine.breaks[i - 1:i + 1]
         for x, y in [(lo + 0.3 * (hi - lo), 0.25), (lo + 0.7 * (hi - lo), 0.9)]:
             d = branch_derivative(affine, i, (x, y))
             fx1 = apply_branch(affine, i, (x + h, y))
@@ -86,7 +72,8 @@ def test_jacobian_matches_finite_differences(affine):
 
 
 def test_jacobian_det_is_area_scale(baker06):
-    assert abs(branch_jacobian_det(baker06, 1, (0.2, 0.3)) - 2 * 0.6) < 1e-12
+    d = branch_derivative(baker06, 1, (0.2, 0.3))
+    assert abs(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0] - 2 * 0.6) < 1e-12
 
 
 def test_forward_rejects_point_outside_strip(baker06):
@@ -135,17 +122,67 @@ def test_bad_affine_parameters_rejected(a, b):
 
 
 def test_custom_skew_requires_fiber_contraction():
-    from horseshoe.maps import affine_fiber
     with pytest.raises(ParameterError):
         make_custom_skew((0.0, 0.5, 1.0),
                          (affine_fiber(2.5, 0.0, 0.0, 0.0),
                           affine_fiber(2.5, 0.0, 0.0, 0.0)))
 
 
+def test_spec_rejects_branch_not_onto_its_strip():
+    """Branch i must send [x_{i-1}, x_i] onto [0,1]; either orientation will do.
+
+    A spec whose breaks and branches disagree would make the lift pick
+    branches by the breaks and step points with the wrong base map.
+    """
+    fibers = [affine_fiber(0.5, 0.0, 0.0, 0.0), affine_fiber(0.5, 0.5, 0.0, 0.0)]
+    spec = make_custom_skew((0.0, 0.3, 1.0), fibers)
+    assert spec.breaks == (0.0, 0.3, 1.0) and spec.n_strips == 2
+    with pytest.raises(ParameterError, match="branch 1"):
+        dataclasses.replace(spec, breaks=(0.0, 0.5, 1.0))
+    with pytest.raises(ParameterError, match="branch 2"):
+        dataclasses.replace(spec, skew=(spec.skew[0],
+                                        SkewBranch(2.0, -1.0, fibers[1])))
+    with pytest.raises(ParameterError):
+        dataclasses.replace(spec, breaks=(0.0, 0.3, 0.3, 1.0))
+    flipped = SkewBranch(-1.0 / 0.3, 1.0, fibers[0])
+    assert dataclasses.replace(spec, skew=(flipped, spec.skew[1])).n_strips == 2
+    for lam in (0.2, 0.5, 0.9):
+        assert make_baker(lam).breaks == (0.0, 0.5, 1.0)
+    assert make_affine_example(0.75, 0.6).breaks == (0.0, 0.5, 1.0)
+    assert make_custom_skew((0.0, 0.1, 0.55, 1.0), fibers + fibers[:1]).n_strips == 3
+
+
+def _sheared_pair():
+    """Two custom maps equal in label, params, breaks, alpha, k0 and J."""
+    flat = make_custom_skew((0.0, 0.5, 1.0),
+                            [affine_fiber(0.6, 0.0, 0.0, 0.0),
+                             affine_fiber(0.6, 0.4, 0.0, 0.0)],
+                            alpha=0.5, k0=1.5)
+    sheared = make_custom_skew((0.0, 0.5, 1.0),
+                               [affine_fiber(lambda u: 0.6 + 0.1 * u, 0.0,
+                                             0.1, 0.0),
+                                affine_fiber(0.6, 0.4, 0.0, 0.0)],
+                               alpha=0.5, k0=1.5)
+    return flat, sheared
+
+
+def test_custom_map_hash_follows_fiber_maps():
+    flat, sheared = _sheared_pair()
+    assert flat.map_hash != sheared.map_hash
+    assert flat.map_hash == _sheared_pair()[0].map_hash
+    assert "map_hash" in flat.__dict__  # computed once per instance
+    moved = make_custom_skew((0.0, 0.4, 1.0), [sk.fiber for sk in flat.skew],
+                             alpha=0.5, k0=1.5)
+    lifted = make_custom_skew((0.0, 0.5, 1.0),
+                              [affine_fiber(0.6, 0.05, 0.0, 0.0), flat.skew[1].fiber],
+                              alpha=0.5, k0=1.5)
+    assert len({flat.map_hash, moved.map_hash, lifted.map_hash}) == 3
+
+
 def test_builtin_instances_validate(baker06, affine):
     for spec in (baker06, affine):
         rep = validate_hyperbolicity(spec, grid_n=128)
-        assert rep.h1_pass and rep.h2_pass
+        assert rep["h1"].passed and rep["h2"].passed
         assert rep.passed()
 
 
@@ -161,5 +198,5 @@ def test_affine_margin_condition_reported_not_enforced(affine):
 @hypothesis.settings(max_examples=25)
 def test_baker_hyperbolicity_margins_scale_with_lambda(lam):
     rep = validate_hyperbolicity(make_baker(lam), grid_n=32)
-    assert rep.h1_pass
+    assert rep["h1"].passed
     assert rep.checks["h2"].passed == (rep.checks["h2"].margin >= 0)

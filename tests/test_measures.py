@@ -21,8 +21,8 @@ from horseshoe.measures import (
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
+    _l2_norms,
     density_grid,
-    fiber_l2_norms,
     lift_srb,
     load_srb,
     save_srb,
@@ -164,7 +164,7 @@ def _uniform_estimate(y_bins=1200, fiber_bins=8):
 def test_window_norm_matches_uniform_closed_form(r):
     """For the uniform conditional the squared window norm is 4r^2 - (8/3)r^3."""
     srb = _uniform_estimate()
-    norms = fiber_l2_norms(srb, r)
+    norms = _l2_norms(srb, [r])[0]
     want = 4.0 * r ** 2 - (8.0 / 3.0) * r ** 3
     assert np.abs(norms - want).max() < 1e-12
 
@@ -235,7 +235,7 @@ def test_criterion_norms_equal_per_radius_norms():
     table = tsujii_criterion(srb, radii)
     weights = np.where(srb.column_mass() > 0, 1.0 / srb.fiber_bins, 0.0)
     for r, got in zip(radii, table.i_of_r.tolist()):
-        assert got == float(np.dot(weights, fiber_l2_norms(srb, r))) / (r * r)
+        assert got == float(np.dot(weights, _l2_norms(srb, [r])[0])) / (r * r)
 
 
 def test_tsujii_factor_weighting_runs():

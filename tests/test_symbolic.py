@@ -1,5 +1,3 @@
-import math
-
 import hypothesis
 import numpy as np
 import pytest
@@ -9,19 +7,15 @@ from horseshoe.conditions import _envelope_rows, tail_slope_hull
 from horseshoe.errors import BudgetError, CacheError, ParameterError
 from horseshoe.maps import affine_fiber, make_affine_example, make_baker, make_custom_skew
 from horseshoe.symbolic import (
-    backward_orbit,
+    _word_widths,
     base_cylinder,
-    base_interval_length,
     check_word,
     cylinder_diameter,
     cylinder_table,
     fiber_image,
-    fiber_width_fn,
     load_inventory,
     m_inventory,
     save_inventory,
-    truncate_alphabet,
-    window_count,
 )
 
 words2 = st.lists(st.integers(1, 2), min_size=0, max_size=8).map(tuple)
@@ -46,18 +40,7 @@ def test_base_cylinder_known_interval(baker06):
 def test_base_interval_length_is_slope_product(word):
     spec = make_baker(0.37)
     lo, hi = base_cylinder(spec, word)
-    assert abs((hi - lo) - base_interval_length(spec, word)) < 1e-12
-    assert abs(base_interval_length(spec, word) - 0.5 ** len(word)) < 1e-15
-
-
-@given(words2, st.floats(min_value=0.0, max_value=1.0))
-def test_backward_orbit_steps_are_preimages(word, x):
-    spec = make_baker(0.55)
-    orbit = backward_orbit(spec, word, x)
-    assert float(orbit[0]) == x
-    for k, s in enumerate(word):
-        sk = spec.skew[s - 1]
-        assert abs(float(sk.base_forward(orbit[k + 1])) - float(orbit[k])) < 1e-12
+    assert abs((hi - lo) - 0.5 ** len(word)) < 1e-12
 
 
 @given(st.floats(min_value=0.2, max_value=0.8), words2,
@@ -70,10 +53,10 @@ def test_baker_fiber_widths_are_lambda_powers(lam, word, x):
     assert lo - 1e-12 <= plo <= phi <= hi + 1e-12
 
 
-def test_fiber_width_fn_matches_fiber_image(affine):
+def test_cylinder_widths_match_fiber_image(affine):
     xg = np.linspace(0.0, 1.0, 33)
     for word in [(1,), (2, 1), (1, 2, 2)]:
-        wf = fiber_width_fn(affine, word)(xg)
+        wf = _word_widths(affine, word, xg)
         lo, hi = fiber_image(affine, word, xg, hat=True)
         assert np.abs(wf - (hi - lo)).max() < 1e-12
 
@@ -310,24 +293,6 @@ def _level_table(spec, depth_max, budget=None, x_grid_n=65):
     return words, np.array(lens), np.array(diams), complete
 
 
-def _node_window_count(spec, depth_max, c1, c2, x_grid_n=65):
-    """Node-at-a-time depth-first window count: the walker's reference."""
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    total = 0.0
-    stack = [((), 1.0, xg, np.ones_like(xg))]
-    while stack:
-        word, iln, X, A = stack.pop()
-        d = float(np.abs(A).max()) * spec.fiber_len
-        if c1 < d < c2:
-            total += iln
-        if len(word) >= depth_max or d <= c1:
-            continue
-        for s, sk in enumerate(spec.skew, 1):
-            stack.append((word + (s,), iln / sk.base_slope,
-                          sk.base_inverse(X), A * sk.fiber.slope(X)))
-    return total
-
-
 @pytest.mark.parametrize("spec, depth, budget", [
     (make_affine_example(0.8, 0.55), 10, None),
     (_three_strip_skew(), 7, None),
@@ -342,18 +307,6 @@ def test_cylinder_table_matches_level_walk(spec, depth, budget):
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2].tobytes() == want[2].tobytes()
     assert got[3] == want[3]
-
-
-@pytest.mark.parametrize("spec, depth, c1, c2", [
-    (make_affine_example(0.8, 0.55), 12, 0.01, 0.3),
-    (_three_strip_skew(), 8, 0.002, 0.2),
-    (make_baker(0.6), 20, 0.02, 0.3),
-], ids=["affine", "three_strip", "baker06"])
-def test_window_count_matches_node_walk(spec, depth, c1, c2):
-    got = window_count(spec, depth, c1, c2)
-    want = _node_window_count(spec, depth, c1, c2)
-    assert want > 1.0
-    assert abs(got - want) <= 1e-12 * want
 
 
 def test_scale_family_budget_counts_nodes(affine):
@@ -386,21 +339,37 @@ def test_cylinder_diameter_agrees_with_inventory(affine):
         assert abs(cylinder_diameter(affine, w) - d) < 5e-4
 
 
-@given(st.floats(min_value=0.3, max_value=0.7))
-@hypothesis.settings(max_examples=20, deadline=None)
-def test_window_count_respects_crossing_bound(lam):
-    spec = make_baker(lam)
-    c1, c2 = 0.02, 0.3
-    total = window_count(spec, 40, c1, c2)
-    bound = 1.0 + math.log(c2 / c1) / math.log(1.0 / lam)
-    assert total <= bound + 1e-9
+@pytest.mark.parametrize("spec, r", [
+    (make_affine_example(0.8, 0.55), 2.0 ** -5),
+    (_three_strip_skew(), 2.0 ** -5),
+], ids=["affine", "three_strip"])
+def test_cylinder_grid_widths_are_the_walker_diameters(spec, r):
+    """One word composed with the walker's step gives its diameter exactly.
+
+    On the inventory's grid the maximum width equals ``MInventory.diam``
+    bit for bit, and the refined diameter never falls below it.
+    """
+    inv = m_inventory(spec, r)
+    words = _word_tuples(inv.words, inv.lengths)
+    assert len(set(inv.lengths.tolist())) > 1
+    for w, d in zip(words, inv.diam.tolist()):
+        assert float(_word_widths(spec, w, inv.x_grid).max()) == d, w
+    for w, d in zip(words[::97], inv.diam[::97].tolist()):
+        assert cylinder_diameter(spec, w) >= d
 
 
-def test_truncate_alphabet_prefix_rule(baker06):
-    assert truncate_alphabet([0.9, 0.8, 0.3, 0.7], 0.5) == 2
-    assert truncate_alphabet([0.9, 0.8], 0.5) == 2
-    assert truncate_alphabet(baker06, 0.5) == 2
-    assert truncate_alphabet(baker06, 0.65) == 0
+def test_cylinder_diameter_needs_affine_fibers():
+    """The walker's routines refuse a map that is not affine in y."""
+    from horseshoe.conditions import classify_transversal
+    from test_diagnostics import _quadratic_skew
+
+    spec = _quadratic_skew()
+    for run in (lambda: cylinder_diameter(spec, (1, 2)),
+                lambda: m_inventory(spec, 0.1),
+                lambda: tail_slope_hull(spec),
+                lambda: classify_transversal(spec, (1,), (2,), 0.1)):
+        with pytest.raises(ParameterError, match="affine"):
+            run()
 
 
 def test_inventory_roundtrip(tmp_path, baker06, affine):
@@ -424,6 +393,19 @@ def test_inventory_rejects_other_map(tmp_path, baker06, affine):
     save_inventory(m_inventory(baker06, 0.3), path, baker06)
     with pytest.raises(CacheError):
         load_inventory(path, affine)
+
+
+def test_custom_inventory_rejects_map_with_other_fibers(tmp_path):
+    """Custom maps sharing alpha and k0 refuse each other's checkpoint."""
+    from test_maps import _sheared_pair
+
+    flat, sheared = _sheared_pair()
+    for spec, other in ((flat, sheared), (sheared, flat)):
+        path = tmp_path / "inv.blob"
+        save_inventory(m_inventory(spec, 0.3), path, spec)
+        assert load_inventory(path, spec).r == 0.3
+        with pytest.raises(CacheError):
+            load_inventory(path, other)
 
 
 def test_truncated_blob_refused(tmp_path, baker06):

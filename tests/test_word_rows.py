@@ -13,7 +13,7 @@ import pytest
 from horseshoe import symbolic
 from horseshoe.diagnostics import _concatenation_constant, fiber_ratio_sup
 from horseshoe.maps import make_affine_example, make_baker
-from horseshoe.symbolic import backward_orbit, fiber_image, lex_words
+from horseshoe.symbolic import fiber_image, lex_words
 
 from test_diagnostics import _quadratic_skew
 from test_symbolic import _three_strip_skew
@@ -25,7 +25,9 @@ SPEC_IDS = ["affine", "baker06", "three_strip", "quadratic"]
 
 def _one_word_image(spec, word, x, hat=False):
     """U_w(x) of one word, composed on its own from the deep end."""
-    orbit = backward_orbit(spec, word, x)
+    orbit = [np.asarray(x, dtype=float)]  # arrival point, then its preimages
+    for s in word:
+        orbit.append(spec.skew[s - 1].base_inverse(orbit[-1]))
     lo0, hi0 = spec.extended_fiber if hat else (0.0, 1.0)
     lo = np.full(np.shape(orbit[0]), lo0, dtype=float)
     hi = np.full(np.shape(orbit[0]), hi0, dtype=float)
