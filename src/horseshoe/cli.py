@@ -53,13 +53,9 @@ class RunConfig:
     lam: float = 0.5
     a: float = 0.8
     b: float = 0.55
-    # validation
-    grid_n: int = 256
-    strict_a4: bool = False
     # enumeration
     x_grid_n: int = 65
     enum_r: tuple = (2.0 ** -4, 2.0 ** -5, 2.0 ** -6)
-    word_budget: int = 400_000
     # measure
     bins: int = 4096
     samples: int = 200_000
@@ -69,14 +65,11 @@ class RunConfig:
     fiber_bins: int = 256
     y_bins: int = 4096
     r_list: tuple = (2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
-    weighting: str = "lebesgue"
-    bounded_ratio: float = 2.0
     # conditions
     delta: float | None = None
     tail_depth: int = 48
     pair_budget: int = 20_000
     fat_depth: int = 10
-    fat_depth_min: int = 2
     # diagnostics
     diag_word_depth: int = 8
     diag_lattice: int = 32
@@ -85,13 +78,11 @@ class RunConfig:
     figure_n: int = 5
     figure_grid: int = 129
     out_dir: str = "horseshoe_run"
-    formats: tuple = ("csv", "json", "svg")
 
     def as_dict(self):
         d = dataclasses.asdict(self)
         d["enum_r"] = list(self.enum_r)
         d["r_list"] = list(self.r_list)
-        d["formats"] = list(self.formats)
         return d
 
 
@@ -104,8 +95,8 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     failed_stage: str | None = None
 
-    def to_json(self, path):
-        payload = {
+    def to_json(self):
+        return {
             "map_hash": self.map_hash,
             "versions": self.versions,
             "wall_clock": self.wall_clock,
@@ -113,13 +104,20 @@ class RunManifest:
             "config": self.config,
             "failed_stage": self.failed_stage,
         }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return payload
+
+
+_WORD_BUDGET = 400_000  # tree nodes one M(r) or cylinder table may expand
+_FAT_DEPTH_MIN = 2  # the shallowest depth fatness_fit fits
+_INT_FIELDS = ("x_grid_n", "bins", "samples", "iters", "workers", "fiber_bins",
+               "y_bins", "tail_depth", "pair_budget", "fat_depth", "figure_n",
+               "figure_grid", "diag_word_depth", "diag_lattice", "cone_depth")
 
 
 def _decreasing(values, what):
-    vals = [float(v) for v in values]
+    try:
+        vals = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a list of numbers: {exc}") from exc
     if not vals:
         raise ConfigError(f"{what} must not be empty")
     if any(v <= 0 for v in vals):
@@ -137,18 +135,24 @@ def finalize_config(config):
     config.r_list = _decreasing(config.r_list, "r_list")
     if not isinstance(config.seed, int):
         raise ConfigError("seed must be an integer (and is mandatory)")
-    for name in ("grid_n", "x_grid_n", "bins", "samples",
-                 "iters", "workers", "fiber_bins", "y_bins", "tail_depth",
-                 "pair_budget", "fat_depth", "fat_depth_min", "figure_n",
-                 "figure_grid", "diag_word_depth", "diag_lattice", "cone_depth"):
-        if int(getattr(config, name)) < 1:
-            raise ConfigError(f"{name} must be a positive integer")
-        setattr(config, name, int(getattr(config, name)))
-    if config.fat_depth_min >= config.fat_depth:
-        raise ConfigError("fat_depth_min must be below fat_depth")
-    unknown = set(config.formats) - {"csv", "json", "svg"}
-    if unknown:
-        raise ConfigError(f"unknown output formats {sorted(unknown)}")
+    for name in _INT_FIELDS:
+        value = getattr(config, name)
+        try:
+            whole = int(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} must be a positive integer: {exc}") from exc
+        if isinstance(value, bool) or whole != value or whole < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        setattr(config, name, whole)
+    if config.fat_depth <= _FAT_DEPTH_MIN:
+        raise ConfigError(f"fat_depth must exceed {_FAT_DEPTH_MIN}")
+    if config.delta is not None:
+        try:
+            config.delta = float(config.delta)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"delta must be a number: {exc}") from exc
+        if not config.delta > 0.0:
+            raise ConfigError("delta must be positive")
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -165,7 +169,7 @@ def build_spec(config):
         if config.family == "baker":
             return make_baker(config.lam)
         return make_affine_example(config.a, config.b)
-    except HorseshoeError as exc:
+    except (HorseshoeError, TypeError, ValueError) as exc:
         raise ConfigError(f"map parameters rejected: {exc}") from exc
 
 
@@ -182,6 +186,7 @@ def default_delta(config):
 
 
 def _write_json(path, payload):
+    """The one JSON writer: sorted keys, two-space indent, final newline."""
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -205,7 +210,7 @@ def _inventories(ctx):
         cfg = ctx["config"]
         ctx["inventories"] = [
             m_inventory(_spec(ctx), r, x_grid_n=cfg.x_grid_n,
-                        budget=cfg.word_budget)
+                        budget=_WORD_BUDGET)
             for r in cfg.enum_r]
     return ctx["inventories"]
 
@@ -238,7 +243,7 @@ def _srb(ctx):
 def stage_validate(ctx):
     cfg = ctx["config"]
     spec = _spec(ctx)
-    rep = validate_hyperbolicity(spec, grid_n=cfg.grid_n)
+    rep = validate_hyperbolicity(spec)
     checks = {
         name: {
             "observed": c.observed, "bound": c.bound,
@@ -255,11 +260,11 @@ def stage_validate(ctx):
         "k0": spec.k0,
         "checks": checks,
         "inconclusive": sorted(rep.inconclusive),
-        "passed": rep.passed(strict_a4=cfg.strict_a4),
+        "passed": rep.passed(),
     }
     _write_json(Path(cfg.out_dir) / "hyperbolicity.json", payload)
     ctx["hyperbolicity"] = rep
-    if not rep.passed(strict_a4=cfg.strict_a4):
+    if not rep.passed():
         failing = [n for n, c in rep.checks.items() if not c.passed]
         raise StageError("validate", f"hyperbolicity checks failed: {failing}")
 
@@ -290,9 +295,8 @@ def stage_acip(ctx):
     dd = dens.density()
     for lo, m, d in zip(edges[:-1], dens.masses, dd):
         lines.append(f"{float(lo)!r},{float(m)!r},{float(d)!r}")
-    if "csv" in cfg.formats:
-        with open(Path(cfg.out_dir) / "acip.csv", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    with open(Path(cfg.out_dir) / "acip.csv", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     _write_json(Path(cfg.out_dir) / "acip.json", {
         "bins": dens.bins,
         "l_bound": dens.l_bound,
@@ -321,18 +325,16 @@ def stage_lift(ctx):
 
 def stage_criterion(ctx):
     cfg = ctx["config"]
-    table = tsujii_criterion(_srb(ctx), cfg.r_list, weighting=cfg.weighting,
-                             bounded_ratio=cfg.bounded_ratio)
-    if "csv" in cfg.formats:
-        table.to_csv(Path(cfg.out_dir) / "criterion.csv")
+    table = tsujii_criterion(_srb(ctx), cfg.r_list)
+    table.to_csv(Path(cfg.out_dir) / "criterion.csv")
     _write_json(Path(cfg.out_dir) / "criterion.json", table.report())
     ctx["criterion"] = table
 
 
 def stage_fatness(ctx):
     cfg = ctx["config"]
-    fit = fatness_fit(_spec(ctx), cfg.fat_depth, depth_min=cfg.fat_depth_min,
-                      x_grid_n=cfg.x_grid_n, budget=cfg.word_budget)
+    fit = fatness_fit(_spec(ctx), cfg.fat_depth, depth_min=_FAT_DEPTH_MIN,
+                      x_grid_n=cfg.x_grid_n, budget=_WORD_BUDGET)
     _write_json(Path(cfg.out_dir) / "fatness.json", {
         "k1": fit.k1,
         "epsilon": fit.epsilon,
@@ -354,28 +356,26 @@ def stage_transversality(ctx):
                            tail_depth=cfg.tail_depth,
                            pair_budget=cfg.pair_budget, seed=cfg.seed)
         for inv in _inventories(ctx)])
-    if "csv" in cfg.formats:
-        sweep.to_csv(Path(cfg.out_dir) / "ntr.csv")
-    sweep.to_json(Path(cfg.out_dir) / "ntr.json")
+    sweep.to_csv(Path(cfg.out_dir) / "ntr.csv")
+    _write_json(Path(cfg.out_dir) / "ntr.json", sweep.to_json())
     ctx["ntr"] = sweep
 
 
 def stage_diagnostics(ctx):
     cfg = ctx["config"]
-    csv_path = Path(cfg.out_dir) / "diagnostics_lattice.csv" if "csv" in cfg.formats else None
     rep = run_diagnostics(_spec(ctx), word_depth=cfg.diag_word_depth,
                           lattice_n=cfg.diag_lattice, depth=cfg.cone_depth,
-                          seed=cfg.seed, csv_path=csv_path)
-    rep.to_json(Path(cfg.out_dir) / "diagnostics.json")
+                          seed=cfg.seed,
+                          csv_path=Path(cfg.out_dir) / "diagnostics_lattice.csv")
+    _write_json(Path(cfg.out_dir) / "diagnostics.json", rep.to_json())
     ctx["diagnostics"] = rep
 
 
 def stage_figure(ctx):
     cfg = ctx["config"]
-    svg = Path(cfg.out_dir) / f"strips_n{cfg.figure_n}.svg" if "svg" in cfg.formats else None
-    csv = Path(cfg.out_dir) / f"strips_n{cfg.figure_n}.csv" if "csv" in cfg.formats else None
-    emit_strip_polygons(_spec(ctx), cfg.figure_n, svg_path=svg, csv_path=csv,
-                        x_grid_n=cfg.figure_grid)
+    stem = Path(cfg.out_dir) / f"strips_n{cfg.figure_n}"
+    emit_strip_polygons(_spec(ctx), cfg.figure_n, svg_path=stem.with_suffix(".svg"),
+                        csv_path=stem.with_suffix(".csv"), x_grid_n=cfg.figure_grid)
 
 
 def _trend(values):
@@ -434,6 +434,31 @@ def _versions():
     }
 
 
+def _run_stage(ctx, name, fn, manifest):
+    """Run one stage, timing it into ``manifest``.
+
+    Any exception leaves as a StageError naming the stage, and the manifest
+    records that stage as the failed one.
+    """
+    t0 = time.perf_counter()
+    try:
+        fn(ctx)
+    except Exception as exc:
+        manifest.failed_stage = name
+        if isinstance(exc, StageError):
+            raise
+        raise StageError(name, exc) from exc
+    finally:
+        manifest.wall_clock[name] = time.perf_counter() - t0
+
+
+def _start(config):
+    """Stage context and an empty manifest for a finalized config."""
+    ctx = {"config": config}
+    return ctx, RunManifest(map_hash=_spec(ctx).map_hash,
+                            versions=_versions(), config=config.as_dict())
+
+
 def run_pipeline(config):
     """Run every stage in order and write the manifest.
 
@@ -442,30 +467,16 @@ def run_pipeline(config):
     byte-level comparisons should skip it.  On stage failure the partial
     manifest is still written, with the failing stage named.
     """
-    finalize_config(config)
-    ctx = {"config": config}
-    manifest = RunManifest(map_hash=_spec(ctx).map_hash,
-                           versions=_versions(), config=config.as_dict())
+    ctx, manifest = _start(finalize_config(config))
     out = Path(config.out_dir)
     try:
         for name, fn in STAGES + (("verdict", stage_verdict),):
-            t0 = time.perf_counter()
-            try:
-                fn(ctx)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(name, exc) from exc
-            finally:
-                manifest.wall_clock[name] = time.perf_counter() - t0
-    except StageError as exc:
-        manifest.failed_stage = exc.stage
-        raise
+            _run_stage(ctx, name, fn, manifest)
     finally:
         for p in sorted(out.iterdir()):
             if p.is_file() and p.name != _MANIFEST_NAME:
                 manifest.files[p.name] = cache.file_sha256(p)
-        manifest.to_json(out / _MANIFEST_NAME)
+        _write_json(out / _MANIFEST_NAME, manifest.to_json())
     return manifest
 
 
@@ -489,13 +500,9 @@ def _add_flags(p):
     g.add_argument("--lam", type=float, help="baker fiber contraction")
     g.add_argument("--a", type=float, help="affine family slope at u=0")
     g.add_argument("--b", type=float, help="affine family slope at u=1")
-    g = p.add_argument_group("validation")
-    g.add_argument("--grid-n", type=int)
-    g.add_argument("--strict-a4", action="store_true", default=None)
     g = p.add_argument_group("enumeration")
     g.add_argument("--x-grid-n", type=int)
     g.add_argument("--enum-r", type=str, help="comma-separated decreasing scales")
-    g.add_argument("--word-budget", type=int)
     g = p.add_argument_group("measure")
     g.add_argument("--bins", type=int)
     g.add_argument("--samples", type=int)
@@ -505,14 +512,11 @@ def _add_flags(p):
     g.add_argument("--fiber-bins", type=int)
     g.add_argument("--y-bins", type=int)
     g.add_argument("--r-list", type=str, help="comma-separated decreasing radii")
-    g.add_argument("--weighting", choices=("lebesgue", "factor_acip"))
-    g.add_argument("--bounded-ratio", type=float)
     g = p.add_argument_group("conditions")
     g.add_argument("--delta", type=float)
     g.add_argument("--tail-depth", type=int)
     g.add_argument("--pair-budget", type=int)
     g.add_argument("--fat-depth", type=int)
-    g.add_argument("--fat-depth-min", type=int)
     g = p.add_argument_group("diagnostics")
     g.add_argument("--diag-word-depth", type=int)
     g.add_argument("--diag-lattice", type=int)
@@ -521,11 +525,10 @@ def _add_flags(p):
     g.add_argument("--figure-n", type=int)
     g.add_argument("--figure-grid", type=int)
     g.add_argument("--out", dest="out_dir", type=str)
-    g.add_argument("--formats", type=str, help="comma subset of csv,json,svg")
     p.add_argument("--config", type=str, help="JSON file overriding all flags")
 
 
-_LIST_FIELDS = {"enum_r": float, "r_list": float, "formats": str}
+_LIST_FIELDS = ("enum_r", "r_list")
 
 
 def _config_from(ns):
@@ -535,8 +538,7 @@ def _config_from(ns):
         if val is None:
             continue
         if f.name in _LIST_FIELDS and isinstance(val, str):
-            conv = _LIST_FIELDS[f.name]
-            val = tuple(conv(v.strip()) for v in val.split(",") if v.strip())
+            val = tuple(v.strip() for v in val.split(",") if v.strip())
         setattr(config, f.name, val)
     if ns.config is not None:
         try:
@@ -550,7 +552,7 @@ def _config_from(ns):
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             if key in _LIST_FIELDS and isinstance(val, list):
-                val = tuple(_LIST_FIELDS[key](v) for v in val)
+                val = tuple(val)
             setattr(config, key, val)
     return config
 
@@ -572,8 +574,9 @@ def main(argv=None):
     parser = make_parser()
     ns = parser.parse_args(argv)
     try:
-        config = _config_from(ns)
-        finalize_config(config)
+        config = finalize_config(_config_from(ns))
+        # building the map here makes rejected map parameters config errors
+        ctx, manifest = _start(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -586,13 +589,7 @@ def main(argv=None):
             print(f"manifest: {Path(config.out_dir) / _MANIFEST_NAME} "
                   f"({len(manifest.files)} files)")
         else:
-            ctx = {"config": config}
-            try:
-                _STAGE_MAP[ns.command](ctx)
-            except StageError:
-                raise
-            except HorseshoeError as exc:
-                raise StageError(ns.command, exc) from exc
+            _run_stage(ctx, ns.command, _STAGE_MAP[ns.command], manifest)
             print(f"{ns.command}: ok (outputs in {config.out_dir})")
     except StageError as exc:
         print(f"{exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ transversal, so it upper-bounds the true sum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -219,6 +218,12 @@ def _gap_arrays(env_a, env_b):
     return pos_gap, slope_gap
 
 
+def _certified(pos_gap, slope_gap, delta, margin):
+    """Grid points where the position or the slope hulls are more than
+    delta plus the margin apart: the transversality certificate."""
+    return (pos_gap > delta + margin) | (slope_gap > delta + margin)
+
+
 def _decide(pos_gap, slope_gap, delta, margin, xg):
     """Three-way verdict from per-x envelope separations.
 
@@ -226,7 +231,7 @@ def _decide(pos_gap, slope_gap, delta, margin, xg):
     every tail choice; certificates carry a rigidity margin covering the
     envelope drift between grid points.
     """
-    cert_t = (pos_gap > delta + margin) | (slope_gap > delta + margin)
+    cert_t = _certified(pos_gap, slope_gap, delta, margin)
     cert_n = (pos_gap <= delta - margin) & (slope_gap <= delta - margin)
     worst = np.maximum(pos_gap, slope_gap)
     if bool(cert_t.all()):
@@ -370,8 +375,7 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
         env_a = [e[row[I[kb]]] for e in env]
         env_b = [e[row[J[kb]]] for e in env]
         pos_gap, slope_gap = _gap_arrays(env_a, env_b)
-        ch = ~((pos_gap > delta + margin)
-               | (slope_gap > delta + margin)).all(axis=1)
+        ch = ~_certified(pos_gap, slope_gap, delta, margin).all(axis=1)
         pa, qa = env_a[0][ch], env_a[1][ch]
         pb, qb = env_b[0][ch], env_b[1][ch]
         inter = np.clip(np.minimum(qa, qb) - np.maximum(pa, pb), 0.0, None)
@@ -538,14 +542,9 @@ class NtrSweep:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def to_json(self, path=None):
-        payload = {"exponent_fit": self.exponent,
-                   "reports": [rep.as_record() for rep in self.reports]}
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return payload
+    def to_json(self):
+        return {"exponent_fit": self.exponent,
+                "reports": [rep.as_record() for rep in self.reports]}
 
 
 def ntr_sweep(spec, r_list, delta, x_grid_n=65, budget=None, **kwargs):

@@ -9,7 +9,6 @@ form, which the tests pin to machine accuracy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -298,8 +297,8 @@ class DiagnosticsReport:
     samples_used: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def to_json(self, path=None):
-        payload = {
+    def to_json(self):
+        return {
             "k_stable": self.k_stable, "k2": self.k2, "k3": self.k3,
             "k4": self.k4, "c2": self.c2, "c3": self.c3, "c4": self.c4,
             "eq12_margin": self.eq12_margin,
@@ -308,11 +307,6 @@ class DiagnosticsReport:
             "route_error": self.route_error,
             "samples_used": self.samples_used, "meta": self.meta,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return payload
 
 
 def _concatenation_constant(spec, depth, x_grid_n=65):

@@ -247,46 +247,40 @@ class GhmSpec:
 # built-in families
 
 
-def make_baker(lam, alpha=0.5, extended_fiber=(-0.1, 1.1)):
+def make_baker(lam, extended_fiber=(-0.1, 1.1)):
     """Two-branch baker family: doubling base, constant fiber contraction.
 
     The published form of this family lives on the square [-1,1]^2; we work
     on the unit square, where the original first branch is the right-hand
-    strip.
+    strip.  Constant fibers give the cone aperture 1/2 and the expansion
+    floor min(2, 1/lam).
     """
     lam = float(lam)
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"contraction must be in (0,1), got {lam}")
-    skew = (
-        SkewBranch(2.0, 0.0, affine_fiber(lam, 0.0, 0.0, 0.0)),
-        SkewBranch(2.0, -1.0, affine_fiber(lam, 1.0 - lam, 0.0, 0.0)),
-    )
-    k0 = min(2.0, 1.0 / lam)
-    return GhmSpec(
-        breaks=(0.0, 0.5, 1.0),
-        alpha=float(alpha),
-        k0=k0,
-        extended_fiber=tuple(float(v) for v in extended_fiber),
-        label="baker",
-        params=(("lambda", lam),),
-        skew=skew,
-    )
+    return make_custom_skew(
+        (0.0, 0.5, 1.0),
+        (affine_fiber(lam, 0.0, 0.0, 0.0), affine_fiber(lam, 1.0 - lam, 0.0, 0.0)),
+        extended_fiber=extended_fiber, label="baker", params=(("lambda", lam),))
 
 
-def make_affine_example(a, b, alpha=None, extended_fiber=(-0.1, 1.1)):
+def make_affine_example(a, b):
     """Two-branch overlapping family with base-dependent fiber slopes.
 
     Fiber slope at arrival point u is sigma(u) = a + u*(b - a) for both
     branches; the left branch carries the additional offset
-    (1 - a) * u * (a - b), the right branch none.  Requires 1/2 < b < a < 1,
-    which keeps every slope above 1/2 (area growth) while staying a strict
-    contraction.
+    (1 - a) * u * (a - b), the right branch none.  J is (-0.1, 1.1).  The
+    domain is 1/2 < b < a < 1, which keeps every slope above 1/2 (area
+    growth) while staying a strict contraction, together with
+    a + 2.42 (a - b)^2 / (2 - a) < 1: the partials give the cone aperture
+    alpha = 2.2 (a - b) / (2 - a) and the expansion floor
+    k0 = (1 - 1.1 alpha (a - b)) / a, which must exceed 1.  So 0.8/0.55
+    builds and 0.9/0.6 does not.
     """
     a = float(a)
     b = float(b)
     if not (0.5 < b < a < 1.0):
         raise ParameterError(f"need 1/2 < b < a < 1, got a={a}, b={b}")
-    jlo, jhi = (float(extended_fiber[0]), float(extended_fiber[1]))
 
     def sigma(u):
         return a + np.asarray(u, dtype=float) * (b - a)
@@ -294,32 +288,16 @@ def make_affine_example(a, b, alpha=None, extended_fiber=(-0.1, 1.1)):
     def offset1(u):
         return (1.0 - a) * np.asarray(u, dtype=float) * (a - b)
 
-    skew = (
-        SkewBranch(2.0, 0.0, affine_fiber(sigma, offset1, b - a, (1.0 - a) * (a - b))),
-        SkewBranch(2.0, -1.0, affine_fiber(sigma, 0.0, b - a, 0.0)),
-    )
-
-    # Cone aperture and expansion floor from the extreme partials over the
-    # extended domain; all partials are (bi)linear so corners suffice.
-    f2x_max = 0.0
-    f2y_max = a
-    for sk in skew:
-        for u in (0.0, 1.0):
-            for y in (jlo, jhi):
-                f2x_max = max(f2x_max, abs(float(sk.fiber.du(u, y))) * 2.0)
-    if alpha is None:
-        alpha = f2x_max / (2.0 - f2y_max) * (1.0 + 1e-9)
-        alpha = min(alpha, 0.999)
-    k0 = min(2.0, (1.0 - alpha * f2x_max / 2.0) / f2y_max)
-    return GhmSpec(
-        breaks=(0.0, 0.5, 1.0),
-        alpha=float(alpha),
-        k0=k0,
-        extended_fiber=(jlo, jhi),
-        label="affine_example",
-        params=(("a", a), ("b", b)),
-        skew=skew,
-    )
+    try:
+        return make_custom_skew(
+            (0.0, 0.5, 1.0),
+            (affine_fiber(sigma, offset1, b - a, (1.0 - a) * (a - b)),
+             affine_fiber(sigma, 0.0, b - a, 0.0)),
+            label="affine_example", params=(("a", a), ("b", b)))
+    except ParameterError as exc:
+        raise ParameterError(
+            f"a={a}, b={b} leave the expansion floor k0 at or below 1; "
+            f"need a + 2.42 (a - b)^2 / (2 - a) < 1 ({exc})") from exc
 
 
 def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
@@ -467,14 +445,14 @@ class HyperbolicityReport:
         return sorted(name for name, c in self.checks.items()
                       if abs(c.margin) < _INCONCLUSIVE_BELOW)
 
-    def passed(self, strict_a4=False):
-        names = ["h1", "h2", "eq5", "eq6", "eq7", "eq8", "a2"]
-        if strict_a4:
-            names.append("a4")
-        return all(self.checks[n].passed for n in names)
+    def passed(self):
+        """Whether every gating check holds; a1, a3, a4 and jac_range are
+        reported only."""
+        return all(self.checks[n].passed
+                   for n in ("h1", "h2", "eq5", "eq6", "eq7", "eq8", "a2"))
 
 
-def validate_hyperbolicity(spec, grid_n=512):
+def validate_hyperbolicity(spec, grid_n=256):
     """Evaluate every cone / ratio / regularity condition on a lattice.
 
     Works per strip on a grid_n x grid_n lattice over strip x J.  Never

@@ -30,6 +30,7 @@ _CHUNK = 1 << 18
 _SQ_BINS = 256
 _MAX_DISCARD_FRAC = 0.01  # share of samples that may leave the domain
 _DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
+_BOUNDED_RATIO = 2.0  # spread of the three smallest-r values of a bounded I(r)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,6 @@ class CriterionTable:
 
     r_values: np.ndarray
     i_of_r: np.ndarray
-    weighting: str
     verdict: str
 
     def loglog_slope(self):
@@ -448,35 +448,29 @@ class CriterionTable:
         return {
             "r": [float(v) for v in self.r_values],
             "I_r": [float(v) for v in self.i_of_r],
-            "weighting": self.weighting,
+            "weighting": "lebesgue",
             "verdict": self.verdict,
             "loglog_slope": self.loglog_slope(),
         }
 
 
-def tsujii_criterion(srb, r_list, weighting="lebesgue", bounded_ratio=2.0):
+def tsujii_criterion(srb, r_list):
     """I(r) over a decreasing radius sweep, with a boundedness verdict.
 
     I(r) = r^-2 * integral of the squared window norms across the base,
-    weighted either by base Lebesgue measure ("lebesgue") or by the factor
-    density's column masses ("factor_acip").  The verdict examines only the
-    computed window: "bounded" when the three smallest radii vary by less
-    than ``bounded_ratio``, "diverging" when the log-log slope is at or
-    below ``_DIVERGING_SLOPE``, else "indeterminate"; no limit claim is made.
+    weighted by base Lebesgue measure over the nonempty columns.  Every
+    branch is affine onto [0,1], so Lebesgue measure is base-invariant and
+    the factor density is uniform.  The verdict examines only the computed
+    window: "bounded" when the three smallest radii vary by less than
+    ``_BOUNDED_RATIO``, "diverging" when the log-log slope is at or below
+    ``_DIVERGING_SLOPE``, else "indeterminate"; no limit claim is made.
     """
     r_list = [float(r) for r in r_list]
     if not r_list:
         raise ParameterError("empty radius sweep")
     if any(b >= a for a, b in zip(r_list, r_list[1:])):
         raise ParameterError("radius sweep must be strictly decreasing")
-    if weighting not in ("lebesgue", "factor_acip"):
-        raise ParameterError(f"unknown weighting {weighting!r}")
-    col_mass = srb.column_mass()
-    nonempty = col_mass > 0
-    if weighting == "lebesgue":
-        weights = np.where(nonempty, 1.0 / srb.fiber_bins, 0.0)
-    else:
-        weights = col_mass
+    weights = np.where(srb.column_mass() > 0, 1.0 / srb.fiber_bins, 0.0)
     norms = _l2_norms(srb, r_list)
     i_vals = np.empty(len(r_list))
     for k, r in enumerate(r_list):
@@ -487,13 +481,11 @@ def tsujii_criterion(srb, r_list, weighting="lebesgue", bounded_ratio=2.0):
     # window ratio of a slowly diverging sweep can sit below any fixed bound
     if slope <= _DIVERGING_SLOPE:
         verdict = "diverging"
-    elif float(small.max()) / float(small.min()) < bounded_ratio:
+    elif float(small.max()) / float(small.min()) < _BOUNDED_RATIO:
         verdict = "bounded"
     else:
         verdict = "indeterminate"
-    return CriterionTable(
-        r_values=np.array(r_list), i_of_r=i_vals,
-        weighting=weighting, verdict=verdict)
+    return CriterionTable(r_values=np.array(r_list), i_of_r=i_vals, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,22 @@ def test_finalize_rejects_bad_settings(tmp_path):
     with pytest.raises(ConfigError):
         finalize_config(RunConfig(enum_r=(0.1, 0.1), **base))
     with pytest.raises(ConfigError):
-        finalize_config(RunConfig(formats=("csv", "exe"), **base))
-    with pytest.raises(ConfigError):
         finalize_config(RunConfig(samples=0, **base))
-    with pytest.raises(ConfigError):
-        finalize_config(RunConfig(fat_depth_min=0, **base))
-    with pytest.raises(ConfigError):
-        finalize_config(RunConfig(fat_depth_min=10, fat_depth=10, **base))
+    with pytest.raises(ConfigError, match="fat_depth"):
+        finalize_config(RunConfig(fat_depth=2, **base))
+    assert finalize_config(RunConfig(fat_depth=3, **base)).fat_depth == 3
+
+
+@pytest.mark.parametrize("override", [
+    {"samples": "abc"}, {"enum_r": "abc"}, {"lam": "x"}, {"delta": "x"},
+    {"fat_depth": 10.9}, {"workers": True},
+], ids=["samples", "enum_r", "lam", "delta", "fractional", "boolean"])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, override):
+    cfile = tmp_path / "run.json"
+    cfile.write_text(json.dumps(override))
+    assert main(["validate", "--config", str(cfile), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_default_delta_by_family(tmp_path):
@@ -145,18 +154,19 @@ def test_single_stage_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    code = main(["acip", "--formats", "csv,exe", "--out", str(tmp_path)])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-    for bad in (["--fat-depth-min", "0"],
-                ["--fat-depth-min", "10", "--fat-depth", "10"]):
-        assert main(["fatness", *bad, "--out", str(tmp_path)]) == 2
-        assert "fat_depth_min" in capsys.readouterr().err
-    # depth_max was a knob no stage read; it is gone
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({"depth_max": 24}))
-    assert main(["acip", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "unknown config key 'depth_max'" in capsys.readouterr().err
+    assert main(["fatness", "--fat-depth", "2", "--out", str(tmp_path)]) == 2
+    assert "fat_depth" in capsys.readouterr().err
+    assert main(["all", "--lam", "1.5", "--out", str(tmp_path)]) == 2
+    assert "map parameters rejected" in capsys.readouterr().err
+    # knobs that only ever held their default are gone
+    for key, val in (("depth_max", 24), ("grid_n", 256), ("strict_a4", False),
+                     ("word_budget", 400_000), ("weighting", "lebesgue"),
+                     ("bounded_ratio", 2.0), ("fat_depth_min", 2),
+                     ("formats", ["csv", "json", "svg"])):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({key: val}))
+        assert main(["acip", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_enumerate_checkpoint_bytes_pinned(tmp_path):
@@ -247,12 +257,18 @@ def test_each_scale_enumerated_once(tmp_path, monkeypatch):
     assert [rep.r for rep in ctx["ntr"].reports] == [0.3, 0.15]
 
 
-def test_stage_error_exit_code(tmp_path, capsys):
-    # the affine defaults fail the strict fiber-variation check
-    code = main(["validate", "--family", "affine", "--strict-a4",
-                 "--out", str(tmp_path)])
-    assert code == 3
-    assert (tmp_path / "hyperbolicity.json").exists()
+def test_stage_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a scale above |J| = 1.2 has no word family
+    assert main(["enumerate", "--enum-r", "1.5", "--out", str(tmp_path)]) == 3
+    assert "stage 'enumerate' failed" in capsys.readouterr().err
+
+    # a single stage wraps any exception, not only the package's own
+    def broken(ctx):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setitem(cli._STAGE_MAP, "acip", broken)
+    assert main(["acip", "--out", str(tmp_path)]) == 3
+    assert "disk on fire" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2(tmp_path):
@@ -262,12 +278,14 @@ def test_unknown_command_exits_2(tmp_path):
 
 
 def test_failed_stage_recorded_in_manifest(tmp_path):
-    cfg = RunConfig(family="affine", strict_a4=True, out_dir=str(tmp_path))
+    cfg = RunConfig(family="affine", enum_r=(1.5,), out_dir=str(tmp_path))
     from horseshoe.errors import StageError
     with pytest.raises(StageError):
         run_pipeline(cfg)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["failed_stage"] == "validate"
+    assert manifest["failed_stage"] == "enumerate"
+    assert set(manifest["wall_clock"]) == {"validate", "enumerate"}
+    assert "hyperbolicity.json" in manifest["files"]
 
 
 def test_runs_are_reproducible(tmp_path, baker_half):

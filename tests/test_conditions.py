@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from horseshoe import conditions
 from horseshoe.conditions import (
     classify_transversal,
     fatness_fit,
@@ -13,7 +14,12 @@ from horseshoe.conditions import (
     tail_slope_hull,
 )
 from horseshoe.errors import ParameterError
-from horseshoe.maps import affine_fiber, make_baker, make_custom_skew
+from horseshoe.maps import (
+    affine_fiber,
+    make_affine_example,
+    make_baker,
+    make_custom_skew,
+)
 from horseshoe.symbolic import cylinder_diameter, m_inventory
 
 
@@ -272,6 +278,45 @@ def test_subsampled_sum_is_deterministic_and_consistent(affine):
     assert sub1.n_ntr == sub2.n_ntr
     se = max(sub1.sum_se, 1e-12)
     assert abs(sub1.sum_value - exact.sum_value) < 4.0 * se + 0.05 * exact.sum_value
+
+
+@pytest.mark.parametrize("spec, r, delta", [
+    (make_baker(0.7), 0.18, 0.1),
+    (make_affine_example(0.8, 0.55), 2.0 ** -4, 0.015),
+], ids=["baker07_0.18", "affine_2^-4"])
+def test_charged_flags_are_the_pair_verdicts(monkeypatch, spec, r, delta):
+    """ntr_sum charges exactly the pairs classify_transversal does not
+    call transversal, on the same grid and tail depth, for every pair."""
+    inv = m_inventory(spec, r)
+    seen = {}
+    charged_pairs = conditions._charged_pairs
+
+    def spy(spec_, inv_, I, J, *args):
+        seen["I"], seen["J"] = I, J
+        seen["charged"], vals = charged_pairs(spec_, inv_, I, J, *args)
+        return seen["charged"], vals
+
+    monkeypatch.setattr(conditions, "_charged_pairs", spy)
+    rep = ntr_sum(spec, inv, delta, tail_depth=48)
+    assert not rep.subsampled and len(seen["I"]) == rep.n_pairs // 2
+
+    # each word's envelope once; classify_transversal itself is unchanged
+    envelope, envelopes = conditions.manifold_envelope, {}
+
+    def one_envelope(spec_, word, x_grid, hull):
+        if word not in envelopes:
+            envelopes[word] = envelope(spec_, word, x_grid, hull)
+        return envelopes[word]
+
+    hull = tail_slope_hull(spec, tail_depth=48)
+    monkeypatch.setattr(conditions, "tail_slope_hull", lambda s, tail_depth: hull)
+    monkeypatch.setattr(conditions, "manifold_envelope", one_envelope)
+    words = [tuple(w[:n]) for w, n in zip(inv.words.tolist(), inv.lengths.tolist())]
+    statuses = [classify_transversal(spec, words[i], words[j], delta,
+                                     x_grid_n=inv.x_grid.size, tail_depth=48).status
+                for i, j in zip(seen["I"].tolist(), seen["J"].tolist())]
+    assert [s != "transversal" for s in statuses] == seen["charged"].tolist()
+    assert {"transversal", "non_transversal"} <= set(statuses)
 
 
 @pytest.mark.parametrize("r, kwargs, want", [

@@ -186,8 +186,6 @@ def test_tsujii_radius_validation(baker_half):
         tsujii_criterion(srb, [])
     with pytest.raises(ResolutionError):
         tsujii_criterion(srb, [1e-8])
-    with pytest.raises(ParameterError):
-        tsujii_criterion(srb, [0.1], weighting="nope")
 
 
 def _one_radius_sq_integral(masses, edges, r):
@@ -236,13 +234,6 @@ def test_criterion_norms_equal_per_radius_norms():
     weights = np.where(srb.column_mass() > 0, 1.0 / srb.fiber_bins, 0.0)
     for r, got in zip(radii, table.i_of_r.tolist()):
         assert got == float(np.dot(weights, _l2_norms(srb, [r])[0])) / (r * r)
-
-
-def test_tsujii_factor_weighting_runs():
-    srb = _uniform_estimate()
-    table = tsujii_criterion(srb, [0.125, 0.0625], weighting="factor_acip")
-    assert table.weighting == "factor_acip"
-    assert np.all(table.i_of_r > 0)
 
 
 def test_srb_checkpoint_roundtrip(tmp_path, baker06):

@@ -1,18 +1,25 @@
-"""Every exported class and function is reached by the pipeline or the docs.
+"""Every exported class and function, and every run knob, has a user.
 
 A name in ``horseshoe.__all__`` counts as used when the code of some
 ``src/horseshoe`` module other than ``__init__.py`` refers to it outside
 its own definition, when ``README.md`` names it, or when
 ``tests/test_acceptance.py`` imports or calls it.  Code references are read
 from the syntax tree, so a mention in a docstring or comment does not count.
+
+A ``RunConfig`` field counts as used when a benchmark workload sets it
+(``perfbench/run.py``), the README shows its flag, or an acceptance check
+passes it to ``RunConfig``.
 """
 
+import argparse
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import horseshoe
+from horseshoe.cli import RunConfig, make_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "horseshoe"
@@ -57,3 +64,41 @@ def test_definitions_do_not_count_as_use(tmp_path):
                       "\n\nclass Alone:\n    pass\n\n\nlonely_too = Alone\n")
     names = _code_names(module)
     assert "lonely" not in names and "Alone" in names
+
+
+def _flag(field):
+    return "--out" if field == "out_dir" else "--" + field.replace("_", "-")
+
+
+def test_every_config_field_has_one_flag():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        options = {a.dest: a.option_strings for a in parser._actions
+                   if a.dest not in ("help", "config")}
+        assert set(options) == fields, command
+        for name, strings in options.items():
+            assert strings == [_flag(name)], (command, name)
+
+
+def _set_names(path, call=None):
+    """Dict keys and call keywords a file writes (keywords of ``call`` only)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Dict):
+            names.update(k.value for k in node.keys
+                         if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif isinstance(node, ast.Call) and (
+                call is None or getattr(node.func, "id", None) == call):
+            names.update(k.arg for k in node.keywords if k.arg)
+    return names
+
+
+def test_every_config_field_is_set_somewhere():
+    used = _set_names(ROOT / "perfbench" / "run.py", call="dict")
+    used |= _set_names(ROOT / "tests" / "test_acceptance.py", call="RunConfig")
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text()))
+    unused = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name not in used and _flag(f.name) not in flags]
+    assert not unused, f"RunConfig fields nothing sets: {unused}"
