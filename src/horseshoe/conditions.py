@@ -127,9 +127,13 @@ def tail_slope_hull(spec, tail_depth=48):
     of the one-step slope action over all branches, arrival points, and
     positions; cone invariance makes the iterates nested, which is also
     enforced numerically.  Arrival points are sampled at ``_HULL_U_N``
-    grid points.
+    grid points.  The hull is computed once per map instance and tail depth
+    and kept on the map, so the memo is keyed by what the map is.
     """
     _need_affine(spec)
+    hulls = spec._tail_hulls
+    if tail_depth in hulls:
+        return hulls[tail_depth]
     ug = np.linspace(0.0, 1.0, _HULL_U_N)
     plo, phi = -spec.alpha, spec.alpha
     for _ in range(tail_depth):
@@ -149,7 +153,8 @@ def tail_slope_hull(spec, tail_depth=48):
             plo, phi = lo_new, hi_new
             break
         plo, phi = lo_new, hi_new
-    return plo, phi
+    hulls[tail_depth] = (plo, phi)
+    return hulls[tail_depth]
 
 
 def _envelope_rows(spec, words, x_grid, hull):

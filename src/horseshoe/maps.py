@@ -32,10 +32,13 @@ _BUILTIN_LABELS = ("baker", "affine_example")  # families fixed by label and par
 
 
 def _const(value):
+    """Constant coefficient callable; ``f.constant`` records the value."""
+
     def f(u, y=None):
         u = np.asarray(u, dtype=float)
         return np.full_like(u, value)
 
+    f.constant = value
     return f
 
 
@@ -44,8 +47,11 @@ class FiberMap:
     """Fiber action psi(u, y) of one branch, u being the arrival base point.
 
     ``affine`` marks the common case psi(u, y) = slope(u) * y + offset(u);
-    enumeration and orbit stepping have fast paths for it.  All callables
-    must accept numpy arrays.
+    the word-tree walker and the envelope composer need it.  The lift's
+    orbit step gathers v = slope * y + offset from per-branch tables only
+    when every branch's fiber came from ``affine_fiber`` with a float slope
+    and a float offset (their callables carry ``constant``); any other map
+    is stepped through ``value``.  All callables must accept numpy arrays.
     """
 
     value: Callable
@@ -241,6 +247,11 @@ class GhmSpec:
                              indexing="ij")
         d = [np.abs(sk.fiber.dy(uu, yy)) for sk in self.skew]
         return tuple((float(v.min()), float(v.max())) for v in d)
+
+    @cached_property
+    def _tail_hulls(self):
+        """``conditions.tail_slope_hull`` of this map, memoized by tail depth."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

@@ -209,35 +209,88 @@ def _draw_base_points(density, n, rng):
     return (j + frac) / density.bins
 
 
-def _step_chunk(spec, x, y, counters):
-    """One forward application of the strip map to a block of points.
+def _constant_fibers(spec):
+    """Per-branch (slope, offset) tables when every fiber is constant-affine.
 
-    A point with |x - b| <= ``_BOUNDARY_TOL`` for some inner break b is first
-    moved right by ``_JITTER`` and counted in ``counters["jittered"]``.  A
-    point's branch is then the number of inner breaks <= x, so points left
-    of 0 take the first branch and points right of 1 the last.  The base step
-    applies that branch's slope and offset; each fiber map is evaluated on
-    the whole block and every point keeps the value of its own branch.
+    That is every fiber that ``affine_fiber`` built from float slope and
+    offset, as in the baker family; ``maps._const`` records the float on the
+    callable it makes.  Returns None when any branch lacks the mark.
+    """
+    try:
+        return (np.array([sk.fiber.slope.constant for sk in spec.skew]),
+                np.array([sk.fiber.offset.constant for sk in spec.skew]))
+    except AttributeError:
+        return None
+
+
+def _step_chunk(spec, n):
+    """The strip-map step of one chunk of n points, on buffers it owns.
+
+    Returns ``step(x, y, counters) -> (u, v)``, one forward application of
+    the map.  A point with |x - b| <= ``_BOUNDARY_TOL`` for some inner break
+    b is first moved right by ``_JITTER`` and counted in
+    ``counters["jittered"]``.  A point's branch is then the number of inner
+    breaks <= x, so points left of 0 take the first branch and points right
+    of 1 the last.  The base step applies that branch's slope and offset.
+
+    The boundary test, jitter, branch index, base step and gathers write
+    through ``out=`` into work buffers allocated here once, so every step
+    of a chunk reuses them.  The step never writes into the caller's x or
+    y; the u (and table-path v) it returns is overwritten by the next step.
+    Gathers use ``take(..., mode="clip")``, which writes ``out`` directly
+    (the default mode buffers it); the branch index is always in range.
+    When every fiber is constant-affine (``_constant_fibers``), v is
+    gathered as slope[i] * y + offset[i], the same two IEEE operations as
+    ``fiber.value``.  Otherwise each fiber map is evaluated on the whole
+    chunk and ``np.where`` keeps every point's own branch, in a new array.
     """
     inner = spec.base_breaks[1:-1]
-    near = np.zeros(x.shape, dtype=bool)
-    for b in inner:
-        near |= np.abs(x - b) <= _BOUNDARY_TOL
-    n_near = int(np.count_nonzero(near))
-    if n_near:
-        counters["jittered"] += n_near
-        x = np.where(near, x + _JITTER, x)
-    idx = np.zeros(x.shape, dtype=np.intp)
-    for b in inner:
-        idx += x >= b
     slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
     offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
-    u = slopes.take(idx) * x
-    u += offsets.take(idx)
-    v = spec.skew[-1].fiber.value(u, y)
-    for i, sk in enumerate(spec.skew[:-1]):
-        v = np.where(idx == i, sk.fiber.value(u, y), v)
-    return u, v
+    tables = _constant_fibers(spec)
+    fibers = [sk.fiber for sk in spec.skew]
+    # near and idx start at zero: a one-strip map has no inner break to set them
+    near = np.zeros(n, dtype=bool)
+    hit = np.empty(n, dtype=bool)
+    idx = np.zeros(n, dtype=np.intp)
+    tmp = np.empty(n)
+    u = np.empty(n)
+    v = np.empty(n) if tables is not None else None
+
+    def step(x, y, counters):
+        for k, b in enumerate(inner):
+            np.subtract(x, b, out=tmp)
+            np.abs(tmp, out=tmp)
+            np.less_equal(tmp, _BOUNDARY_TOL, out=hit if k else near)
+            if k:
+                np.logical_or(near, hit, out=near)
+        n_near = int(np.count_nonzero(near))
+        if n_near:
+            counters["jittered"] += n_near
+            if x is not u:
+                np.copyto(u, x)
+            np.add(u, _JITTER, out=u, where=near)
+            x = u
+        for k, b in enumerate(inner):
+            np.greater_equal(x, b, out=hit if k else idx)
+            if k:
+                np.add(idx, hit, out=idx)
+        slopes.take(idx, out=tmp, mode="clip")
+        np.multiply(tmp, x, out=u)
+        offsets.take(idx, out=tmp, mode="clip")
+        np.add(u, tmp, out=u)
+        if tables is None:
+            w = fibers[-1].value(u, y)
+            for i, fib in enumerate(fibers[:-1]):
+                w = np.where(idx == i, fib.value(u, y), w)
+            return u, w
+        tables[0].take(idx, out=tmp, mode="clip")
+        np.multiply(tmp, y, out=v)
+        tables[1].take(idx, out=tmp, mode="clip")
+        np.add(v, tmp, out=v)
+        return u, v
+
+    return step
 
 
 def _bin_index(v, lo, hi, n):
@@ -289,7 +342,11 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
 
     Each step is ``_step_chunk``: a point with |x - b| <= ``_BOUNDARY_TOL``
     for an inner break b moves right by ``_JITTER`` (counted in ``jittered``)
-    and then takes branch i = the number of inner breaks <= x.  After the
+    and then takes branch i = the number of inner breaks <= x.  A chunk
+    builds its step once, and its n_iter steps reuse that step's work
+    buffers, written through ``out=`` and gathered with ``mode="clip"``;
+    constant-affine fibers are gathered from per-branch tables, and any
+    other map falls back to ``fiber.value`` and ``np.where``.  After the
     last step, points outside [-tol, 1 + tol] x J are discarded; the rest are
     counted on equal bins as ``np.histogramdd`` bins them (``_grid_counts``),
     into ``cond_counts`` and the ``_SQ_BINS`` square ``sq_counts``; the
@@ -313,8 +370,9 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         counters = {"jittered": 0}
         x = _draw_base_points(density, m, rng)
         y = np.zeros_like(x)
+        step = _step_chunk(spec, m)
         for _ in range(n_iter):
-            x, y = _step_chunk(spec, x, y, counters)
+            x, y = step(x, y, counters)
         good = (x >= -_BOUNDARY_TOL) & (x <= 1 + _BOUNDARY_TOL) & (y >= jlo) & (y <= jhi)
         dropped = int(m - good.sum())
         if dropped:

@@ -123,6 +123,46 @@ def test_tail_hull_follows_fiber_maps():
     assert hi == pytest.approx(0.1 / 0.65, rel=1e-9)
 
 
+def _flat_and_sheared():
+    return (make_custom_skew((0.0, 0.5, 1.0),
+                             [affine_fiber(0.6, 0.0, 0.0, 0.0),
+                              affine_fiber(0.6, 0.4, 0.0, 0.0)],
+                             alpha=0.5, k0=1.5),
+            make_custom_skew((0.0, 0.5, 1.0),
+                             [affine_fiber(lambda u: 0.6 + 0.1 * u, 0.0,
+                                           0.1, 0.0),
+                              affine_fiber(0.6, 0.4, 0.0, 0.0)],
+                             alpha=0.5, k0=1.5))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_affine_example(0.8, 0.55), lambda: make_baker(0.6),
+    lambda: _flat_and_sheared()[0], lambda: _flat_and_sheared()[1],
+], ids=["affine", "baker06", "flat", "sheared"])
+def test_tail_hull_memo_matches_fresh_hull(build):
+    """The hull memoized on a map equals the one a fresh instance computes,
+    at each tail depth on its own."""
+    spec = build()
+    deep = tail_slope_hull(spec)
+    shallow = tail_slope_hull(spec, tail_depth=2)
+    assert tail_slope_hull(spec) is deep
+    assert tail_slope_hull(spec, tail_depth=2) is shallow
+    assert deep == tail_slope_hull(build())
+    assert shallow == tail_slope_hull(build(), tail_depth=2)
+
+
+def test_tail_hull_memo_is_per_map():
+    """Maps with equal alpha and k0 but other fibers keep their own hulls,
+    whichever is asked first."""
+    flat, sheared = _flat_and_sheared()
+    assert tail_slope_hull(flat) != tail_slope_hull(sheared)
+    flat2, sheared2 = _flat_and_sheared()
+    assert tail_slope_hull(sheared2) == tail_slope_hull(sheared)
+    assert tail_slope_hull(flat2) == tail_slope_hull(flat)
+    assert tail_slope_hull(make_affine_example(0.8, 0.55), tail_depth=2) != \
+        tail_slope_hull(make_affine_example(0.8, 0.55))
+
+
 def test_tail_hull_shrinks_with_depth(affine):
     lo1, hi1 = tail_slope_hull(affine, tail_depth=2)
     lo2, hi2 = tail_slope_hull(affine, tail_depth=20)

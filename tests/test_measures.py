@@ -16,11 +16,13 @@ from horseshoe.maps import (
 )
 from horseshoe.measures import (
     _BOUNDARY_TOL,
+    _CHUNK,
     _JITTER,
     _NORM_ROWS,
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
+    _constant_fibers,
     _l2_norms,
     density_grid,
     lift_srb,
@@ -93,13 +95,20 @@ def _lift(spec, n=40_000, iters=12, **kw):
     return lift_srb(spec, dens, iters, n, seed=99, **kw)
 
 
-def test_lift_worker_count_invariance(baker06):
-    a = _lift(baker06, workers=1)
-    b = _lift(baker06, workers=4)
-    assert np.array_equal(a.cond_counts, b.cond_counts)
-    assert np.array_equal(a.sq_counts, b.sq_counts)
-    assert a.jittered == b.jittered
-    assert a.discarded == b.discarded
+def test_lift_worker_count_invariance(baker06, affine):
+    """Three chunks, the last one short, stepped on their own buffers by up
+    to four threads, merge to the one-worker result, on the constant-fiber
+    table path (baker) and on the generic path (affine)."""
+    assert _constant_fibers(baker06) is not None
+    assert _constant_fibers(affine) is None
+    n = 2 * _CHUNK + 1000
+    for spec in (baker06, affine):
+        a = _lift(spec, n=n, iters=3, workers=1)
+        b = _lift(spec, n=n, iters=3, workers=4)
+        assert np.array_equal(a.cond_counts, b.cond_counts)
+        assert np.array_equal(a.sq_counts, b.sq_counts)
+        assert a.jittered == b.jittered
+        assert a.discarded == b.discarded
 
 
 def test_lift_bookkeeping(baker06):
@@ -287,6 +296,23 @@ def _three_strip_skew():
     ])
 
 
+def _constant_three_strip_skew():
+    """Unequal breaks, a distinct constant fiber slope and offset per branch."""
+    return make_custom_skew((0.0, 0.2, 0.65, 1.0), [
+        affine_fiber(0.45, 0.02, 0.0, 0.0),
+        affine_fiber(0.3, 0.5, 0.0, 0.0),
+        affine_fiber(0.4, 0.55, 0.0, 0.0),
+    ])
+
+
+def _sheared_offset_skew():
+    """Constant fiber slopes, one u-dependent offset: not constant-affine."""
+    return make_custom_skew((0.0, 0.5, 1.0), [
+        affine_fiber(0.5, lambda u: 0.1 * u, 0.0, 0.1),
+        affine_fiber(0.5, 0.5, 0.0, 0.0),
+    ])
+
+
 def _quadratic_sine_skew():
     """psi(u, y) = c0 + 0.6 y + 0.05 y^2 + 0.02 sin(u): a non-affine fiber."""
 
@@ -318,23 +344,55 @@ def _adversarial_x(spec, rng, n=20_000):
     return rng.permutation(x)
 
 
-@pytest.mark.parametrize("spec", [
-    make_baker(0.6), make_affine_example(0.8, 0.55), _three_strip_skew(),
-    _quadratic_sine_skew(),
-], ids=["baker06", "affine", "three_strip", "quadratic_sine"])
-def test_step_matches_mask_reference(spec):
+@pytest.mark.parametrize("spec, table", [
+    (make_baker(0.6), True), (make_affine_example(0.8, 0.55), False),
+    (_three_strip_skew(), False), (_constant_three_strip_skew(), True),
+    (_sheared_offset_skew(), False), (_quadratic_sine_skew(), False),
+], ids=["baker06", "affine", "three_strip", "constant_three_strip",
+        "sheared_offset", "quadratic_sine"])
+def test_step_matches_mask_reference(spec, table):
+    """Both steps start from the same arrays, which the new step must not
+    write into; the constant-fiber table path is taken exactly for maps
+    whose every fiber has a constant slope and offset."""
+    assert (_constant_fibers(spec) is not None) == table
     rng = np.random.default_rng(2024)
     x = _adversarial_x(spec, rng)
     y = rng.uniform(*spec.extended_fiber, size=x.size)
+    x_bytes, y_bytes = x.tobytes(), y.tobytes()
     ref_x, ref_y, ref_c = x, y, {"jittered": 0}
     new_x, new_y, new_c = x, y, {"jittered": 0}
+    step = _step_chunk(spec, x.size)
     for _ in range(30):
         ref_x, ref_y = _mask_step(spec, ref_x, ref_y, ref_c)
-        new_x, new_y = _step_chunk(spec, new_x, new_y, new_c)
+        new_x, new_y = step(new_x, new_y, new_c)
         assert new_x.tobytes() == ref_x.tobytes()
         assert new_y.tobytes() == ref_y.tobytes()
     assert new_c == ref_c
     assert ref_c["jittered"] >= 6 * (spec.n_strips - 1)
+    assert x.tobytes() == x_bytes and y.tobytes() == y_bytes
+
+
+@pytest.mark.parametrize("spec", [
+    make_baker(0.6), make_baker(2.0 ** -0.5), make_affine_example(0.8, 0.55),
+    _three_strip_skew(), _constant_three_strip_skew(),
+    make_custom_skew((0.0, 0.5, 1.0), [affine_fiber(-0.5, 0.75, 0.0, 0.0),
+                                       affine_fiber(1 / 3, -0.0, 0.0, 0.0)]),
+], ids=["baker06", "baker_trapezoid", "affine", "three_strip",
+        "constant_three_strip", "reversing"])
+def test_recorded_fiber_constants_reproduce_value(spec):
+    """Where affine_fiber got a float slope and offset, the recorded constants
+    give fiber.value bit for bit on a lattice of [0,1] x J."""
+    uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 65),
+                         np.linspace(*spec.extended_fiber, 257), indexing="ij")
+    marked = 0
+    for sk in spec.skew:
+        s = getattr(sk.fiber.slope, "constant", None)
+        t = getattr(sk.fiber.offset, "constant", None)
+        if s is None or t is None:
+            continue
+        marked += 1
+        assert (s * yy + t).tobytes() == sk.fiber.value(uu, yy).tobytes()
+    assert (marked == spec.n_strips) == (_constant_fibers(spec) is not None)
 
 
 @pytest.mark.parametrize("nx, ny, yrange", [
