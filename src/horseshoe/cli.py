@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, cache, conditions
 from .conditions import fatness_fit
@@ -428,7 +427,6 @@ def _versions():
     return {
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "cache_format": cache.FORMAT_VERSION,
     }

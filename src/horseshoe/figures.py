@@ -69,9 +69,10 @@ def _svg_text(polygons, size=640, pad=24, y_range=None):
         f'height="{sy(0.0) - sy(1.0):.2f}" fill="none" '
         'stroke="#999999" stroke-width="1"/>',
     ]
+    # every band shares the x column of strip_polygons: bake its text in once
+    points = " ".join(f"{x:.2f},%.2f" for x in sx(polygons[0][1][:, 0]).tolist())
     for k, (word, verts) in enumerate(polygons):
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(
-            sx(verts[:, 0]).tolist(), sy(verts[:, 1]).tolist()))
+        pts = points % tuple(sy(verts[:, 1]).tolist())
         color = _PALETTE[k % len(_PALETTE)]
         lines.append(
             f'<polygon points="{pts}" fill="{color}" fill-opacity="0.35" '
@@ -94,12 +95,13 @@ def emit_strip_polygons(spec, n, svg_path=None, csv_path=None,
         with open(svg_path, "w") as fh:
             fh.write(_svg_text(polygons))
     if csv_path is not None:
+        # one template per figure with the shared x column baked in; a word
+        # label holds digits and dots only, so it is safe to splice in
+        band = "\n".join(f"{{lab}},{i},{x!r},%r"
+                         for i, x in enumerate(polygons[0][1][:, 0].tolist()))
         rows = ["word,vertex,x,y"]
-        for word, verts in polygons:
-            lab = word_label(word)
-            rows.extend(
-                f"{lab},{i},{x!r},{y!r}"
-                for i, (x, y) in enumerate(verts.tolist()))
+        rows.extend(band.replace("{lab}", word_label(word))
+                    % tuple(verts[:, 1].tolist()) for word, verts in polygons)
         with open(csv_path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     return polygons

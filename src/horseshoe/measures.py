@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     ConvergenceError,
@@ -88,55 +87,72 @@ class Density1D:
 
 
 def ulam_transition(base, bins):
-    """Sparse cell-to-cell transfer fractions of the base map.
+    """Cell-to-cell transfer fractions of the base map, as a COO triple.
 
-    Entry (j, k) is the fraction of cell j that lands in cell k; computed
-    from exact interval overlaps, so piecewise-affine images are represented
-    without quadrature error.
+    Returns integer arrays ``j``, ``k`` and float ``frac``: ``frac`` is the
+    fraction of cell j that lands in cell k, computed from exact interval
+    overlaps, so piecewise-affine images carry no quadrature error.  There
+    is one entry per (j, k), ordered by j then k.  Branches sharing a cell
+    (only cells that hold a break) emit the same (j, k) more than once;
+    those terms are summed in branch order, starting from 0.0.
     """
     base = _base_of(base)
-    rows, cols, vals = [], [], []
     edges = np.linspace(0.0, 1.0, bins + 1)
+    parts = []
     for (blo, bhi), m, c in zip(zip(base.breaks, base.breaks[1:]),
                                 base.slopes, base.offsets):
-        j_first = int(np.searchsorted(edges, blo, side="right")) - 1
-        j_last = int(np.searchsorted(edges, bhi, side="left")) - 1
-        for j in range(max(j_first, 0), min(j_last, bins - 1) + 1):
-            a = max(edges[j], blo)
-            b = min(edges[j + 1], bhi)
-            if b <= a:
-                continue
-            ia, ib = m * a + c, m * b + c
-            if ia > ib:
-                ia, ib = ib, ia
-            k_first = int(np.searchsorted(edges, ia, side="right")) - 1
-            k_last = int(np.searchsorted(edges, ib, side="left")) - 1
-            for k in range(max(k_first, 0), min(k_last, bins - 1) + 1):
-                lo = max(edges[k], ia)
-                hi = min(edges[k + 1], ib)
-                if hi > lo:
-                    rows.append(j)
-                    cols.append(k)
-                    # fraction of cell j whose image covers [lo, hi]
-                    vals.append((hi - lo) / abs(m) / (edges[j + 1] - edges[j]))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(bins, bins))
+        j_first = max(int(np.searchsorted(edges, blo, side="right")) - 1, 0)
+        j_last = min(int(np.searchsorted(edges, bhi, side="left")) - 1, bins - 1)
+        j = np.arange(j_first, j_last + 1)
+        a = np.maximum(edges[j], blo)
+        b = np.minimum(edges[j + 1], bhi)
+        keep = b > a
+        j, a, b = j[keep], a[keep], b[keep]
+        ia, ib = m * a + c, m * b + c
+        ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
+        k_first = np.maximum(np.searchsorted(edges, ia, side="right") - 1, 0)
+        k_last = np.minimum(np.searchsorted(edges, ib, side="left") - 1, bins - 1)
+        n_k = np.maximum(k_last - k_first + 1, 0)
+        start = np.repeat(np.cumsum(n_k) - n_k, n_k)
+        k = np.repeat(k_first, n_k) + np.arange(start.size) - start
+        ia, ib, j = np.repeat(ia, n_k), np.repeat(ib, n_k), np.repeat(j, n_k)
+        lo = np.maximum(edges[k], ia)
+        hi = np.minimum(edges[k + 1], ib)
+        keep = hi > lo
+        j, k, lo, hi = j[keep], k[keep], lo[keep], hi[keep]
+        # fraction of cell j whose image covers [lo, hi]
+        parts.append((j, k, (hi - lo) / abs(m) / (edges[j + 1] - edges[j])))
+    j, k, frac = (np.concatenate(col) for col in zip(*parts))
+    key = j * bins + k
+    order = np.argsort(key, kind="stable")
+    key, j, k, frac = key[order], j[order], k[order], frac[order]
+    first = np.concatenate([[True], key[1:] != key[:-1]])
+    frac = np.bincount(np.cumsum(first) - 1, weights=frac)
+    return j[first], k[first], frac
 
 
 def ulam_acip(spec_or_base, bins=4096, tol=1e-12, max_sweeps=100_000):
     """Stationary cell masses of the transfer discretization.
 
-    Power-iterates the mass-transport matrix from the uniform vector until
-    the total-variation step residual reaches ``tol``.
+    Power-iterates the mass transport from the uniform vector until the
+    total-variation step residual reaches ``tol``.  The triple of
+    ``ulam_transition`` is ordered by k once (stably, so j stays ascending
+    within each k); a sweep is then ``np.bincount(k, frac * v[j])``, which
+    adds each column's terms in ascending j from 0.0.  That is the order in
+    which a CSR mat-vec with the transposed matrix sums them, so the masses
+    equal a sparse-matrix power iteration's bit for bit.
     """
     if bins < 16 or bins & (bins - 1) != 0:
         raise ParameterError(f"bin count must be a power of two >= 16, got {bins}")
     if not tol > 0.0:
         raise ParameterError("a zero residual tolerance is unreachable; use tol > 0")
-    transport = ulam_transition(spec_or_base, bins).T.tocsr()
+    j, k, frac = ulam_transition(spec_or_base, bins)
+    order = np.argsort(k, kind="stable")
+    j, k, frac = j[order], k[order], frac[order]
     v = np.full(bins, 1.0 / bins)
     history = []
     for sweep in range(1, max_sweeps + 1):
-        w = transport @ v
+        w = np.bincount(k, weights=frac * v[j], minlength=bins)
         s = w.sum()
         if s <= 0:
             raise ConvergenceError("transfer matrix lost all mass", history)

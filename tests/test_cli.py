@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -353,3 +356,15 @@ def test_future_format_version_refused(tmp_path, baker06):
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError, match="version"):
         cache_roundtrip(path)
+
+
+def test_import_loads_no_scipy():
+    """The package and its command line import numpy only."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys, horseshoe, horseshoe.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

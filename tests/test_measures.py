@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from horseshoe.measures import (
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
+    _base_of,
     _constant_fibers,
     _l2_norms,
     density_grid,
@@ -73,9 +76,118 @@ def test_markov_base_stationary_density():
 
 
 def test_markov_transition_rows_are_stochastic():
-    t = ulam_transition(MARKOV, 128)
-    rows = np.asarray(t.sum(axis=1)).ravel()
+    j, _, frac = ulam_transition(MARKOV, 128)
+    rows = np.bincount(j, weights=frac, minlength=128)
     assert np.abs(rows - 1.0).max() < 1e-12
+
+
+def _reference_triples(base, bins):
+    """The per-cell overlap loop: (j, k, frac) per branch piece, in branch,
+    then j, then k order."""
+    edges = np.linspace(0.0, 1.0, bins + 1).tolist()
+    for (blo, bhi), m, c in zip(zip(base.breaks, base.breaks[1:]),
+                                base.slopes, base.offsets):
+        j_first = bisect.bisect_right(edges, blo) - 1
+        j_last = bisect.bisect_left(edges, bhi) - 1
+        for j in range(max(j_first, 0), min(j_last, bins - 1) + 1):
+            a, b = max(edges[j], blo), min(edges[j + 1], bhi)
+            if b <= a:
+                continue
+            ia, ib = sorted((m * a + c, m * b + c))
+            k_first = bisect.bisect_right(edges, ia) - 1
+            k_last = bisect.bisect_left(edges, ib) - 1
+            for k in range(max(k_first, 0), min(k_last, bins - 1) + 1):
+                lo, hi = max(edges[k], ia), min(edges[k + 1], ib)
+                if hi > lo:
+                    yield j, k, (hi - lo) / abs(m) / (edges[j + 1] - edges[j])
+
+
+def _reference_entries(base, bins):
+    """{(j, k): frac}, duplicates summed in emission order from 0.0."""
+    entries = {}
+    for j, k, frac in _reference_triples(base, bins):
+        entries[j, k] = entries.get((j, k), 0.0) + frac
+    return entries
+
+
+def _reference_acip(base, bins, tol=1e-12):
+    """Power iteration with a column-by-column mat-vec that adds each
+    column's terms in ascending j, the order of a CSR product with the
+    transposed matrix."""
+    columns = [[] for _ in range(bins)]
+    for (j, k), frac in sorted(_reference_entries(base, bins).items()):
+        columns[k].append((j, frac))
+    v = np.full(bins, 1.0 / bins)
+    for sweep in range(1, 10_000):
+        vj = v.tolist()
+        w = []
+        for col in columns:
+            acc = 0.0
+            for j, frac in col:
+                acc += frac * vj[j]
+            w.append(acc)
+        w = np.array(w)
+        w /= w.sum()
+        residual = 0.5 * float(np.abs(w - v).sum())
+        v = w
+        if residual <= tol:
+            return v, sweep, residual
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _onto_base(breaks, signs):
+    """Every branch maps its strip onto [0, 1], increasing or decreasing."""
+    slopes, offsets = [], []
+    for lo, hi, sign in zip(breaks, breaks[1:], signs):
+        m = sign / (hi - lo)
+        slopes.append(m)
+        offsets.append(-m * (lo if sign > 0 else hi))
+    return PiecewiseAffineBase(tuple(breaks), tuple(slopes), tuple(offsets))
+
+
+def _random_onto_bases(seed=15, count=12):
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(2, 6))
+        widths = rng.random(n) + 0.05
+        if t % 3 == 0:
+            widths[rng.integers(n)] *= 1e-4  # a strip narrower than a cell
+        breaks = [0.0, *(np.cumsum(widths)[:-1] / widths.sum()).tolist(), 1.0]
+        yield _onto_base(breaks, rng.choice([-1.0, 1.0], size=n).tolist())
+
+
+def _reference_cases():
+    yield pytest.param(MARKOV, 256, id="markov-256")
+    yield pytest.param(MARKOV, 1024, id="markov-1024")
+    yield pytest.param(make_baker(0.6), 512, id="baker06-512")
+    yield pytest.param(make_affine_example(0.8, 0.55), 512, id="affine-512")
+    for t, base in enumerate(_random_onto_bases()):
+        bins = (64, 256)[t % 2]
+        yield pytest.param(base, bins, id=f"onto{t}-{bins}")
+    # three strips inside cell 19 of 64, with widths 7.5e-6, 1.6e-6 and
+    # 2.0e-6: most (19, k) sum three pieces whose total depends on the order
+    # of addition, and branch order differs from ascending and descending
+    three_in_one_cell = _onto_base(
+        [0.0, 0.2990698055268006, 0.2990773501052208, 0.2990789437562793,
+         0.29908091110865764, 1.0], [-1.0, -1.0, 1.0, -1.0, 1.0])
+    for bins in (64, 256):
+        yield pytest.param(three_in_one_cell, bins, id=f"three_in_one_cell-{bins}")
+
+
+@pytest.mark.parametrize("base, bins", _reference_cases())
+def test_ulam_matches_reference_loop(base, bins):
+    """The vectorised triple and the bincount sweep reproduce the per-cell
+    loop and the ascending-j column sums bit for bit."""
+    j, k, frac = ulam_transition(base, bins)
+    entries = sorted(_reference_entries(_base_of(base), bins).items())
+    assert j.tolist() == [jk[0] for jk, _ in entries]
+    assert k.tolist() == [jk[1] for jk, _ in entries]
+    assert frac.tobytes() == np.array([f for _, f in entries]).tobytes()
+    masses, sweeps, residual = _reference_acip(_base_of(base), bins)
+    dens = ulam_acip(base, bins=bins)
+    assert dens.masses.tobytes() == masses.tobytes()
+    assert dens.sweeps == sweeps
+    assert dens.residual == residual
 
 
 def test_acip_iteration_budget():
