@@ -391,6 +391,28 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     return charged, vals
 
 
+def _draw_stratum_pairs(ga, gb, share, rng):
+    """``share`` random (I, J) row pairs of one length stratum.
+
+    ``ga`` and ``gb`` map a lead symbol to its word rows.  Each pair first
+    picks a lead combination (s, t), s != t, with weight |ga[s]| * |gb[t]|,
+    then a row of ga[s] and a row of gb[t].  The row draws are one
+    ``rng.integers`` call on the interleaved highs, which gives the values
+    of, and leaves ``rng`` as, alternating scalar draws per pair.
+    """
+    combos = [(s, t) for s in sorted(ga) for t in sorted(gb) if s != t]
+    na = np.array([len(ga[s]) for s, _ in combos])
+    nb = np.array([len(gb[t]) for _, t in combos])
+    weights = (na * nb).astype(float)
+    weights /= weights.sum()
+    pick = rng.choice(len(combos), size=share, p=weights)
+    k = rng.integers(np.column_stack((na[pick], nb[pick])).ravel()).reshape(-1, 2)
+    rows_a = np.concatenate([ga[s] for s, _ in combos])
+    rows_b = np.concatenate([gb[t] for _, t in combos])
+    return (rows_a[(np.cumsum(na) - na)[pick] + k[:, 0]],
+            rows_b[(np.cumsum(nb) - nb)[pick] + k[:, 1]])
+
+
 def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     """Charged-pair volume sum over ``inv``, the ``m_inventory`` of M(r).
 
@@ -467,23 +489,11 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
         for la, lb, c in strata:
             share = max(16, int(round(pair_budget * c / n_pairs)))
             rng = np.random.default_rng([seed, la, lb])
-            ga, gb = by_len[la], by_len[lb]
-            weights = []
-            combos = []
-            for s in sorted(ga):
-                for t in sorted(gb):
-                    if s == t:
-                        continue
-                    combos.append((s, t))
-                    weights.append(len(ga[s]) * len(gb[t]))
-            weights = np.array(weights, dtype=float)
-            weights /= weights.sum()
-            for pick in rng.choice(len(combos), size=share, p=weights):
-                s, t = combos[pick]
-                I.append(ga[s][rng.integers(len(ga[s]))])
-                J.append(gb[t][rng.integers(len(gb[t]))])
+            pick_i, pick_j = _draw_stratum_pairs(by_len[la], by_len[lb], share, rng)
+            I.append(pick_i)
+            J.append(pick_j)
             shares.append(share)
-        I, J = np.array(I), np.array(J)
+        I, J = np.concatenate(I), np.concatenate(J)
 
     charged, vals = _charged_pairs(spec, inv, I, J, live[first[I], first[J]],
                                    xg, hull, delta, margin)

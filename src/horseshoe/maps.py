@@ -47,11 +47,12 @@ class FiberMap:
     """Fiber action psi(u, y) of one branch, u being the arrival base point.
 
     ``affine`` marks the common case psi(u, y) = slope(u) * y + offset(u);
-    the word-tree walker and the envelope composer need it.  The lift's
-    orbit step gathers v = slope * y + offset from per-branch tables only
-    when every branch's fiber came from ``affine_fiber`` with a float slope
-    and a float offset (their callables carry ``constant``); any other map
-    is stepped through ``value``.  All callables must accept numpy arrays.
+    the word-tree walker, the envelope composer and the lift need it.  The
+    lift composes slope and offset along backward words; it gathers them
+    from per-branch tables when every branch's fiber came from
+    ``affine_fiber`` with a float slope and a float offset (their callables
+    carry ``constant``), and otherwise evaluates ``slope`` and ``offset`` at
+    the arrival points.  All callables must accept numpy arrays.
     """
 
     value: Callable

@@ -2,10 +2,12 @@
 
 The base factor of a skew product is the piecewise expanding interval map
 induced on the first coordinate.  Its invariant density is estimated by a
-transfer-matrix (cell-overlap) discretization; the two-dimensional invariant
-measure is then realized by drawing base points from that density, pushing
-them through the strip map, and histogramming fiber conditionals.  The L2
-criterion integrates squared sliding-window masses of those conditionals.
+transfer-matrix (cell-overlap) discretization.  Every branch is affine onto
+[0,1], so that density is uniform, and the two-dimensional invariant measure
+is sampled by backward composition: a uniform base point, fiber maps
+composed along an i.i.d. backward itinerary, and histograms of the fiber
+conditionals.  The L2 criterion integrates squared sliding-window masses of
+those conditionals.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .errors import (
     SampleDiscardError,
 )
 from .maps import GhmSpec
+from .symbolic import _need_affine
 
-_BOUNDARY_TOL = 1e-12
-_JITTER = 1e-12
 _CHUNK = 1 << 18
 _SQ_BINS = 256
-_MAX_DISCARD_FRAC = 0.01  # share of samples that may leave the domain
+_MAX_DISCARD_FRAC = 0.01  # share of samples whose y may fall outside J
 _DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
 _BOUNDED_RATIO = 2.0  # spread of the three smallest-r values of a bounded I(r)
 
@@ -81,9 +82,6 @@ class Density1D:
 
     def density(self):
         return self.masses * self.bins
-
-    def cdf_edges(self):
-        return np.concatenate([[0.0], np.cumsum(self.masses)])
 
 
 def ulam_transition(base, bins):
@@ -181,6 +179,9 @@ class SrbEstimate:
     ``cond_counts`` is the (x-bin, y-bin) histogram over [0,1] x J used for
     fiber conditionals; ``sq_counts`` is a square histogram over [0,1]^2 for
     density grids.  The two count histograms are all the lift keeps.
+    ``jittered`` is always 0: the backward lift moves no sample off a
+    branch break.  The field stays so that checkpoints written before that
+    lift, which counted such moves, still load.
     """
 
     spec_hash: str
@@ -214,99 +215,84 @@ class SrbEstimate:
         return (self.fiber_range[1] - self.fiber_range[0]) / self.y_bins
 
 
-def _draw_base_points(density, n, rng):
-    """Inverse-CDF sampling of the binned density (linear within cells)."""
-    cums = density.cdf_edges()
-    u = rng.random(n)
-    j = np.searchsorted(cums, u, side="right") - 1
-    j = np.clip(j, 0, density.bins - 1)
-    mass = density.masses[j]
-    frac = np.where(mass > 0, (u - cums[j]) / np.maximum(mass, 1e-300), 0.0)
-    return (j + frac) / density.bins
-
-
 def _constant_fibers(spec):
-    """Per-branch (slope, offset) tables when every fiber is constant-affine.
+    """Per-branch slope and offset tables when every fiber is constant-affine.
 
     That is every fiber that ``affine_fiber`` built from float slope and
     offset, as in the baker family; ``maps._const`` records the float on the
-    callable it makes.  Returns None when any branch lacks the mark.
+    callable it makes.  Returns {"slope": ..., "offset": ...}, or None when
+    any branch lacks the mark.
     """
     try:
-        return (np.array([sk.fiber.slope.constant for sk in spec.skew]),
-                np.array([sk.fiber.offset.constant for sk in spec.skew]))
+        return {name: np.array([getattr(sk.fiber, name).constant for sk in spec.skew])
+                for name in ("slope", "offset")}
     except AttributeError:
         return None
 
 
-def _step_chunk(spec, n):
-    """The strip-map step of one chunk of n points, on buffers it owns.
+def _sample_chunk(spec, n_iter, m, rng):
+    """m lift samples (x, y) from ``rng``, by n_iter-step backward composition.
 
-    Returns ``step(x, y, counters) -> (u, v)``, one forward application of
-    the map.  A point with |x - b| <= ``_BOUNDARY_TOL`` for some inner break
-    b is first moved right by ``_JITTER`` and counted in
-    ``counters["jittered"]``.  A point's branch is then the number of inner
-    breaks <= x, so points left of 0 take the first branch and points right
-    of 1 the last.  The base step applies that branch's slope and offset.
+    x is drawn once, uniform on [0,1), and is never stepped.  Each step draws
+    one uniform U per sample and takes branch i = the number of inner breaks
+    <= U, so P(i) is the length of strip i.  The branch is composed at the
+    deep end of the word built so far: B <- A * t_i(u) + B, A <- A * s_i(u),
+    then u <- g_i^-1(u), from A = 1, B = 0 and u = x.  y = B is the fiber
+    point y = 0 pushed through the whole backward word.
 
-    The boundary test, jitter, branch index, base step and gathers write
-    through ``out=`` into work buffers allocated here once, so every step
-    of a chunk reuses them.  The step never writes into the caller's x or
-    y; the u (and table-path v) it returns is overwritten by the next step.
-    Gathers use ``take(..., mode="clip")``, which writes ``out`` directly
-    (the default mode buffers it); the branch index is always in range.
-    When every fiber is constant-affine (``_constant_fibers``), v is
-    gathered as slope[i] * y + offset[i], the same two IEEE operations as
-    ``fiber.value``.  Otherwise each fiber map is evaluated on the whole
-    chunk and ``np.where`` keeps every point's own branch, in a new array.
+    The steps reuse work buffers allocated here once, written through
+    ``out=``; U holds a step's draws and then its coefficients.  Gathers use
+    ``take(..., mode="clip")``, which writes ``out`` directly (the default
+    mode buffers it); the branch index is always in range.
+    Constant-affine fibers (``_constant_fibers``) gather s and t from
+    per-branch tables and never compute u.  Other fibers evaluate each
+    branch's ``slope`` and ``offset`` on u and keep each point's own branch
+    with ``np.where``; a callable that the last branch shares is evaluated
+    once.
     """
     inner = spec.base_breaks[1:-1]
-    slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
-    offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
+    # rows of one block, which malloc maps and unmaps whole: separate row
+    # buffers stayed in the threads' heaps after the lift (about 10 MiB)
+    x, U, A, B, u = np.empty((5, m))
+    rng.random(out=x)
+    A.fill(1.0)
+    B.fill(0.0)
+    # idx starts at zero: a one-strip map has no inner break to set it
+    idx = np.zeros(m, dtype=np.intp)
+    hit = np.empty(m, dtype=bool)
     tables = _constant_fibers(spec)
-    fibers = [sk.fiber for sk in spec.skew]
-    # near and idx start at zero: a one-strip map has no inner break to set them
-    near = np.zeros(n, dtype=bool)
-    hit = np.empty(n, dtype=bool)
-    idx = np.zeros(n, dtype=np.intp)
-    tmp = np.empty(n)
-    u = np.empty(n)
-    v = np.empty(n) if tables is not None else None
+    if tables is None:
+        base_slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
+        base_offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
+        np.copyto(u, x)
 
-    def step(x, y, counters):
+    def own_branch(name):
+        """Each point's own branch's coefficient ``name`` ("slope", "offset")."""
+        if tables is not None:
+            return tables[name].take(idx, out=U, mode="clip")
+        coefs = [getattr(sk.fiber, name) for sk in spec.skew]
+        w = coefs[-1](u)
+        for i, f in enumerate(coefs[:-1]):
+            if f is not coefs[-1]:
+                np.equal(idx, i, out=hit)
+                w = np.where(hit, f(u), w)
+        return w
+
+    for _ in range(n_iter):
+        rng.random(out=U)
         for k, b in enumerate(inner):
-            np.subtract(x, b, out=tmp)
-            np.abs(tmp, out=tmp)
-            np.less_equal(tmp, _BOUNDARY_TOL, out=hit if k else near)
-            if k:
-                np.logical_or(near, hit, out=near)
-        n_near = int(np.count_nonzero(near))
-        if n_near:
-            counters["jittered"] += n_near
-            if x is not u:
-                np.copyto(u, x)
-            np.add(u, _JITTER, out=u, where=near)
-            x = u
-        for k, b in enumerate(inner):
-            np.greater_equal(x, b, out=hit if k else idx)
+            np.greater_equal(U, b, out=hit if k else idx)
             if k:
                 np.add(idx, hit, out=idx)
-        slopes.take(idx, out=tmp, mode="clip")
-        np.multiply(tmp, x, out=u)
-        offsets.take(idx, out=tmp, mode="clip")
-        np.add(u, tmp, out=u)
+        np.multiply(A, own_branch("offset"), out=U)
+        np.add(U, B, out=B)
+        np.multiply(A, own_branch("slope"), out=A)
         if tables is None:
-            w = fibers[-1].value(u, y)
-            for i, fib in enumerate(fibers[:-1]):
-                w = np.where(idx == i, fib.value(u, y), w)
-            return u, w
-        tables[0].take(idx, out=tmp, mode="clip")
-        np.multiply(tmp, y, out=v)
-        tables[1].take(idx, out=tmp, mode="clip")
-        np.add(v, tmp, out=v)
-        return u, v
-
-    return step
+            base_offsets.take(idx, out=U, mode="clip")
+            np.subtract(u, U, out=u)
+            base_slopes.take(idx, out=U, mode="clip")
+            np.divide(u, U, out=u)
+    return x, B
 
 
 def _bin_index(v, lo, hi, n):
@@ -347,32 +333,41 @@ def _grid_counts(x, y, nx, ny, yrange):
 
 def lift_srb(spec, density, n_iter, n_samples, seed,
              fiber_bins=256, y_bins=4096, workers=1):
-    """Push base-density samples through the map and histogram the endpoints.
+    """Sample the lifted measure by backward composition and histogram it.
 
-    The iteration count realizes the lifting limit at finite depth: fibers
-    contract by at least the largest slope per step, and the leftover fiber
-    uncertainty (max slope)^n_iter * |J| is recorded on the estimate so the
-    caller can compare it with the histogram resolution.  Work is split into
-    fixed-size chunks with per-chunk child seeds; results are merged in chunk
-    order, so the outcome is identical for any worker count.
+    Every branch is affine onto [0,1], so the base-invariant density is
+    Lebesgue, and the backward itinerary of a uniform point is i.i.d. with
+    P(branch i) = the length of strip i.  The fiber conditional over x is
+    then the law of the backward composition of the fiber maps along that
+    itinerary (Diaconis-Freedman, "Iterated random functions", SIAM Review
+    41, 1999), which ``_sample_chunk`` draws n_iter branches deep.  The
+    leftover fiber uncertainty (max slope)^n_iter * |J| is recorded on the
+    estimate so the caller can compare it with the histogram resolution.
 
-    Each step is ``_step_chunk``: a point with |x - b| <= ``_BOUNDARY_TOL``
-    for an inner break b moves right by ``_JITTER`` (counted in ``jittered``)
-    and then takes branch i = the number of inner breaks <= x.  A chunk
-    builds its step once, and its n_iter steps reuse that step's work
-    buffers, written through ``out=`` and gathered with ``mode="clip"``;
-    constant-affine fibers are gathered from per-branch tables, and any
-    other map falls back to ``fiber.value`` and ``np.where``.  After the
-    last step, points outside [-tol, 1 + tol] x J are discarded; the rest are
-    counted on equal bins as ``np.histogramdd`` bins them (``_grid_counts``),
-    into ``cond_counts`` and the ``_SQ_BINS`` square ``sq_counts``; the
-    endpoints themselves are not kept.  More than ``_MAX_DISCARD_FRAC`` of
-    the samples discarded raises ``SampleDiscardError``.
+    The composition reads each fiber's slope and offset, so the map's fibers
+    must be affine in y.  ``density`` must be the uniform one that
+    ``ulam_acip`` returns for such a map: cell masses off 1/bins by more
+    than 1e-9 relative raise ``ParameterError``, as the backward law would
+    be wrong for them.
+
+    Work is split into fixed-size chunks with per-chunk child seeds; results
+    are merged in chunk order, so the outcome is identical for any worker
+    count.  Samples with y outside J are discarded; the rest are counted on
+    equal bins as ``np.histogramdd`` bins them (``_grid_counts``), into
+    ``cond_counts`` and the ``_SQ_BINS`` square ``sq_counts``; the samples
+    themselves are not kept.  More than ``_MAX_DISCARD_FRAC`` of the samples
+    discarded raises ``SampleDiscardError``.
     """
     if n_iter < 1:
         raise ParameterError("need at least one iteration to leave the base line")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
+    _need_affine(spec)
+    off = float(np.abs(density.masses * density.bins - 1.0).max())
+    if off > 1e-9:
+        raise ParameterError(
+            f"the lift needs the uniform base density; cell masses are off "
+            f"1/bins by up to {off:.3g} relative")
     jlo, jhi = spec.extended_fiber
     contraction = max(hi for _, hi in spec.fiber_slope_bounds)
 
@@ -382,20 +377,14 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
 
     def run_chunk(args):
         child_seed, m = args
-        rng = np.random.default_rng(child_seed)
-        counters = {"jittered": 0}
-        x = _draw_base_points(density, m, rng)
-        y = np.zeros_like(x)
-        step = _step_chunk(spec, m)
-        for _ in range(n_iter):
-            x, y = step(x, y, counters)
-        good = (x >= -_BOUNDARY_TOL) & (x <= 1 + _BOUNDARY_TOL) & (y >= jlo) & (y <= jhi)
+        x, y = _sample_chunk(spec, n_iter, m, np.random.default_rng(child_seed))
+        good = (y >= jlo) & (y <= jhi)
         dropped = int(m - good.sum())
         if dropped:
             x, y = x[good], y[good]
         cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi))
         sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0))
-        return cond, sq, dropped, counters["jittered"]
+        return cond, sq, dropped
 
     args = list(zip(seeds, sizes))
     if workers > 1:
@@ -407,15 +396,13 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     cond = np.zeros((fiber_bins, y_bins), dtype=np.int64)
     sq = np.zeros((_SQ_BINS, _SQ_BINS), dtype=np.int64)
     discarded = 0
-    jittered = 0
-    for c, s, d, j in results:
+    for c, s, d in results:
         cond += c
         sq += s
         discarded += d
-        jittered += j
     if discarded > _MAX_DISCARD_FRAC * n_samples:
         raise SampleDiscardError(
-            f"{discarded} of {n_samples} orbit samples left the domain",
+            f"{discarded} of {n_samples} samples left the fiber interval J",
             discarded, n_samples)
     kept = n_samples - discarded
     return SrbEstimate(
@@ -431,7 +418,7 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         sq_bins=_SQ_BINS,
         kept=int(kept),
         discarded=int(discarded),
-        jittered=int(jittered),
+        jittered=0,
         contraction_budget=float(contraction ** n_iter * (jhi - jlo)),
     )
 

@@ -23,9 +23,10 @@ children and says by mask which children are pushed.  ``m_inventory``
 keeps the children at or above scale r, and ``cylinder_table`` those above
 its last complete depth.  ``cylinder_diameter`` composes one word with the
 same ``fiber_step``, a symbol at a time, so its grid widths are the
-walker's bit for bit.  The walker, ``cylinder_diameter`` and the envelopes
-of ``conditions`` read the fiber slopes and offsets, so they need
-affine-in-y fiber maps; ``fiber_image`` takes any ``FiberMap``.
+walker's bit for bit.  The walker, ``cylinder_diameter``, the envelopes
+of ``conditions`` and the lift of ``measures`` read the fiber slopes and
+offsets, so they need affine-in-y fiber maps; ``fiber_image`` takes any
+``FiberMap``.
 
 M(r) is the family of words whose extended width has dropped to scale r.
 Where a node has some children at or above scale r and some below, the
@@ -259,7 +260,7 @@ def _padded(rows, width):
 def _need_affine(spec):
     if not all(sk.fiber.affine for sk in spec.skew):
         raise ParameterError(
-            "word trees and envelopes need affine-in-y fiber maps")
+            "word trees, envelopes and the lift need affine-in-y fiber maps")
 
 
 def _walk(spec, x_grid_n, keep):

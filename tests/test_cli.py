@@ -209,7 +209,7 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
                for name in ("srb.blob", "lift.json")}
     assert digests == {
         "srb.blob":
-            "2861c65fd01887c014b3fbc8afafc7e8d92193f9b0a8a2be1f545d104bee9186",
+            "098d8226a8389e2d2ff169d314685e14fd5c74bd0809176c19ca1683a868e29b",
         "lift.json":
             "1206d1ef740c17f72d49e30001d16b444beb15edc66511ab59bb400ca52f2e17",
     }
@@ -233,9 +233,9 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
     (["criterion", "--family", "affine", "--samples", "20000", "--iters", "10",
       "--seed", "7"], {
         "criterion.csv":
-            "164a1d69f4f6ced76436d26fa68b34b18f9c92a483d91367ba25983d4f361c9d",
+            "658fabb48742fe9cd07ae20610a4304ab1bcc7b368d99daea0df10decf4ad002",
         "criterion.json":
-            "adc492df0d1565cc1f14e90c68191e6070bdf2c61edfee9b1c4c6287d845c5ac",
+            "75ea12c5a2e5369ee8c05f589fde69116a7c9b7091cc91373cc292ad49a6d4f4",
     }),
 ], ids=["diagnostics", "figure", "criterion"])
 def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):

@@ -374,6 +374,45 @@ def test_charged_sum_pinned(affine, r, kwargs, want):
     assert got == want
 
 
+def _scalar_stratum_pairs(ga, gb, share, rng):
+    """The per-pick loop: a lead combination, then one scalar row draw
+    from each side."""
+    combos = [(s, t) for s in sorted(ga) for t in sorted(gb) if s != t]
+    weights = np.array([len(ga[s]) * len(gb[t]) for s, t in combos], dtype=float)
+    weights /= weights.sum()
+    I, J = [], []
+    for pick in rng.choice(len(combos), size=share, p=weights):
+        s, t = combos[pick]
+        I.append(ga[s][rng.integers(len(ga[s]))])
+        J.append(gb[t][rng.integers(len(gb[t]))])
+    return np.array(I), np.array(J)
+
+
+def _affine_stratum():
+    inv = m_inventory(make_affine_example(0.8, 0.55), 2.0 ** -5)
+    groups = []
+    for n in (int(inv.lengths.min()), int(inv.lengths.max())):
+        at = np.flatnonzero(inv.lengths == n)
+        lead = inv.words[at, 0]
+        groups.append({s: at[lead == s] for s in np.unique(lead).tolist()})
+    return groups
+
+
+@pytest.mark.parametrize("ga, gb", [
+    _affine_stratum(),
+    ({1: np.array([4]), 2: np.arange(10, 17), 3: np.array([30, 31])},
+     {1: np.arange(40, 43), 2: np.array([50]), 3: np.array([60])}),
+], ids=["affine_2^-5", "highs_of_one"])
+def test_stratum_pair_draws_match_scalar_loop(ga, gb):
+    """One vectorised draw gives the scalar loop's rows and generator state."""
+    for seed in (7, 1, [7, 3, 5]):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        I, J = conditions._draw_stratum_pairs(ga, gb, 500, rng)
+        ref_I, ref_J = _scalar_stratum_pairs(ga, gb, 500, ref_rng)
+        assert I.tolist() == ref_I.tolist() and J.tolist() == ref_J.tolist()
+        assert rng.random() == ref_rng.random()
+
+
 def test_ntr_csv_fields_are_plain_numbers(tmp_path):
     path = tmp_path / "ntr.csv"
     ntr_sweep(make_baker(2.0 ** -0.5), [2.0 ** -3], 0.1).to_csv(path)

@@ -17,9 +17,7 @@ from horseshoe.maps import (
     make_custom_skew,
 )
 from horseshoe.measures import (
-    _BOUNDARY_TOL,
     _CHUNK,
-    _JITTER,
     _NORM_ROWS,
     Density1D,
     PiecewiseAffineBase,
@@ -32,8 +30,8 @@ from horseshoe.measures import (
     load_srb,
     save_srb,
     _grid_counts,
+    _sample_chunk,
     _sliding_sq_integrals,
-    _step_chunk,
     tsujii_criterion,
     ulam_acip,
     ulam_transition,
@@ -256,7 +254,8 @@ def test_density_grid_rejects_grid_not_dividing_histogram(baker_half):
 
 def test_extra_step_preserves_histogram_shape(baker_half):
     srb = _lift(baker_half, n=20_000)
-    # the same seed draws the same base points, so this is their one-step push
+    # the same seed draws the same x and the same first 12 branches; the
+    # 13th is composed at the deep end of each word
     again = _lift(baker_half, n=20_000, iters=13)
     assert again.cond_counts.shape == srb.cond_counts.shape
     assert again.kept > 0.99 * srb.kept
@@ -368,34 +367,8 @@ def test_srb_checkpoint_roundtrip(tmp_path, baker06):
         load_srb(path, expect_spec_hash="somethingelse")
 
 
-def test_density1d_cdf_edges():
-    d = Density1D(bins=4, masses=np.array([0.1, 0.2, 0.3, 0.4]),
-                  l_bound=0.4, L_bound=1.6)
-    assert np.allclose(d.cdf_edges(), [0.0, 0.1, 0.3, 0.6, 1.0])
-
-
 # ---------------------------------------------------------------------------
-# the lift's step and binning against their mask-based and numpy references
-
-
-def _mask_step(spec, x, y, counters):
-    """Per-branch boolean-mask step with a points-by-breaks distance matrix."""
-    breaks = spec.base_breaks
-    inner = breaks[1:-1]
-    near = np.min(np.abs(x[:, None] - inner[None, :]), axis=1) <= _BOUNDARY_TOL
-    if near.any():
-        counters["jittered"] += int(near.sum())
-        x = np.where(near, x + _JITTER, x)
-    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, spec.n_strips - 1)
-    u = np.empty_like(x)
-    v = np.empty_like(y)
-    for i, sk in enumerate(spec.skew):
-        sel = idx == i
-        if sel.any():
-            uu = sk.base_forward(x[sel])
-            u[sel] = uu
-            v[sel] = sk.fiber.value(uu, y[sel])
-    return u, v
+# the lift's sampler and binning against their scalar and numpy references
 
 
 def _three_strip_skew():
@@ -442,46 +415,59 @@ def _quadratic_sine_skew():
                             label="quadratic_sine")
 
 
-def _adversarial_x(spec, rng, n=20_000):
-    """Seeded points plus points on, within and just outside tol of each break."""
-    x = rng.random(n)
-    special = [-0.3, -_BOUNDARY_TOL / 2, 0.0, 1.0, 1.0 + _BOUNDARY_TOL / 2, 1.3]
-    for b in spec.base_breaks[1:-1]:
-        for d in (0.0, 0.5 * _BOUNDARY_TOL, _BOUNDARY_TOL):
-            special += [b + d, b - d]
-        for d in (np.nextafter(_BOUNDARY_TOL, 1.0), 2.0 * _BOUNDARY_TOL):
-            special += [b + d, b - d]
-        special += [np.nextafter(b, 0.0), np.nextafter(b, 1.0)]
-    x[:len(special)] = special
-    return rng.permutation(x)
+def _backward_reference(spec, n_iter, m, rng):
+    """Each sample's backward word composed in a scalar loop, from the same
+    generator draws: x first, then one uniform per sample per step."""
+    x = rng.random(m)
+    draws = rng.random((n_iter, m))
+    inner = spec.breaks[1:-1]
+    y = []
+    for j in range(m):
+        u, A, B = float(x[j]), 1.0, 0.0
+        for k in range(n_iter):
+            sk = spec.skew[bisect.bisect_right(inner, draws[k, j])]
+            B = A * float(sk.fiber.offset(u)) + B
+            A = A * float(sk.fiber.slope(u))
+            u = (u - sk.base_offset) / sk.base_slope
+        y.append(B)
+    return x, np.array(y)
 
 
 @pytest.mark.parametrize("spec, table", [
     (make_baker(0.6), True), (make_affine_example(0.8, 0.55), False),
     (_three_strip_skew(), False), (_constant_three_strip_skew(), True),
-    (_sheared_offset_skew(), False), (_quadratic_sine_skew(), False),
+    (_sheared_offset_skew(), False),
 ], ids=["baker06", "affine", "three_strip", "constant_three_strip",
-        "sheared_offset", "quadratic_sine"])
-def test_step_matches_mask_reference(spec, table):
-    """Both steps start from the same arrays, which the new step must not
-    write into; the constant-fiber table path is taken exactly for maps
-    whose every fiber has a constant slope and offset."""
+        "sheared_offset"])
+def test_sampler_matches_scalar_reference(spec, table):
+    """Bit for bit, on the constant-fiber table path exactly for maps whose
+    every fiber has a constant slope and offset, and on the general path."""
     assert (_constant_fibers(spec) is not None) == table
-    rng = np.random.default_rng(2024)
-    x = _adversarial_x(spec, rng)
-    y = rng.uniform(*spec.extended_fiber, size=x.size)
-    x_bytes, y_bytes = x.tobytes(), y.tobytes()
-    ref_x, ref_y, ref_c = x, y, {"jittered": 0}
-    new_x, new_y, new_c = x, y, {"jittered": 0}
-    step = _step_chunk(spec, x.size)
-    for _ in range(30):
-        ref_x, ref_y = _mask_step(spec, ref_x, ref_y, ref_c)
-        new_x, new_y = step(new_x, new_y, new_c)
-        assert new_x.tobytes() == ref_x.tobytes()
-        assert new_y.tobytes() == ref_y.tobytes()
-    assert new_c == ref_c
-    assert ref_c["jittered"] >= 6 * (spec.n_strips - 1)
-    assert x.tobytes() == x_bytes and y.tobytes() == y_bytes
+    x, y = _sample_chunk(spec, 30, 400, np.random.default_rng(2024))
+    ref_x, ref_y = _backward_reference(spec, 30, 400, np.random.default_rng(2024))
+    assert x.tobytes() == ref_x.tobytes()
+    assert y.tobytes() == ref_y.tobytes()
+
+
+def test_deep_baker_lift_fills_every_column():
+    """60 doubling steps: x is drawn once, so no mantissa bit runs out."""
+    spec = make_baker(0.5)
+    srb = lift_srb(spec, ulam_acip(spec, bins=1024), 60, 200_000, seed=3)
+    assert srb.jittered == 0 and srb.discarded == 0
+    assert np.count_nonzero(srb.cond_counts.sum(axis=1)) == srb.fiber_bins == 256
+
+
+def test_lift_refuses_non_affine_fibers():
+    spec = _quadratic_sine_skew()
+    with pytest.raises(ParameterError):
+        lift_srb(spec, ulam_acip(spec, bins=64), 5, 1000, seed=1)
+
+
+def test_lift_refuses_non_uniform_density(baker06):
+    dens = Density1D(bins=4, masses=np.array([0.1, 0.2, 0.3, 0.4]),
+                     l_bound=0.4, L_bound=1.6)
+    with pytest.raises(ParameterError):
+        lift_srb(baker06, dens, 5, 1000, seed=1)
 
 
 @pytest.mark.parametrize("spec", [
