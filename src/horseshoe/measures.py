@@ -7,7 +7,12 @@ transfer-matrix (cell-overlap) discretization.  Every branch is affine onto
 is sampled by backward composition: a uniform base point, fiber maps
 composed along an i.i.d. backward itinerary, and histograms of the fiber
 conditionals.  The L2 criterion integrates squared sliding-window masses of
-those conditionals.
+those conditionals.  For a column's integer counts c_i on y cells of width
+h and total N, that integral is sum_d a(d) kappa_r(d) / N^2: a(d) = sum_i
+c_i c_{i+d} is the counts' autocorrelation, exact in integers, and
+kappa_r(d) = h^-2 times the integral of (2r - |y - y'|)_+ over two cells d
+apart, in closed form.  One FFT gives a(d) for every radius; each radius
+then costs O(columns * min(2r/h + 1, occupied cells)).
 """
 
 from __future__ import annotations
@@ -201,14 +206,6 @@ class SrbEstimate:
 
     def column_mass(self):
         return self.cond_counts.sum(axis=1) / self.kept
-
-    def conditionals(self):
-        """Per-column probability vectors over the fiber bins (rows sum to 1)."""
-        counts = self.cond_counts.astype(float)
-        tot = counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(tot > 0, counts / tot, 0.0)
-        return out
 
     @property
     def y_cell(self):
@@ -444,47 +441,74 @@ def density_grid(srb, nx, ny):
 # sliding-window L2 machinery
 
 
-_NORM_ROWS = 32  # histogram rows per block of the window integrals
+def _lag_weights(r, h, n):
+    """kappa_r(d) for lags d = 0..n-1, with y cells of width h and 2r >= h.
 
-
-def _sliding_sq_integrals(masses, edges, radii):
-    """(radii, rows) array: integral of (mass of the radius-r window)^2 dz, exactly.
-
-    The window mass W(z) = C(z+r) - C(z-r) of a row is piecewise linear
-    between the breakpoints edges -/+ r; each segment contributes
-    len * (w1^2 + w1*w2 + w2^2)/3.  The piecewise-linear CDFs C are built
-    once; each radius is evaluated ``_NORM_ROWS`` rows at a time.
+    kappa_r(d) = h^-2 * integral over two cells d apart of (2r - |y - y'|)_+,
+    that is E(2r - |dh + S|)_+ for S triangular on [-h, h].  Away from the
+    kinks it is 2r - dh, and 2r - h/3 at d = 0; only the one or two lags
+    whose cell pair straddles |y - y'| = 2r need the piecewise-cubic
+    integral.
     """
-    nbins = edges.size - 1
-    lo, hi = edges[0], edges[-1]
-    width = (hi - lo) / nbins
-    cums = np.cumsum(np.pad(masses, ((0, 0), (1, 0))), axis=1)
-    out = np.empty((len(radii), masses.shape[0]))
-    for k, r in enumerate(radii):
-        bp = np.unique(np.concatenate([edges - r, edges + r]))
-        zc = np.clip(np.stack((bp + r, bp - r)), lo, hi)
-        j = np.minimum(((zc - lo) / width).astype(int), nbins - 1)
-        frac = (zc - (lo + j * width)) / width
-        seg = np.diff(bp)
-        for start in range(0, masses.shape[0], _NORM_ROWS):
-            rows = slice(start, start + _NORM_ROWS)
-            c, m = cums[rows], masses[rows]
-            w = (c[:, j[0]] + m[:, j[0]] * frac[0]) - (c[:, j[1]] + m[:, j[1]] * frac[1])
-            w1, w2 = w[:, :-1], w[:, 1:]
-            out[k, rows] = np.sum(seg[None, :] * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0,
-                                  axis=1)
-    return out
+    c = 2.0 * r - h * np.arange(n)
+    k = np.where(c >= h, c, 0.0)
+    mid = np.abs(c) < h
+    t = c[mid] / h
+    k[mid] = h * np.where(t >= 0.0, t + (1.0 - t) ** 3 / 6.0, (1.0 + t) ** 3 / 6.0)
+    k[0] = 2.0 * r - h / 3.0
+    return k
+
+
+def _autocorrelation(band):
+    """Every row's a(d) = sum_i c_i c_{i+d} for lags d = 0..w-1, as floats.
+
+    One batched real FFT of length at least 2w, so no lag wraps around.
+    For integer counts the result is rounded to the exact integers; a(0)
+    is checked against sum c^2 computed in int64, and a mismatch (counts too
+    large for float64) raises ``ParameterError``.
+    """
+    w = band.shape[1]
+    n = 1 << (2 * w - 1).bit_length()
+    f = np.fft.rfft(band, n, axis=1)
+    a = np.fft.irfft(f.real ** 2 + f.imag ** 2, n, axis=1)[:, :w]
+    if np.issubdtype(band.dtype, np.integer):
+        np.rint(a, out=a)
+        sq = (band.astype(np.int64) ** 2).sum(axis=1)
+        if not np.array_equal(a[:, 0].astype(np.int64), sq):
+            raise ParameterError(
+                "count autocorrelation is not exact in float64; counts too large")
+    return a
 
 
 def _l2_norms(srb, radii):
-    """Squared window norms of every fiber bin, one row per radius."""
-    cell = srb.y_cell
+    """(radii, rows) array: integral of (mass of the radius-r window)^2 dz per row.
+
+    For a row of counts c_i on cells of width h, normalized by its total N,
+    the integral is sum over all lags d of a(d) * kappa_r(d) / N^2, with a
+    the row's autocorrelation (``_autocorrelation``) and kappa from
+    ``_lag_weights``.  The counts are sliced once to the occupied y band, w
+    cells wide; a radius then costs O(rows * min(2r/h + 1, w)).
+    """
+    h = srb.y_cell
     for r in radii:
-        if r <= 0.0 or r < cell:
+        if r <= 0.0 or r < h:
             raise ResolutionError(
-                f"radius {r} below conditional histogram resolution {cell:.3g}")
-    edges = np.linspace(srb.fiber_range[0], srb.fiber_range[1], srb.y_bins + 1)
-    return _sliding_sq_integrals(srb.conditionals(), edges, radii)
+                f"radius {r} below conditional histogram resolution {h:.3g}")
+    counts = srb.cond_counts
+    out = np.zeros((len(radii), counts.shape[0]))
+    occupied = np.flatnonzero(counts.any(axis=0))
+    if occupied.size == 0:
+        return out
+    band = counts[:, occupied[0]: occupied[-1] + 1]
+    a = _autocorrelation(band)
+    tot = band.sum(axis=1).astype(float)
+    scale = np.divide(1.0, tot * tot, out=np.zeros_like(tot), where=tot > 0)
+    for k, r in enumerate(radii):
+        lags = min(band.shape[1], int(np.ceil(2.0 * r / h + 1.0)))
+        kappa = _lag_weights(r, h, lags)
+        kappa[1:] *= 2.0  # lags -d and d
+        out[k] = (a[:, :lags] @ kappa) * scale
+    return out
 
 
 @dataclass
@@ -553,10 +577,18 @@ def tsujii_criterion(srb, r_list):
 # checkpointing
 
 
+_COUNT_NAMES = ("cond_counts", "sq_counts")
+
+
 def save_srb(path, srb):
+    """Checkpoint an estimate; each count histogram is stored in the smallest
+    dtype that holds its maximum (``np.min_scalar_type``)."""
     from . import cache
 
-    arrays = {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts}
+    arrays = {}
+    for name in _COUNT_NAMES:
+        c = getattr(srb, name)
+        arrays[name] = c.astype(np.min_scalar_type(c.max(initial=0)))
     meta = {
         "spec_hash": srb.spec_hash, "seed": srb.seed, "n_samples": srb.n_samples,
         "iterations_used": srb.iterations_used, "fiber_bins": srb.fiber_bins,
@@ -568,12 +600,16 @@ def save_srb(path, srb):
 
 
 def load_srb(path, expect_spec_hash=None):
+    """Read a checkpoint back; counts are widened to int64, so blobs with
+    narrowed counts and older int64 blobs load alike."""
     from . import cache
     from .errors import CacheError
 
     meta, arrays = cache.read_blob(path, expect_kind="srb_estimate")
     if expect_spec_hash is not None and meta["spec_hash"] != expect_spec_hash:
         raise CacheError(f"{path}: checkpoint belongs to another map instance")
+    for name in _COUNT_NAMES:
+        arrays[name] = arrays[name].astype(np.int64)
     return SrbEstimate(
         spec_hash=meta["spec_hash"], seed=meta["seed"], n_samples=meta["n_samples"],
         iterations_used=meta["iterations_used"], fiber_bins=meta["fiber_bins"],

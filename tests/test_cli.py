@@ -209,7 +209,7 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
                for name in ("srb.blob", "lift.json")}
     assert digests == {
         "srb.blob":
-            "098d8226a8389e2d2ff169d314685e14fd5c74bd0809176c19ca1683a868e29b",
+            "e2246ef330f834d93adca00d139f30ee8fef07721e433d53a6c15dd57a8fb8c2",
         "lift.json":
             "1206d1ef740c17f72d49e30001d16b444beb15edc66511ab59bb400ca52f2e17",
     }
@@ -233,9 +233,9 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
     (["criterion", "--family", "affine", "--samples", "20000", "--iters", "10",
       "--seed", "7"], {
         "criterion.csv":
-            "658fabb48742fe9cd07ae20610a4304ab1bcc7b368d99daea0df10decf4ad002",
+            "2439c2f866eb7ac43dafc7f959430839ab29eb52248332ffcca2b2467c451427",
         "criterion.json":
-            "75ea12c5a2e5369ee8c05f589fde69116a7c9b7091cc91373cc292ad49a6d4f4",
+            "d1dd469cb5e164cfb026357e8b0101eddbc7ba2ff9fea0f47bf46d0753d3d8e4",
     }),
 ], ids=["diagnostics", "figure", "criterion"])
 def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):

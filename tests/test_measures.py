@@ -18,20 +18,20 @@ from horseshoe.maps import (
 )
 from horseshoe.measures import (
     _CHUNK,
-    _NORM_ROWS,
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
     _base_of,
+    _autocorrelation,
     _constant_fibers,
     _l2_norms,
+    _lag_weights,
     density_grid,
     lift_srb,
     load_srb,
     save_srb,
     _grid_counts,
     _sample_chunk,
-    _sliding_sq_integrals,
     tsujii_criterion,
     ulam_acip,
     ulam_transition,
@@ -264,20 +264,23 @@ def test_extra_step_preserves_histogram_shape(baker_half):
     assert np.abs(g - 1.0 / 256).max() < 3.0 / 256
 
 
+def _count_estimate(cond, fiber_range=(-0.5, 1.5)):
+    """Estimate holding the given conditional counts (y cells of 2/y_bins)."""
+    return SrbEstimate(
+        spec_hash="synthetic", seed=0, n_samples=int(cond.sum()),
+        iterations_used=1, fiber_bins=cond.shape[0], y_bins=cond.shape[1],
+        fiber_range=fiber_range, cond_counts=cond,
+        sq_counts=np.ones((4, 4), dtype=np.int64), sq_bins=4,
+        kept=int(cond.sum()), discarded=0, jittered=0, contraction_budget=0.0)
+
+
 def _uniform_estimate(y_bins=1200, fiber_bins=8):
     """Synthetic estimate whose conditionals are exactly uniform on [0,1]."""
     jlo, jhi = -0.1, 1.1
     edges = np.linspace(jlo, jhi, y_bins + 1)
     inside = np.clip(np.minimum(edges[1:], 1.0) - np.maximum(edges[:-1], 0.0),
                      0.0, None)
-    cond = np.tile(inside * 1e6, (fiber_bins, 1))
-    return SrbEstimate(
-        spec_hash="synthetic", seed=0, n_samples=int(cond.sum()),
-        iterations_used=1, fiber_bins=fiber_bins, y_bins=y_bins,
-        fiber_range=(jlo, jhi), cond_counts=cond,
-        sq_counts=np.ones((4, 4)), sq_bins=4,
-        kept=int(cond.sum()), discarded=0, jittered=0,
-        contraction_budget=0.0)
+    return _count_estimate(np.tile(inside * 1e6, (fiber_bins, 1)), (jlo, jhi))
 
 
 @pytest.mark.parametrize("r", [2.0 ** -3, 2.0 ** -5, 2.0 ** -7])
@@ -309,8 +312,9 @@ def test_tsujii_radius_validation(baker_half):
 
 
 def _one_radius_sq_integral(masses, edges, r):
-    """The whole-array window integral of one radius, as it was computed
-    before the CDFs were shared across radii and rows were blocked."""
+    """The window integral of one radius by the breakpoint merge: W(z) is
+    piecewise linear between the breakpoints edges -/+ r, and each segment
+    contributes len * (w1^2 + w1*w2 + w2^2)/3."""
 
     def cdf_at(z):
         nbins = edges.size - 1
@@ -330,21 +334,86 @@ def _one_radius_sq_integral(masses, edges, r):
     return np.sum(seg[None, :] * (w1 * w1 + w1 * w2 + w2 * w2) / 3.0, axis=1)
 
 
-def test_blocked_window_integral_matches_whole_array():
-    """Byte for byte, with a row count that is no multiple of the block."""
-    rng = np.random.default_rng(4)
-    rows = 3 * _NORM_ROWS + 5
-    counts = rng.poisson(0.4, size=(rows, 300)).astype(float)
-    counts[7] = 0.0
-    tot = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        masses = np.where(tot > 0, counts / tot, 0.0)
-    edges = np.linspace(-0.1, 1.1, 301)
-    radii = [0.3, 2.0 ** -3, 0.01, 2.0 ** -7]
-    got = _sliding_sq_integrals(masses, edges, radii)
-    assert got.shape == (len(radii), rows)
+def _poisson_rows():
+    """Random rows, an empty row, a one-cell row and mass in J's end cells."""
+    cond = np.random.default_rng(4).poisson(0.4, size=(37, 512))
+    cond[5] = 0
+    cond[6] = 0
+    cond[6, 100] = 3
+    cond[7, [0, 511]] = [5, 2]
+    cond[8] = 0
+    cond[8, 0] = 1
+    return cond
+
+
+def _narrow_band_rows():
+    """Counts only in cells 200..230, 31 cells (0.12) wide."""
+    cond = np.zeros((9, 512), dtype=np.int64)
+    cond[:, 200:231] = np.random.default_rng(5).poisson(3.0, size=(9, 31))
+    cond[3] = 0
+    return cond
+
+
+# h = 2^-8: 2r/h is the integer 64, 8 and 2 at r = 2^-3, 2^-6 and 2^-8;
+# 0.0123 straddles two lags; 0.75 is wider than the narrow band
+@pytest.mark.parametrize("make", [_poisson_rows, _narrow_band_rows],
+                         ids=["poisson", "narrow_band"])
+def test_window_integral_matches_breakpoint_reference(make):
+    cond = make()
+    srb = _count_estimate(cond)
+    radii = [0.75, 2.0 ** -3, 2.0 ** -6, 0.0123, 2.0 ** -8]
+    got = _l2_norms(srb, radii)
+    assert got.shape == (len(radii), cond.shape[0])
+    tot = cond.sum(axis=1, keepdims=True)
+    masses = np.where(tot > 0, cond / np.maximum(tot, 1), 0.0)
+    edges = np.linspace(-0.5, 1.5, cond.shape[1] + 1)
     for k, r in enumerate(radii):
-        assert got[k].tobytes() == _one_radius_sq_integral(masses, edges, r).tobytes()
+        want = _one_radius_sq_integral(masses, edges, r)
+        empty = tot[:, 0] == 0
+        assert np.all(got[k][empty] == 0.0)
+        assert np.abs(got[k][~empty] / want[~empty] - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r, lags", [
+    (0.0123, [0, 1, 3, 6, 7, 8]),    # 2r/h = 6.30: lags 6 and 7 straddle
+    (2.0 ** -6, [0, 4, 7, 8, 9]),    # 2r/h = 8: only lag 8 straddles
+    (2.0 ** -8, [0, 1, 2, 3]),       # r = h
+])
+def test_lag_weights_match_quadrature(r, lags):
+    """kappa_r(d) against a midpoint rule for h^-2 * double integral of
+    (2r - |y - y'|)_+ over two cells d apart."""
+    h = 2.0 ** -8
+    kappa = _lag_weights(r, h, max(lags) + 1)
+    n = 2000
+    y = (np.arange(n) + 0.5) * (h / n)
+    for d in lags:
+        dist = np.abs(y[:, None] - (y[None, :] + d * h))
+        want = np.maximum(2.0 * r - dist, 0.0).mean()
+        assert abs(kappa[d] - want) <= 1e-6 * 2.0 * r, d
+    if 2.0 * r / h + 1.0 <= max(lags):
+        assert kappa[max(lags)] == 0.0
+
+
+def test_autocorrelation_exact_at_large_counts():
+    """2*10^6 samples in one column, in one cell or spread over a band:
+    a(d) equals the int64 correlation exactly, lag by lag."""
+    rng = np.random.default_rng(6)
+    band = np.zeros((3, 300), dtype=np.int64)
+    band[0, 17] = 2_000_000
+    band[1] = rng.multinomial(2_000_000, np.full(300, 1.0 / 300))
+    band[2, :40] = rng.multinomial(2_000_000, np.full(40, 1.0 / 40))
+    a = _autocorrelation(band)
+    for row, c in zip(a, band):
+        want = np.correlate(c, c, mode="full")[c.size - 1:]
+        assert np.array_equal(row.astype(np.int64), want)
+    assert a[0, 0] == 4e12
+
+
+def test_autocorrelation_refuses_counts_beyond_float64():
+    band = np.zeros((1, 8), dtype=np.int64)
+    band[0, :3] = 10 ** 9 + 1  # a(0) = 3e18 + 6e9 + 3 is odd, above 2^53
+    with pytest.raises(ParameterError):
+        _autocorrelation(band)
 
 
 def test_criterion_norms_equal_per_radius_norms():
@@ -365,6 +434,35 @@ def test_srb_checkpoint_roundtrip(tmp_path, baker06):
     assert back.seed == srb.seed and back.kept == srb.kept
     with pytest.raises(CacheError):
         load_srb(path, expect_spec_hash="somethingelse")
+
+
+def test_srb_checkpoint_narrows_counts_and_loads_int64_blobs(tmp_path, baker06):
+    """Counts are stored in the smallest dtype holding their maximum and read
+    back as int64; a blob written with int64 counts loads with equal counts."""
+    from horseshoe import cache
+
+    srb = _lift(baker06, n=10_000)
+    srb.sq_counts[0, 0] = 300
+    path = tmp_path / "srb.blob"
+    save_srb(path, srb)
+    _, arrays = cache.read_blob(path)
+    assert arrays["cond_counts"].dtype == np.uint8
+    assert arrays["sq_counts"].dtype == np.uint16
+    back = load_srb(path)
+    assert back.cond_counts.dtype == back.sq_counts.dtype == np.int64
+    assert np.array_equal(back.cond_counts, srb.cond_counts)
+    assert np.array_equal(back.sq_counts, srb.sq_counts)
+
+    old = tmp_path / "old.blob"
+    meta, _ = cache.read_blob(path)
+    cache.write_blob(old, "srb_estimate", meta,
+                     {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts})
+    assert cache.read_blob(old)[1]["cond_counts"].dtype == np.int64
+    back = load_srb(old, expect_spec_hash=baker06.map_hash)
+    assert np.array_equal(back.cond_counts, srb.cond_counts)
+    assert np.array_equal(back.sq_counts, srb.sq_counts)
+    assert tsujii_criterion(back, [0.1, 0.05]).i_of_r.tolist() == \
+        tsujii_criterion(srb, [0.1, 0.05]).i_of_r.tolist()
 
 
 # ---------------------------------------------------------------------------
