@@ -161,29 +161,62 @@ def _envelope_rows(spec, words, x_grid, hull):
     """Envelopes of many words at once, one row per word.
 
     ``words`` is a symbol array, one word per row, zero-padded on the
-    right.  Rows are composed ``BLOCK`` at a time: at step k the rows whose
-    k-th symbol is s take branch s (``fiber_step``), and padded rows stay
-    put.  Returns (pos_lo, pos_hi, slope_lo, slope_hi), each of shape
-    (words, grid).
+    right, in any order and with repeats.  The rows are composed along the
+    trie of their prefixes, so a prefix that several rows share is stepped
+    once.  The rows are sorted lexicographically and cut into slices of
+    ``BLOCK`` rows, so a level of a slice holds at most ``BLOCK`` nodes.
+    At level k a row starts a new node where its (parent node, k-th
+    symbol) differs from the previous row's; the new nodes are their
+    parents stepped by ``fiber_step``, one call per symbol.  A row's
+    envelope is taken at the node of its last symbol (the root for the
+    empty word).  Each row goes through the IEEE operations of its own
+    from-root composition, so the result does not depend on the order,
+    the repeats or the slicing of the rows.  Returns (pos_lo, pos_hi,
+    slope_lo, slope_hi), each of shape (words, grid).
     """
     _need_affine(spec)
     xg = np.asarray(x_grid, dtype=float)
+    words = np.asarray(words)
     out = [np.empty((len(words), xg.size)) for _ in range(4)]
+    lengths = np.count_nonzero(words, axis=1)
+    order = (np.lexsort(words.T[::-1]) if words.shape[1]
+             else np.arange(len(words)))
     for start in range(0, len(words), BLOCK):
-        sym = words[start:start + BLOCK]
-        X = np.tile(xg, (len(sym), 1))
-        A, B = np.ones_like(X), np.zeros_like(X)
-        coef = [np.zeros_like(X), np.ones_like(X), np.zeros_like(X)]
-        for col in sym.T:
-            for s in np.unique(col[col > 0]).tolist():
-                sk = spec.skew[s - 1]
-                rows = np.flatnonzero(col == s)
-                X[rows], A[rows], B[rows], new = fiber_step(
-                    sk, X[rows], A[rows], B[rows], [c[rows] for c in coef])
-                for c, v in zip(coef, new):
-                    c[rows] = v
-        for o, e in zip(out, envelope_hulls(A, B, coef, hull)):
-            o[start:start + len(sym)] = e
+        rows = order[start:start + BLOCK]
+        sym, length = words[rows], lengths[rows]
+        node = np.zeros(len(rows), dtype=np.intp)  # each row's node, by level
+        # the level's (X, A, B, Sy, Sp, S0), one row per node
+        level = [xg[None, :], np.ones((1, xg.size)), np.zeros((1, xg.size))]
+        level += [level[2], level[1], level[2]]
+        for k in range(int(length.max()) + 1):
+            done = np.flatnonzero(length == k)
+            if done.size:
+                A, B, *coef = (v[node[done]] for v in level[1:])
+                for o, e in zip(out, envelope_hulls(A, B, coef, hull)):
+                    o[rows[done]] = e
+            live = np.flatnonzero(length > k)
+            if not live.size:
+                break
+            parent, s = node[live], sym[live, k]
+            new = np.ones(live.size, dtype=bool)
+            new[1:] = (parent[1:] != parent[:-1]) | (s[1:] != s[:-1])
+            # the new nodes are grouped by symbol: the level's arrays become
+            # the gathered parents, one array at a time, and each symbol's
+            # slice is overwritten by its children
+            by_sym = np.argsort(s[new], kind="stable")
+            rank = np.empty_like(by_sym)
+            rank[by_sym] = np.arange(by_sym.size)
+            node[live] = rank[np.cumsum(new) - 1]
+            parent, s = parent[new][by_sym], s[new][by_sym]
+            for i, v in enumerate(level):
+                level[i] = v[parent]
+            cut = np.flatnonzero(np.diff(s)) + 1
+            for lo, hi in zip((0, *cut.tolist()), (*cut.tolist(), s.size)):
+                at = slice(lo, hi)
+                X, A, B, *coef = (v[at] for v in level)
+                X, A, B, coef = fiber_step(spec.skew[s[lo] - 1], X, A, B, coef)
+                for v, child in zip(level, (X, A, B, *coef)):
+                    v[at] = child
     return out
 
 
@@ -215,12 +248,13 @@ class TransversalityVerdict:
     tail_depth: int
 
 
+def _gap(lo_a, hi_a, lo_b, hi_b):
+    """Per-x distance between the hulls [lo_a, hi_a] and [lo_b, hi_b]."""
+    return np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
+
+
 def _gap_arrays(env_a, env_b):
-    pos_gap = np.maximum(0.0, np.maximum(env_a[0] - env_b[1],
-                                         env_b[0] - env_a[1]))
-    slope_gap = np.maximum(0.0, np.maximum(env_a[2] - env_b[3],
-                                           env_b[2] - env_a[3]))
-    return pos_gap, slope_gap
+    return _gap(*env_a[:2], *env_b[:2]), _gap(*env_a[2:], *env_b[2:])
 
 
 def _certified(pos_gap, slope_gap, delta, margin):
@@ -365,8 +399,11 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
 
     Pairs not marked ``live`` (pruned by their leads) are never charged.
     The envelopes of the words in live pairs are built once, then the live
-    pairs are classified ``BLOCK`` rows at a time.  Returns the charged
-    flags and the charged values vol * |I_a| * |I_b| (zero when uncharged).
+    pairs are classified ``BLOCK`` rows at a time: the slope gap first, then
+    the position gap and the overlap from the block's four position rows,
+    so a block holds at most four gathered envelope rows per pair at once.
+    Returns the charged flags and the charged values vol * |I_a| * |I_b|
+    (zero when uncharged).
     """
     charged = np.zeros(len(I), dtype=bool)
     vals = np.zeros(len(I))
@@ -374,19 +411,20 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     need = np.unique(np.concatenate((I[ks], J[ks])))
     row = np.empty(len(inv.words), dtype=np.intp)
     row[need] = np.arange(len(need))
-    env = _envelope_rows(spec, inv.words[need], xg, hull)
+    pos_lo, pos_hi, slope_lo, slope_hi = _envelope_rows(
+        spec, inv.words[need], xg, hull)
     for start in range(0, len(ks), BLOCK):
         kb = ks[start:start + BLOCK]
-        env_a = [e[row[I[kb]]] for e in env]
-        env_b = [e[row[J[kb]]] for e in env]
-        pos_gap, slope_gap = _gap_arrays(env_a, env_b)
-        ch = ~_certified(pos_gap, slope_gap, delta, margin).all(axis=1)
-        pa, qa = env_a[0][ch], env_a[1][ch]
-        pb, qb = env_b[0][ch], env_b[1][ch]
+        a, b = row[I[kb]], row[J[kb]]
+        slope_gap = _gap(slope_lo[a], slope_hi[a], slope_lo[b], slope_hi[b])
+        pa, qa, pb, qb = pos_lo[a], pos_hi[a], pos_lo[b], pos_hi[b]
+        ch = ~_certified(_gap(pa, qa, pb, qb), slope_gap,
+                         delta, margin).all(axis=1)
+        del slope_gap
         inter = np.clip(np.minimum(qa, qb) - np.maximum(pa, pb), 0.0, None)
         kc = kb[ch]
         charged[kc] = True
-        vals[kc] = (np.trapezoid(inter, xg, axis=-1)
+        vals[kc] = (np.trapezoid(inter, xg, axis=-1)[ch]
                     * inv.base_len[I[kc]] * inv.base_len[J[kc]])
     return charged, vals
 
@@ -421,8 +459,8 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     families are done exactly; large ones are estimated by stratified
     sampling over length pairs with a reported standard error.  Every pair
     is drawn first; then the envelopes of the words in pairs whose leads do
-    not already separate are built once each, and the pairs are classified
-    in batches.
+    not already separate are built once each, along the trie of their
+    prefixes (``_envelope_rows``), and the pairs are classified in batches.
     """
     if not delta > 0.0:
         raise ParameterError("need delta > 0")

@@ -52,7 +52,8 @@ class FiberMap:
     from per-branch tables when every branch's fiber came from
     ``affine_fiber`` with a float slope and a float offset (their callables
     carry ``constant``), and otherwise evaluates ``slope`` and ``offset`` at
-    the arrival points.  All callables must accept numpy arrays.
+    the arrival points.  ``symbolic.fiber_step`` reads each constant
+    coefficient as its float.  All callables must accept numpy arrays.
     """
 
     value: Callable

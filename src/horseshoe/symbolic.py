@@ -14,19 +14,24 @@ on the right to the longest length L (0 is no symbol), with the lengths
 beside it.  ``MInventory`` and ``cylinder_table`` return their words so,
 and the envelopes and the checkpoint read them so.
 
-Every walk that shares prefixes goes through one walker, ``_walk``.  It
-pops a block of at most ``BLOCK`` nodes of one depth and grows each node
-by every symbol with ``fiber_step``: a node carries the arrival-point grid
-of its deep end and the composed fiber scale, so a block grows in a few
-array operations of O(nodes * grid).  The caller sees the block with its
+Every walk that shares prefixes steps each prefix once with
+``fiber_step``, in one of two ways.  The walker ``_walk`` grows the tree:
+it pops a block of at most ``BLOCK`` nodes of one depth and grows each
+node by every symbol.  A node carries the arrival-point grid of its deep
+end and the composed fiber scale, so a block grows in a few array
+operations of O(nodes * grid).  The caller sees the block with its
 children and says by mask which children are pushed.  ``m_inventory``
 keeps the children at or above scale r, and ``cylinder_table`` those above
-its last complete depth.  ``cylinder_diameter`` composes one word with the
-same ``fiber_step``, a symbol at a time, so its grid widths are the
-walker's bit for bit.  The walker, ``cylinder_diameter``, the envelopes
-of ``conditions`` and the lift of ``measures`` read the fiber slopes and
-offsets, so they need affine-in-y fiber maps; ``fiber_image`` takes any
-``FiberMap``.
+its last complete depth.  The envelopes of ``conditions``
+(``_envelope_rows``) compose a given set of words instead, along the trie
+of their prefixes: the rows are sorted, and each level steps only the
+distinct prefixes that some row runs through.  On a sampled word set the
+walker would grow every child of every node.  ``cylinder_diameter``
+composes one word with the same ``fiber_step``, a symbol at a time, so
+its grid widths are the walker's bit for bit.  The walker,
+``cylinder_diameter``, the envelopes and the lift of ``measures`` read the
+fiber slopes and offsets, so they need affine-in-y fiber maps;
+``fiber_image`` takes any ``FiberMap``.
 
 M(r) is the family of words whose extended width has dropped to scale r.
 Where a node has some children at or above scale r and some below, the
@@ -36,6 +41,16 @@ a word has all N children, each a word or again a prefix), so the base
 lengths sum to one (sum |I_w| = 1).  It agrees with the plain "maximal
 word" rule whenever sibling widths cross the threshold together.  When
 every one-symbol word is below scale r, M(r) is the empty word alone.
+
+Completeness and prefix-freeness together mean that every backward
+itinerary, an infinite symbol sequence read most recent symbol first, has
+exactly one prefix in M(r).  Prefix-freeness allows at most one.  For
+one at least, follow the itinerary down from the empty word: each node on
+the way is a word of M(r) or a proper prefix, whose child along the
+itinerary is again one of the two, and M(r) is finite, so the walk ends
+at a word.  So the pairs (w, w') of M(r) split the pairs of itineraries
+into disjoint classes that cover them all, and that is what Tsujii-type
+sums over M(r) x M(r) index: no pair of tails is counted twice or left out.
 
 The base intervals need not tile [0,1], though.  A word grows by appending
 the symbol that acts first, so I_ws is not contained in I_w.  A family of
@@ -215,15 +230,22 @@ def fiber_step(sk, X, A, B=None, coef=None):
     leave out B and coef and get them back as None.
     """
     fib = sk.fiber
-    sv = fib.slope(X)
+    sv = _coefficient(fib.slope, X)
     if coef is not None:
-        tv = fib.offset(X)
+        tv = _coefficient(fib.offset, X)
         sy, sp, s0 = coef
-        coef = (sy * sv + sp * fib.dslope(X),
+        coef = (sy * sv + sp * _coefficient(fib.dslope, X),
                 sp * sv / sk.base_slope,
-                sy * tv + sp * fib.doffset(X) + s0)
+                sy * tv + sp * _coefficient(fib.doffset, X) + s0)
         B = A * tv + B
     return sk.base_inverse(X), A * sv, B, coef
+
+
+def _coefficient(f, X):
+    """Fiber coefficient ``f`` at X; a constant one (``maps._const`` records
+    ``constant``) as its float, which rounds as the filled array would."""
+    value = getattr(f, "constant", None)
+    return f(X) if value is None else value
 
 
 def envelope_hulls(A, B, coef, hull):

@@ -20,7 +20,13 @@ from horseshoe.maps import (
     make_baker,
     make_custom_skew,
 )
-from horseshoe.symbolic import cylinder_diameter, m_inventory
+from horseshoe.symbolic import (
+    cylinder_diameter,
+    envelope_hulls,
+    fiber_step,
+    m_inventory,
+)
+from test_symbolic import _three_strip_skew
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +183,71 @@ def test_envelope_position_is_hat_strip(baker06):
     assert np.abs(plo - 0.24).max() < 1e-12
     assert np.abs(phi - 0.6).max() < 1e-12
     assert slo.min() >= -1e-9 and shi.max() <= 1e-9
+
+
+def _from_root_envelopes(spec, words, xg, hull):
+    """Each row composed on its own from the root, a symbol at a time."""
+    env = []
+    for word in words.tolist():
+        X, A, B = xg[None, :], np.ones((1, xg.size)), np.zeros((1, xg.size))
+        coef = (B, A, B)
+        for s in word:
+            if s:
+                X, A, B, coef = fiber_step(spec.skew[s - 1], X, A, B, coef)
+        env.append(envelope_hulls(A, B, coef, hull))
+    if not env:
+        return [np.empty((0, xg.size))] * 4
+    return [np.concatenate(e) for e in zip(*env)]
+
+
+def _row_sets(spec, r):
+    """Word rows of M(r) in a random order, with repeats, proper prefixes
+    of other rows, the empty word, and no rows at all."""
+    inv = m_inventory(spec, r)
+    rng = np.random.default_rng(5)
+    words = inv.words[rng.integers(len(inv.words), size=60)]
+    cut = words.copy()
+    for row, n in zip(cut, rng.integers(0, words.shape[1], size=len(cut))):
+        row[n:] = 0
+    mixed = np.concatenate((words, cut, words[:7], np.zeros((2, words.shape[1]),
+                                                             dtype=words.dtype)))
+    return inv.x_grid, [mixed[rng.permutation(len(mixed))], mixed[:0],
+                        mixed[:1, :0], mixed[-1:]]
+
+
+def _trie_nodes(words, block):
+    """Distinct non-empty prefixes per slice of ``block`` sorted rows."""
+    rows = sorted(tuple(s for s in w if s) for w in words.tolist())
+    return sum(len({w[:k] for w in rows[i:i + block] for k in range(1, len(w) + 1)})
+               for i in range(0, len(rows), block))
+
+
+@pytest.mark.parametrize("spec, r", [
+    (make_affine_example(0.8, 0.55), 2.0 ** -6),
+    (make_baker(0.6), 2.0 ** -6 * 1.2),
+    (_three_strip_skew(), 2.0 ** -5),
+], ids=["affine", "baker06", "three_strip"])
+@pytest.mark.parametrize("block", [None, 5], ids=["BLOCK", "BLOCK_5"])
+def test_envelope_trie_matches_from_root_composition(monkeypatch, spec, r, block):
+    """The trie kernel gives every row the bits of its from-root composition,
+    and steps each distinct non-empty prefix of a slice exactly once."""
+    if block is not None:
+        monkeypatch.setattr(conditions, "BLOCK", block)
+    stepped = []
+
+    def spy(sk, X, *args):
+        stepped.append(len(X))
+        return fiber_step(sk, X, *args)
+
+    monkeypatch.setattr(conditions, "fiber_step", spy)
+    hull = tail_slope_hull(spec)
+    xg, row_sets = _row_sets(spec, r)
+    for words in row_sets:
+        stepped.clear()
+        got = conditions._envelope_rows(spec, words, xg, hull)
+        want = _from_root_envelopes(spec, words, xg, hull)
+        assert np.stack(got).tobytes() == np.stack(want).tobytes()
+        assert sum(stepped) == _trie_nodes(words, conditions.BLOCK)
 
 
 # ---------------------------------------------------------------------------
