@@ -429,15 +429,33 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     return charged, vals
 
 
+class _LeadRows(dict):
+    """Lead symbol -> word rows of one length, also packed in lead order.
+
+    ``rows`` concatenates the values in sorted lead order and ``start[s]``
+    is where lead s begins in it, so draws gather from one array that
+    ``ntr_sum`` packs once per length rather than once per stratum.
+    """
+
+    def __init__(self, groups):
+        super().__init__(groups)
+        leads = sorted(self)
+        counts = [len(self[s]) for s in leads]
+        self.rows = np.concatenate([self[s] for s in leads])
+        self.start = dict(zip(leads, np.cumsum([0] + counts[:-1]).tolist()))
+
+
 def _draw_stratum_pairs(ga, gb, share, rng):
     """``share`` random (I, J) row pairs of one length stratum.
 
-    ``ga`` and ``gb`` map a lead symbol to its word rows.  Each pair first
-    picks a lead combination (s, t), s != t, with weight |ga[s]| * |gb[t]|,
-    then a row of ga[s] and a row of gb[t].  The row draws are one
-    ``rng.integers`` call on the interleaved highs, which gives the values
-    of, and leaves ``rng`` as, alternating scalar draws per pair.
+    ``ga`` and ``gb`` map a lead symbol to its word rows (a plain dict is
+    packed into ``_LeadRows`` first).  Each pair first picks a lead
+    combination (s, t), s != t, with weight |ga[s]| * |gb[t]|, then a row
+    of ga[s] and a row of gb[t].  The row draws are one ``rng.integers``
+    call on the interleaved highs, which gives the values of, and leaves
+    ``rng`` as, alternating scalar draws per pair.
     """
+    ga, gb = (g if isinstance(g, _LeadRows) else _LeadRows(g) for g in (ga, gb))
     combos = [(s, t) for s in sorted(ga) for t in sorted(gb) if s != t]
     na = np.array([len(ga[s]) for s, _ in combos])
     nb = np.array([len(gb[t]) for _, t in combos])
@@ -445,10 +463,9 @@ def _draw_stratum_pairs(ga, gb, share, rng):
     weights /= weights.sum()
     pick = rng.choice(len(combos), size=share, p=weights)
     k = rng.integers(np.column_stack((na[pick], nb[pick])).ravel()).reshape(-1, 2)
-    rows_a = np.concatenate([ga[s] for s, _ in combos])
-    rows_b = np.concatenate([gb[t] for _, t in combos])
-    return (rows_a[(np.cumsum(na) - na)[pick] + k[:, 0]],
-            rows_b[(np.cumsum(nb) - nb)[pick] + k[:, 1]])
+    start_a = np.array([ga.start[s] for s, _ in combos])
+    start_b = np.array([gb.start[t] for _, t in combos])
+    return ga.rows[start_a[pick] + k[:, 0]], gb.rows[start_b[pick] + k[:, 1]]
 
 
 def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
@@ -484,8 +501,8 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     by_len = {}
     for n in lengths:
         at = np.flatnonzero(inv.lengths == n)
-        by_len[n] = {s: at[first[at] == s]
-                     for s in np.unique(first[at]).tolist()}
+        by_len[n] = _LeadRows({s: at[first[at] == s]
+                               for s in np.unique(first[at]).tolist()})
 
     def cross_count(la, lb):
         ga, gb = by_len[la], by_len[lb]

@@ -5,6 +5,14 @@ suprema over lattices, orbitwise ratios along sampled words, and the
 inverse derivative expressed in the frame aligned with the invariant
 splitting.  For diagonal instances every constant collapses to its closed
 form, which the tests pin to machine accuracy.
+
+The adapted-frame lattice of ``run_diagnostics`` is one array pass per
+strip: ``unstable_direction`` and ``adapted_derivative`` (like
+``maps.apply_branch`` and ``maps.branch_derivative`` below them) take
+points whose x and y are arrays of one shape, and each point goes through
+the same IEEE operations as it would alone, so the lattice gives the
+per-point results bit for bit.  A single point is the zero-dimensional
+case of the same code.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .errors import (
     OutOfDomainError,
     ParameterError,
 )
-from .maps import apply_branch, branch_derivative
+from .maps import _point_arrays, _table, apply_branch, branch_derivative
 from .symbolic import base_cylinder, check_word, fiber_image, lex_words
 
 _FRAME_FLOOR = 1e-10
@@ -44,6 +52,8 @@ def unstable_direction(spec, word_history, z, depth):
     Pulls z back ``depth`` steps along the history, pushes the horizontal
     cone axis forward again, and returns (unit vector, slope error bound);
     the bound is the cone aperture shrunk by the per-step slope contraction.
+    For points given as arrays of one shape the vector's two components are
+    arrays of that shape, each point computed as it would be alone.
     """
     word_history = check_word(spec, word_history)
     if depth < 0:
@@ -53,21 +63,19 @@ def unstable_direction(spec, word_history, z, depth):
             f"history of length {len(word_history)} cannot supply {depth} steps")
     c = _slope_contraction(spec)
     err = spec.alpha * c ** depth
-    if depth == 0:
-        return (1.0, 0.0), err
-    past = []
-    p = z
+    past = [z]
     for s in word_history[:depth]:
-        p = apply_branch(spec, s, p, direction="inverse")
-        past.append(p)
-    v = np.array([1.0, 0.0])
+        past.append(apply_branch(spec, s, past[-1], direction="inverse"))
+    shape = np.broadcast(z[0], z[1]).shape
+    vx, vy = np.ones(shape), np.zeros(shape)
     for k in range(depth - 1, -1, -1):
-        s = word_history[k]
-        d = branch_derivative(spec, s, past[k])
-        v = np.array([d[0][0] * v[0] + d[0][1] * v[1],
-                      d[1][0] * v[0] + d[1][1] * v[1]])
-        v /= float(np.hypot(v[0], v[1]))
-    return (float(v[0]), float(v[1])), err
+        d = branch_derivative(spec, word_history[k], past[k + 1])
+        vx, vy = d[0][0] * vx + d[0][1] * vy, d[1][0] * vx + d[1][1] * vy
+        norm = np.hypot(vx, vy)
+        vx, vy = vx / norm, vy / norm
+    if not shape:
+        return (float(vx), float(vy)), err
+    return (vx, vy), err
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +205,24 @@ def margin_constants(spec, word, x_grid_n=129, n_points=1000, seed=5):
 
 def _skew_df(spec, s, point):
     sk = spec.skew[s - 1]
-    x, y = float(point[0]), float(point[1])
-    u = float(sk.base_forward(x))
+    x, y = _point_arrays(point)
+    u = sk.base_forward(x)
     m = sk.base_slope
-    return (m, 0.0, float(sk.fiber.du(u, y)) * m, float(sk.fiber.dy(u, y)))
+    return (m, 0.0, sk.fiber.du(u, y) * m, sk.fiber.dy(u, y))
+
+
+def _check_floor(values, x, y, message):
+    """Raise DegenerateScaleError at the first point where |values| < _FRAME_FLOOR."""
+    low = np.broadcast_to(np.abs(values) < _FRAME_FLOOR, x.shape)
+    if low.any():
+        k = int(np.argmax(low.ravel()))
+        raise DegenerateScaleError(
+            f"{message} at ({float(x.flat[k])}, {float(y.flat[k])})")
 
 
 def _detect_branch(spec, z):
+    if np.ndim(z[0]) or np.ndim(z[1]):
+        raise ParameterError("points given as arrays need their branch")
     x, y = float(z[0]), float(z[1])
     for s in range(1, spec.n_strips + 1):
         lo, hi = fiber_image(spec, (s,), x, hat=True)
@@ -221,58 +240,66 @@ def adapted_derivative(spec, z, w, unstable_dir, branch=None):
     from the explicit component expressions and from the assembled matrix
     product; both are returned with their difference so callers can assert
     agreement.  Ratios against the stable entry feed the feasibility flags.
+
+    ``z``, ``w`` and ``unstable_dir`` may hold arrays of one shape instead
+    of floats; every sample is then an array of that shape, each 2x2 matrix
+    has shape (2, 2) + shape, and ``branch`` must be given.
     """
     if branch is None:
         branch = _detect_branch(spec, z)
 
+    def frames(rows, shape):
+        # one 2x2 matrix per point, stacked for np.linalg.solve
+        return np.moveaxis(_table(rows, shape), (0, 1), (-2, -1))
+
     def entries(point):
-        a = float(unstable_dir[1]) / float(unstable_dir[0])
+        x, y = _point_arrays(point)
+        a = (np.asarray(unstable_dir[1], dtype=float)
+             / np.asarray(unstable_dir[0], dtype=float))
         b = 0.0  # stable bundle of a skew product is vertical
-        pre = apply_branch(spec, branch, point, direction="inverse")
+        pre = apply_branch(spec, branch, (x, y), direction="inverse")
         f1x, f1y, f2x, f2y = _skew_df(spec, branch, pre)
         jf = f1x * f2y - f1y * f2x
         # direction at the preimage: the forward derivative maps it to ours
         det = jf
-        if abs(det) < _FRAME_FLOOR:
-            raise DegenerateScaleError("near-degenerate adapted frame")
+        _check_floor(det, x, y, "near-degenerate adapted frame")
         vx = (f2y * 1.0 - f1y * a) / det
         vy = (-f2x * 1.0 + f1x * a) / det
-        if abs(vx) < _FRAME_FLOOR:
-            raise DegenerateScaleError("pulled-back direction left the cone")
+        _check_floor(vx, x, y, "pulled-back direction left the cone")
         a_pre = vy / vx
         b_pre = 0.0
         ja = 1.0 - a_pre * b_pre
-        if abs(jf * ja) < _FRAME_FLOOR:
-            raise DegenerateScaleError("near-degenerate adapted frame")
+        _check_floor(jf * ja, x, y, "near-degenerate adapted frame")
         scale = 1.0 / (jf * ja)
         # explicit expansions of inv(frame(pre)) @ inv(DF) @ frame(point)
         g11 = scale * (f2y + b_pre * f2x - a * f1y - a * b_pre * f1x)
         g12 = scale * (b * f2y + b * b_pre * f2x - f1y - b_pre * f1x)
         g21 = scale * (-a_pre * f2y - f2x + a * a_pre * f1y + a * f1x)
         g22 = scale * (b * (-a_pre * f2y - f2x) + a_pre * f1y + f1x)
-        direct = np.array([[g11, g12], [g21, g22]])
-        frame_here = np.array([[1.0, b], [a, 1.0]])
-        frame_pre = np.array([[1.0, b_pre], [a_pre, 1.0]])
-        df = np.array([[f1x, f1y], [f2x, f2y]])
-        assembled = np.linalg.solve(frame_pre, np.linalg.solve(df, frame_here))
-        return direct, float(np.abs(direct - assembled).max()), a_pre
+        direct = _table(((g11, g12), (g21, g22)), x.shape)
+        frame_here = frames(((1.0, b), (a, 1.0)), x.shape)
+        frame_pre = frames(((1.0, b_pre), (a_pre, 1.0)), x.shape)
+        df = frames(((f1x, f1y), (f2x, f2y)), x.shape)
+        assembled = np.moveaxis(
+            np.linalg.solve(frame_pre, np.linalg.solve(df, frame_here)),
+            (-2, -1), (0, 1))
+        return direct, np.abs(direct - assembled).max(axis=(0, 1)), a_pre
 
     g_z, err_z, a_pre = entries(z)
     g_w, err_w, _ = entries(w)
-    g22 = abs(g_w[1, 1])
-    if g22 < _FRAME_FLOOR:
-        raise DegenerateScaleError("stable entry vanishes")
+    g22 = np.abs(g_w[1, 1])
+    _check_floor(g22, *_point_arrays(w), "stable entry vanishes")
     return {
         "branch": branch,
         "g_z": g_z,
         "g_w": g_w,
-        "route_error": max(err_z, err_w),
+        "route_error": np.maximum(err_z, err_w),
         "a_pre": a_pre,
-        "c2_sample": abs(g_z[0, 0]),
+        "c2_sample": np.abs(g_z[0, 0]),
         "c3_sample": g22,
-        "eq12_ratio": abs(g_w[0, 0]) / g22,
-        "offdiag_ratio": abs(g_w[0, 1]) / g22,
-        "mixed_ratio": abs(g_w[1, 0]) / g22,
+        "eq12_ratio": np.abs(g_w[0, 0]) / g22,
+        "offdiag_ratio": np.abs(g_w[0, 1]) / g22,
+        "mixed_ratio": np.abs(g_w[1, 0]) / g22,
     }
 
 
@@ -331,7 +358,10 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
     Lattice points are taken inside each branch image (so the inverse step
     is always defined) with the unstable direction of the constant past of
     that branch; the displaced partner sits ``_PARTNER_OFFSET`` along the
-    direction.  Suprema are over the recorded samples only.
+    direction.  Each strip's lattice (x major, then t) is evaluated as one
+    array pass.  Every lattice point is counted: x lies in [0.02, 0.98] and
+    the direction is a unit vector, so the partner's x stays inside [0, 1]
+    and needs no test.  Suprema are over the recorded samples only.
     """
     rng = np.random.default_rng(seed)
     # stable distortion over sampled words and fiber pairs
@@ -364,28 +394,29 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
     route_err = 0.0
     rows = []
     n_lattice = 0
+    xs = np.linspace(0.02, 0.98, lattice_n)
+    ts = np.linspace(0.05, 0.95, max(2, lattice_n // 8))
     for s in range(1, spec.n_strips + 1):
         history = (s,) * depth
-        for xi in np.linspace(0.02, 0.98, lattice_n):
-            lo, hi = fiber_image(spec, history, float(xi), hat=False)
-            for t in np.linspace(0.05, 0.95, max(2, lattice_n // 8)):
-                z = (float(xi), float(lo + t * (hi - lo)))
-                vec, _ = unstable_direction(spec, history, z, depth)
-                w = (z[0] + _PARTNER_OFFSET * vec[0],
-                     z[1] + _PARTNER_OFFSET * vec[1])
-                if not 0.0 <= w[0] <= 1.0:
-                    continue
-                got = adapted_derivative(spec, z, w, vec, branch=s)
-                c2 = max(c2, got["c2_sample"])
-                c3 = min(c3, got["c3_sample"])
-                c4 = max(c4, got["offdiag_ratio"])
-                eq12 = max(eq12, got["eq12_ratio"])
-                route_err = max(route_err, got["route_error"])
-                n_lattice += 1
-                if csv_path is not None:
-                    rows.append((z[0], z[1], got["eq12_ratio"],
-                                 got["offdiag_ratio"], got["c2_sample"],
-                                 got["c3_sample"]))
+        lo, hi = fiber_image(spec, history, xs, hat=False)
+        # one row per x, one column per t: row-major order is x, then t
+        x = np.repeat(xs[:, None], ts.size, axis=1)
+        z = (x, lo[:, None] + ts * (hi - lo)[:, None])
+        vec, _ = unstable_direction(spec, history, z, depth)
+        # |vec| = 1 and x lies in [0.02, 0.98], so the partner's x stays
+        # inside [0.02 - _PARTNER_OFFSET, 0.98 + _PARTNER_OFFSET]
+        w = (z[0] + _PARTNER_OFFSET * vec[0], z[1] + _PARTNER_OFFSET * vec[1])
+        got = adapted_derivative(spec, z, w, vec, branch=s)
+        c2 = float(got["c2_sample"].max(initial=c2))
+        c3 = float(got["c3_sample"].min(initial=c3))
+        c4 = float(got["offdiag_ratio"].max(initial=c4))
+        eq12 = float(got["eq12_ratio"].max(initial=eq12))
+        route_err = float(got["route_error"].max(initial=route_err))
+        n_lattice += x.size
+        if csv_path is not None:
+            rows += zip(*(v.ravel().tolist() for v in (
+                z[0], z[1], got["eq12_ratio"], got["offdiag_ratio"],
+                got["c2_sample"], got["c3_sample"])))
     if csv_path is not None:
         lines = ["x,y,eq12_ratio,offdiag_ratio,c2_sample,c3_sample"]
         lines += [",".join(repr(float(v)) for v in row) for row in rows]

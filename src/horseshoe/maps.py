@@ -136,15 +136,18 @@ class SkewBranch:
 
 
 def _invert_fiber_bisect(fm, u, v, lo=-10.0, hi=10.0, iters=80):
-    """Monotone-fiber inversion fallback for custom non-affine fibers."""
-    sign = 1.0 if float(fm.dy(u, 0.5 * (lo + hi))) > 0 else -1.0
-    a, b = lo, hi
+    """Monotone-fiber inversion fallback for custom non-affine fibers.
+
+    Works elementwise on arrays of (u, v), with the monotonicity sign taken
+    per point.
+    """
+    shape = np.broadcast(u, v).shape
+    sign = np.where(np.broadcast_to(fm.dy(u, 0.5 * (lo + hi)), shape) > 0, 1.0, -1.0)
+    a, b = np.full(shape, lo), np.full(shape, hi)
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        if sign * (float(fm.value(u, mid)) - v) < 0:
-            a = mid
-        else:
-            b = mid
+        below = sign * (fm.value(u, mid) - v) < 0
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
     return 0.5 * (a + b)
 
 
@@ -373,52 +376,85 @@ def _check_index(spec, i):
         raise ParameterError(f"branch index {i} out of range 1..{spec.n_strips}")
 
 
+def _point_arrays(z):
+    """x and y of a point, or of points given as two arrays of one shape."""
+    x, y = np.asarray(z[0], dtype=float), np.asarray(z[1], dtype=float)
+    return (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
+
+
+def _check_points(ok, x, y, message, strip):
+    """Raise OutOfDomainError naming the first point where ``ok`` fails."""
+    if not ok.all():
+        k = int(np.argmin(np.ravel(ok)))
+        point = (float(x.flat[k]), float(y.flat[k]))
+        raise OutOfDomainError(message.format(point), strip=strip, point=point)
+
+
+def _table(rows, shape):
+    """Entries of a matrix, each broadcast to ``shape``: rows x cols + shape."""
+    out = np.empty((len(rows), len(rows[0])) + shape)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[i, j] = v
+    return out
+
+
 def apply_branch(spec, i, z, direction="forward"):
-    """Apply branch ``i`` (1-based) to the point ``z``, or its inverse."""
+    """Apply branch ``i`` (1-based) to the point ``z``, or its inverse.
+
+    ``z`` is one point (returns a float pair) or points whose x and y are
+    arrays of one shape (returns arrays of that shape); every point goes
+    through the same IEEE operations either way.  Raises OutOfDomainError,
+    naming the first offending point, if any point is outside the domain.
+    """
     _check_index(spec, i)
-    x, y = float(z[0]), float(z[1])
+    x, y = _point_arrays(z)
     sk = spec.skew[i - 1]
     fm = sk.fiber
     jlo, jhi = spec.extended_fiber
     lo, hi = spec.breaks[i - 1:i + 1]
     if direction == "forward":
-        if not (lo - _EDGE_TOL <= x <= hi + _EDGE_TOL and jlo - _EDGE_TOL <= y <= jhi + _EDGE_TOL):
-            raise OutOfDomainError(
-                f"point {z} outside strip {i} domain [{lo},{hi}] x J", strip=i, point=z)
-        u = sk.base_forward(x)
-        return float(u), float(fm.value(u, y))
-    if direction == "inverse":
-        px = float(sk.base_inverse(x))
-        if fm.invert is not None:
-            py = float(fm.invert(x, y))
-        else:
-            py = float(_invert_fiber_bisect(fm, x, y))
-        if not (lo - 1e-9 <= px <= hi + 1e-9 and jlo - 1e-9 <= py <= jhi + 1e-9):
-            raise OutOfDomainError(
-                f"point {z} has no branch-{i} preimage in its strip", strip=i, point=z)
-        return px, py
-    raise ParameterError(f"unknown direction {direction!r}")
+        _check_points((lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
+                      & (jlo - _EDGE_TOL <= y) & (y <= jhi + _EDGE_TOL), x, y,
+                      f"point {{}} outside strip {i} domain [{lo},{hi}] x J", i)
+        px = sk.base_forward(x)
+        py = fm.value(px, y)
+    elif direction == "inverse":
+        px = sk.base_inverse(x)
+        py = (fm.invert(x, y) if fm.invert is not None
+              else _invert_fiber_bisect(fm, x, y))
+        _check_points((lo - 1e-9 <= px) & (px <= hi + 1e-9)
+                      & (jlo - 1e-9 <= py) & (py <= jhi + 1e-9), x, y,
+                      f"point {{}} has no branch-{i} preimage in its strip", i)
+    else:
+        raise ParameterError(f"unknown direction {direction!r}")
+    if x.ndim == 0:
+        return float(px), float(py)
+    return tuple(np.array(np.broadcast_to(v, x.shape)) for v in (px, py))
 
 
 def branch_derivative(spec, i, z, order=1):
-    """First (2x2) or second (2x3, six partials) derivative table of branch i."""
+    """First (2x2) or second (2x3, six partials) derivative table of branch i.
+
+    For points given as arrays of one shape each entry is an array of that
+    shape, so the table has shape (2, 2) + shape or (2, 3) + shape.
+    """
     _check_index(spec, i)
-    x, y = float(z[0]), float(z[1])
+    x, y = _point_arrays(z)
     lo, hi = spec.breaks[i - 1:i + 1]
     jlo, jhi = spec.extended_fiber
-    if not (lo - _EDGE_TOL <= x <= hi + _EDGE_TOL and jlo - _EDGE_TOL <= y <= jhi + _EDGE_TOL):
-        raise OutOfDomainError(
-            f"point {z} outside strip {i} domain", strip=i, point=z)
+    _check_points((lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
+                  & (jlo - _EDGE_TOL <= y) & (y <= jhi + _EDGE_TOL), x, y,
+                  f"point {{}} outside strip {i} domain", i)
     sk = spec.skew[i - 1]
     fm, m = sk.fiber, sk.base_slope
     u = sk.base_forward(x)
     if order == 1:
-        return np.array([[m, 0.0], [float(fm.du(u, y) * m), float(fm.dy(u, y))]])
+        return _table(((m, 0.0), (fm.du(u, y) * m, fm.dy(u, y))), x.shape)
     if order == 2:
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [float(fm.duu(u, y)) * m * m, float(fm.dyu(u, y)) * m, float(fm.dyy(u, y))],
-        ])
+        return _table(((0.0, 0.0, 0.0),
+                       (fm.duu(u, y) * m * m, fm.dyu(u, y) * m, fm.dyy(u, y))),
+                      x.shape)
     raise ParameterError(f"derivative order must be 1 or 2, got {order}")
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from horseshoe import diagnostics
 from horseshoe.diagnostics import (
     adapted_derivative,
     fiber_ratio_sup,
@@ -11,16 +14,27 @@ from horseshoe.diagnostics import (
 )
 from horseshoe.errors import (
     DegenerateExtensionError,
+    DegenerateScaleError,
     ItineraryError,
     OutOfDomainError,
     ParameterError,
 )
-from horseshoe.maps import FiberMap, make_baker, make_custom_skew
+from horseshoe.maps import (
+    FiberMap,
+    branch_derivative,
+    make_affine_example,
+    make_baker,
+    make_custom_skew,
+)
 from horseshoe.symbolic import base_cylinder, fiber_image
 
 
-def _quadratic_skew():
-    """Two-branch skew with psi(u, y) = c0 + 0.6 y + 0.05 y^2."""
+def _quadratic_skew(bisect=False):
+    """Two-branch skew with psi(u, y) = c0 + 0.6 y + 0.05 y^2.
+
+    With ``bisect`` the fibers carry no ``invert``, so inverse steps take
+    the bisection fallback.
+    """
 
     def fiber(c0):
         return FiberMap(
@@ -32,7 +46,8 @@ def _quadratic_skew():
             dyu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
             duu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
             affine=False,
-            invert=lambda u, v: (-0.6 + np.sqrt(0.36 + 0.2 * (np.asarray(v) - c0))) / 0.1,
+            invert=None if bisect else (
+                lambda u, v: (-0.6 + np.sqrt(0.36 + 0.2 * (np.asarray(v) - c0))) / 0.1),
         )
 
     return make_custom_skew((0.0, 0.5, 1.0), [fiber(0.0), fiber(0.35)],
@@ -205,3 +220,144 @@ def test_adapted_derivative_explicit_matches_assembled(affine):
     assert out["offdiag_ratio"] == 0.0
     assert out["mixed_ratio"] == 0.0
     assert out["c2_sample"] == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array points and the lattice
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+ARRAY_SPECS = [make_affine_example(0.8, 0.55), make_baker(0.6), _quadratic_skew(),
+               _quadratic_skew(bisect=True)]
+ARRAY_IDS = ["affine", "baker06", "quadratic", "quadratic_bisect"]
+
+
+@pytest.mark.parametrize("spec", ARRAY_SPECS, ids=ARRAY_IDS)
+def test_array_frames_match_scalar_calls(spec):
+    """Directions and adapted frames of a point array equal the per-point
+    scalar calls, bit for bit."""
+    hist = (2, 1, 1, 2, 1)
+    xs = np.linspace(0.03, 0.97, 5)
+    lo, hi = fiber_image(spec, hist, xs)
+    z = (np.repeat(xs[:, None], 3, axis=1),
+         lo[:, None] + np.array([0.1, 0.5, 0.9]) * (hi - lo)[:, None])
+    vec, err = unstable_direction(spec, hist, z, 5)
+    w = (z[0] + 1e-3 * vec[0], z[1] + 1e-3 * vec[1])
+    got = adapted_derivative(spec, z, w, vec, branch=2)
+    assert vec[0].shape == got["c2_sample"].shape == (5, 3)
+    assert got["g_z"].shape == got["g_w"].shape == (2, 2, 5, 3)
+    for k in np.ndindex(z[0].shape):
+        zk = (float(z[0][k]), float(z[1][k]))
+        vk, ek = unstable_direction(spec, hist, zk, 5)
+        assert all(type(v) is float for v in vk) and ek == err
+        assert _bits((vec[0][k], vec[1][k])) == _bits(vk)
+        wk = (float(w[0][k]), float(w[1][k]))
+        one = adapted_derivative(spec, zk, wk, vk, branch=2)
+        for key, value in one.items():
+            if key != "branch":
+                assert _bits(got[key][(...,) + k]) == _bits(value), key
+
+
+def test_array_frames_need_their_branch(affine):
+    z = (np.array([0.3, 0.4]), np.array([0.2, 0.25]))
+    with pytest.raises(ParameterError):
+        adapted_derivative(affine, z, z, (np.ones(2), np.zeros(2)))
+
+
+def test_array_batch_with_one_degenerate_frame_raises():
+    """psi = 0.5 + 0.4 (y - 0.5)^3 has d psi/dy = 0 over y = 0.5."""
+    cubic = FiberMap(
+        value=lambda u, y: 0.5 + 0.4 * (y - 0.5) ** 3,
+        dy=lambda u, y: 1.2 * (np.asarray(y, dtype=float) - 0.5) ** 2,
+        du=lambda u, y: np.zeros_like(np.asarray(u, dtype=float)
+                                      + np.asarray(y, dtype=float)),
+        dyy=lambda u, y: 2.4 * (np.asarray(y, dtype=float) - 0.5),
+        dyu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
+        duu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
+        invert=lambda u, v: 0.5 + np.cbrt((np.asarray(v, dtype=float) - 0.5) / 0.4),
+    )
+    spec = make_custom_skew((0.0, 0.5, 1.0), [cubic, cubic], label="cubic_demo")
+    z = (np.full(3, 0.3), np.array([0.45, 0.5, 0.55]))
+    flat = (np.ones(3), np.zeros(3))
+    with pytest.raises(DegenerateScaleError, match=r"adapted frame at \(0\.3, 0\.5\)"):
+        adapted_derivative(spec, z, z, flat, branch=1)
+    with pytest.raises(DegenerateScaleError):
+        adapted_derivative(spec, (0.3, 0.5), (0.3, 0.5), (1.0, 0.0), branch=1)
+    ok = (z[0][::2], z[1][::2])
+    assert adapted_derivative(spec, ok, ok, (np.ones(2), np.zeros(2)),
+                              branch=1)["c3_sample"].shape == (2,)
+
+
+def _reference_unstable_direction(spec, history, z, depth):
+    """Per-point pullback and push-forward, with every matrix term written out."""
+    past = []
+    p = z
+    for s in history[:depth]:
+        p = diagnostics.apply_branch(spec, s, p, direction="inverse")
+        past.append(p)
+    v = np.array([1.0, 0.0])
+    for k in range(depth - 1, -1, -1):
+        d = diagnostics.branch_derivative(spec, history[k], past[k])
+        v = np.array([d[0][0] * v[0] + d[0][1] * v[1],
+                      d[1][0] * v[0] + d[1][1] * v[1]])
+        v /= float(np.hypot(v[0], v[1]))
+    return float(v[0]), float(v[1])
+
+
+def _reference_lattice(spec, lattice_n, depth):
+    """The per-point lattice loop: suprema, sample count and CSV text."""
+    c2, c3, c4, eq12, route_err, n = 0.0, math.inf, 0.0, 0.0, 0.0, 0
+    lines = ["x,y,eq12_ratio,offdiag_ratio,c2_sample,c3_sample"]
+    for s in range(1, spec.n_strips + 1):
+        history = (s,) * depth
+        for xi in np.linspace(0.02, 0.98, lattice_n):
+            lo, hi = fiber_image(spec, history, float(xi), hat=False)
+            for t in np.linspace(0.05, 0.95, max(2, lattice_n // 8)):
+                z = (float(xi), float(lo + t * (hi - lo)))
+                vec = _reference_unstable_direction(spec, history, z, depth)
+                w = (z[0] + 1e-3 * vec[0], z[1] + 1e-3 * vec[1])
+                got = adapted_derivative(spec, z, w, vec, branch=s)
+                c2 = max(c2, got["c2_sample"])
+                c3 = min(c3, got["c3_sample"])
+                c4 = max(c4, got["offdiag_ratio"])
+                eq12 = max(eq12, got["eq12_ratio"])
+                route_err = max(route_err, got["route_error"])
+                n += 1
+                row = (z[0], z[1], got["eq12_ratio"], got["offdiag_ratio"],
+                       got["c2_sample"], got["c3_sample"])
+                lines.append(",".join(repr(float(v)) for v in row))
+    fields = {"c2": c2, "c3": c3, "c4": c4, "eq12_ratio_max": eq12,
+              "eq12_margin": 1.0 / spec.k0 ** 2 - eq12, "route_error": route_err,
+              "feasible_c4": c4 < 0.25}
+    return fields, n, "\n".join(lines) + "\n"
+
+
+def _sheared_derivative(spec, i, z, order=1):
+    """The branch derivative with d01 = 0.25, so no matrix term is zero."""
+    d = branch_derivative(spec, i, z, order)
+    d[0, 1] = 0.25
+    return d
+
+
+@pytest.mark.parametrize("name, shear, lattice_n, depth, seed", [
+    ("affine", False, 24, 7, 5),
+    ("baker06", False, 17, 6, 9),
+    ("affine", True, 16, 5, 2),
+], ids=["affine", "baker06", "affine_sheared"])
+def test_lattice_matches_per_point_loop(name, shear, lattice_n, depth, seed,
+                                        request, tmp_path, monkeypatch):
+    """The array lattice gives the per-point loop's suprema and CSV bytes."""
+    spec = request.getfixturevalue(name)
+    if shear:
+        monkeypatch.setattr(diagnostics, "branch_derivative", _sheared_derivative)
+    want, n, csv = _reference_lattice(spec, lattice_n, depth)
+    path = tmp_path / "lattice.csv"
+    rep = run_diagnostics(spec, word_depth=4, lattice_n=lattice_n, depth=depth,
+                          seed=seed, csv_path=path)
+    for key, value in want.items():
+        assert _bits(getattr(rep, key)) == _bits(value), key
+    assert rep.samples_used["lattice"] == n == 2 * lattice_n * max(2, lattice_n // 8)
+    assert path.read_text() == csv

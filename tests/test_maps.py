@@ -17,6 +17,8 @@ from horseshoe.maps import (
     validate_hyperbolicity,
 )
 
+from test_diagnostics import ARRAY_IDS, ARRAY_SPECS, _bits, _quadratic_skew
+
 lams = st.floats(min_value=0.15, max_value=0.9)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -217,3 +219,56 @@ def test_baker_hyperbolicity_margins_scale_with_lambda(lam):
     rep = validate_hyperbolicity(make_baker(lam), grid_n=32)
     assert rep["h1"].passed
     assert rep.checks["h2"].passed == (rep.checks["h2"].margin >= 0)
+
+
+# ---------------------------------------------------------------------------
+# array points
+
+
+@pytest.mark.parametrize("spec", ARRAY_SPECS, ids=ARRAY_IDS)
+def test_array_points_match_scalar_calls(spec):
+    """Arrays of points give each point's scalar result, bit for bit."""
+    rng = np.random.default_rng(3)
+    for i in (1, 2):
+        lo, hi = spec.breaks[i - 1:i + 1]
+        x = lo + (hi - lo) * rng.random((3, 5))
+        y = rng.uniform(-0.1, 1.1, (3, 5))
+        fx, fy = apply_branch(spec, i, (x, y))
+        bx, by = apply_branch(spec, i, (fx, fy), direction="inverse")
+        d1 = branch_derivative(spec, i, (x, y))
+        d2 = branch_derivative(spec, i, (x, y), order=2)
+        assert fx.shape == by.shape == (3, 5)
+        assert d1.shape == (2, 2, 3, 5) and d2.shape == (2, 3, 3, 5)
+        for k in np.ndindex(x.shape):
+            z = (float(x[k]), float(y[k]))
+            f = apply_branch(spec, i, z)
+            back = apply_branch(spec, i, f, direction="inverse")
+            assert all(type(v) is float for v in f + back)
+            assert _bits((fx[k], fy[k])) == _bits(f)
+            assert _bits((bx[k], by[k])) == _bits(back)
+            assert _bits(d1[(...,) + k]) == _bits(branch_derivative(spec, i, z))
+            assert _bits(d2[(...,) + k]) == _bits(branch_derivative(spec, i, z, order=2))
+
+
+def test_array_batch_names_first_point_outside(baker06):
+    quadratic_bisect = _quadratic_skew(bisect=True)
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(OutOfDomainError, match=r"point \(0\.3, 1\.05\) has no branch-1"):
+        apply_branch(baker06, 1, (x, np.array([0.2, 0.3, 1.05, 1.08])),
+                     direction="inverse")
+    with pytest.raises(OutOfDomainError, match=r"point \(0\.2, 1\.05\) has no branch-1"):
+        apply_branch(quadratic_bisect, 1, (x, np.array([0.2, 1.05, 0.3, 0.4])),
+                     direction="inverse")
+    for op in (apply_branch, branch_derivative):
+        with pytest.raises(OutOfDomainError, match=r"point \(0\.7, 0\.5\) outside strip 1") as exc:
+            op(baker06, 1, (np.array([0.1, 0.7, 0.9]), np.full(3, 0.5)))
+        assert exc.value.point == (0.7, 0.5) and exc.value.strip == 1
+
+
+def test_bisection_inverse_matches_closed_form():
+    """Without ``invert`` each point of an array is bisected to full precision."""
+    x, y = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.0, 0.7, 5))
+    want = apply_branch(_quadratic_skew(), 1, (x, y), direction="inverse")
+    got = apply_branch(_quadratic_skew(bisect=True), 1, (x, y), direction="inverse")
+    assert np.array_equal(got[0], want[0])
+    assert np.abs(got[1] - want[1]).max() < 1e-14
