@@ -79,10 +79,7 @@ class RunConfig:
     out_dir: str = "horseshoe_run"
 
     def as_dict(self):
-        d = dataclasses.asdict(self)
-        d["enum_r"] = list(self.enum_r)
-        d["r_list"] = list(self.r_list)
-        return d
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -94,22 +91,15 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     failed_stage: str | None = None
 
-    def to_json(self):
-        return {
-            "map_hash": self.map_hash,
-            "versions": self.versions,
-            "wall_clock": self.wall_clock,
-            "files": self.files,
-            "config": self.config,
-            "failed_stage": self.failed_stage,
-        }
-
 
 _WORD_BUDGET = 400_000  # tree nodes one M(r) or cylinder table may expand
 _FAT_DEPTH_MIN = 2  # the shallowest depth fatness_fit fits
-_INT_FIELDS = ("x_grid_n", "bins", "samples", "iters", "workers", "fiber_bins",
-               "y_bins", "tail_depth", "pair_budget", "fat_depth", "figure_n",
-               "figure_grid", "diag_word_depth", "diag_lattice", "cone_depth")
+_FAMILIES = ("baker", "affine")
+# the field sets follow the defaults; the seed may be any integer
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                    if type(f.default) is int and f.name != "seed")
+_LIST_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                     if type(f.default) is tuple)
 
 
 def _decreasing(values, what):
@@ -128,10 +118,10 @@ def _decreasing(values, what):
 
 def finalize_config(config):
     """Validate invariants and normalize field types in place."""
-    if config.family not in ("baker", "affine"):
+    if config.family not in _FAMILIES:
         raise ConfigError(f"unknown map family {config.family!r}")
-    config.enum_r = _decreasing(config.enum_r, "enum_r")
-    config.r_list = _decreasing(config.r_list, "r_list")
+    for name in _LIST_FIELDS:
+        setattr(config, name, _decreasing(getattr(config, name), name))
     if not isinstance(config.seed, int):
         raise ConfigError("seed must be an integer (and is mandatory)")
     for name in _INT_FIELDS:
@@ -307,19 +297,9 @@ def stage_acip(ctx):
 
 def stage_lift(ctx):
     cfg = ctx["config"]
-    srb = _srb(ctx)
-    _write_json(Path(cfg.out_dir) / "lift.json", {
-        "spec_hash": srb.spec_hash,
-        "seed": srb.seed,
-        "n_samples": srb.n_samples,
-        "iterations_used": srb.iterations_used,
-        "kept": srb.kept,
-        "discarded": srb.discarded,
-        "jittered": srb.jittered,
-        "contraction_budget": srb.contraction_budget,
-        "fiber_bins": srb.fiber_bins,
-        "y_bins": srb.y_bins,
-    })
+    meta = _srb(ctx).meta()
+    del meta["fiber_range"], meta["sq_bins"]
+    _write_json(Path(cfg.out_dir) / "lift.json", meta)
 
 
 def stage_criterion(ctx):
@@ -474,7 +454,7 @@ def run_pipeline(config):
         for p in sorted(out.iterdir()):
             if p.is_file() and p.name != _MANIFEST_NAME:
                 manifest.files[p.name] = cache.file_sha256(p)
-        _write_json(out / _MANIFEST_NAME, manifest.to_json())
+        _write_json(out / _MANIFEST_NAME, dataclasses.asdict(manifest))
     return manifest
 
 
@@ -492,41 +472,29 @@ def cache_roundtrip(path):
 # argument parsing
 
 
+_HELP = {
+    "lam": "baker fiber contraction",
+    "a": "affine family slope at u=0",
+    "b": "affine family slope at u=1",
+    "enum_r": "comma-separated decreasing scales",
+    "r_list": "comma-separated decreasing radii",
+}
+
+
+def _flag(name):
+    """One flag per field: its name with dashes, ``--out`` for ``out_dir``."""
+    return "--out" if name == "out_dir" else "--" + name.replace("_", "-")
+
+
 def _add_flags(p):
-    g = p.add_argument_group("map")
-    g.add_argument("--family", choices=("baker", "affine"))
-    g.add_argument("--lam", type=float, help="baker fiber contraction")
-    g.add_argument("--a", type=float, help="affine family slope at u=0")
-    g.add_argument("--b", type=float, help="affine family slope at u=1")
-    g = p.add_argument_group("enumeration")
-    g.add_argument("--x-grid-n", type=int)
-    g.add_argument("--enum-r", type=str, help="comma-separated decreasing scales")
-    g = p.add_argument_group("measure")
-    g.add_argument("--bins", type=int)
-    g.add_argument("--samples", type=int)
-    g.add_argument("--iters", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--workers", type=int)
-    g.add_argument("--fiber-bins", type=int)
-    g.add_argument("--y-bins", type=int)
-    g.add_argument("--r-list", type=str, help="comma-separated decreasing radii")
-    g = p.add_argument_group("conditions")
-    g.add_argument("--delta", type=float)
-    g.add_argument("--tail-depth", type=int)
-    g.add_argument("--pair-budget", type=int)
-    g.add_argument("--fat-depth", type=int)
-    g = p.add_argument_group("diagnostics")
-    g.add_argument("--diag-word-depth", type=int)
-    g.add_argument("--diag-lattice", type=int)
-    g.add_argument("--cone-depth", type=int)
-    g = p.add_argument_group("output")
-    g.add_argument("--figure-n", type=int)
-    g.add_argument("--figure-grid", type=int)
-    g.add_argument("--out", dest="out_dir", type=str)
+    for f in dataclasses.fields(RunConfig):
+        # the type follows the default: delta's None means a number, and a
+        # tuple is given as comma-separated text
+        kind = float if f.default is None else type(f.default)
+        p.add_argument(_flag(f.name), dest=f.name,
+                       type=str if kind is tuple else kind, help=_HELP.get(f.name),
+                       choices=_FAMILIES if f.name == "family" else None)
     p.add_argument("--config", type=str, help="JSON file overriding all flags")
-
-
-_LIST_FIELDS = ("enum_r", "r_list")
 
 
 def _config_from(ns):

@@ -375,23 +375,22 @@ class NtrSumReport:
         }
 
 
-def _symbol_pair_transversal(spec, delta, xg, hull, margin):
-    """Leading-symbol pairs whose single-symbol words already separate.
+def _live_leads(spec, delta, xg, hull, margin):
+    """live[a, b]: leading-symbol pairs a != b whose single-symbol words do
+    not already separate.
 
     A separated pair of hulls stays separated for every deeper extension
     (extensions only shrink the hulls), so such leads prune whole blocks.
     """
     n = spec.n_strips
-    envs = [manifold_envelope(spec, (s,), xg, hull) for s in range(1, n + 1)]
-    pruned = {}
+    envs = [None] + [manifold_envelope(spec, (s,), xg, hull) for s in range(1, n + 1)]
+    live = np.zeros((n + 1,) * 2, dtype=bool)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            if a == b:
-                continue
-            pos_gap, slope_gap = _gap_arrays(envs[a - 1], envs[b - 1])
-            status, _ = _decide(pos_gap, slope_gap, delta, margin, xg)
-            pruned[(a, b)] = status == "transversal"
-    return pruned
+            if a != b:
+                status, _ = _decide(*_gap_arrays(envs[a], envs[b]), delta, margin, xg)
+                live[a, b] = status != "transversal"
+    return live
 
 
 def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
@@ -429,33 +428,15 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     return charged, vals
 
 
-class _LeadRows(dict):
-    """Lead symbol -> word rows of one length, also packed in lead order.
-
-    ``rows`` concatenates the values in sorted lead order and ``start[s]``
-    is where lead s begins in it, so draws gather from one array that
-    ``ntr_sum`` packs once per length rather than once per stratum.
-    """
-
-    def __init__(self, groups):
-        super().__init__(groups)
-        leads = sorted(self)
-        counts = [len(self[s]) for s in leads]
-        self.rows = np.concatenate([self[s] for s in leads])
-        self.start = dict(zip(leads, np.cumsum([0] + counts[:-1]).tolist()))
-
-
 def _draw_stratum_pairs(ga, gb, share, rng):
     """``share`` random (I, J) row pairs of one length stratum.
 
-    ``ga`` and ``gb`` map a lead symbol to its word rows (a plain dict is
-    packed into ``_LeadRows`` first).  Each pair first picks a lead
-    combination (s, t), s != t, with weight |ga[s]| * |gb[t]|, then a row
-    of ga[s] and a row of gb[t].  The row draws are one ``rng.integers``
-    call on the interleaved highs, which gives the values of, and leaves
-    ``rng`` as, alternating scalar draws per pair.
+    ``ga`` and ``gb`` map a lead symbol to its word rows.  Each pair first
+    picks a lead combination (s, t), s != t, with weight |ga[s]| * |gb[t]|,
+    then a row of ga[s] and a row of gb[t].  The row draws are one
+    ``rng.integers`` call on the interleaved highs, which gives the values
+    of, and leaves ``rng`` as, alternating scalar draws per pair.
     """
-    ga, gb = (g if isinstance(g, _LeadRows) else _LeadRows(g) for g in (ga, gb))
     combos = [(s, t) for s in sorted(ga) for t in sorted(gb) if s != t]
     na = np.array([len(ga[s]) for s, _ in combos])
     nb = np.array([len(gb[t]) for _, t in combos])
@@ -463,9 +444,10 @@ def _draw_stratum_pairs(ga, gb, share, rng):
     weights /= weights.sum()
     pick = rng.choice(len(combos), size=share, p=weights)
     k = rng.integers(np.column_stack((na[pick], nb[pick])).ravel()).reshape(-1, 2)
-    start_a = np.array([ga.start[s] for s, _ in combos])
-    start_b = np.array([gb.start[t] for _, t in combos])
-    return ga.rows[start_a[pick] + k[:, 0]], gb.rows[start_b[pick] + k[:, 1]]
+    rows_a = np.concatenate([ga[s] for s, _ in combos])
+    rows_b = np.concatenate([gb[t] for _, t in combos])
+    return (rows_a[(np.cumsum(na) - na)[pick] + k[:, 0]],
+            rows_b[(np.cumsum(nb) - nb)[pick] + k[:, 1]])
 
 
 def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
@@ -485,11 +467,7 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     xg = inv.x_grid
     margin = spec.alpha * (xg[1] - xg[0]) + _FP_MARGIN
     hull = tail_slope_hull(spec, tail_depth=tail_depth)
-    pruned = _symbol_pair_transversal(spec, delta, xg, hull, margin)
-    # live[a, b]: pairs with leads a != b need classifying
-    live = np.zeros((spec.n_strips + 1,) * 2, dtype=bool)
-    for (a, b), sep in pruned.items():
-        live[a, b] = not sep
+    live = _live_leads(spec, delta, xg, hull, margin)
     # lead symbols; the empty word, which is all of M(r) when it occurs,
     # leads with 0 and so pairs with nothing
     first = (inv.words[:, 0] if inv.words.shape[1]
@@ -501,8 +479,7 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     by_len = {}
     for n in lengths:
         at = np.flatnonzero(inv.lengths == n)
-        by_len[n] = _LeadRows({s: at[first[at] == s]
-                               for s in np.unique(first[at]).tolist()})
+        by_len[n] = {s: at[first[at] == s] for s in np.unique(first[at]).tolist()}
 
     def cross_count(la, lb):
         ga, gb = by_len[la], by_len[lb]
@@ -529,15 +506,9 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
     exact = n_pairs // 2 <= pair_budget
     if exact:
         # every unordered live pair once, in (i, j) order
-        I, J = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        for a, b in zip(*np.nonzero(live)):
-            ii, jj = np.meshgrid(np.flatnonzero(first == a),
-                                 np.flatnonzero(first == b), indexing="ij")
-            I.append(ii[ii < jj])
-            J.append(jj[ii < jj])
-        I, J = np.concatenate(I), np.concatenate(J)
-        order = np.lexsort((J, I))
-        I, J = I[order], J[order]
+        I, J = np.triu_indices(len(inv.words), 1)
+        keep = live[first[I], first[J]]
+        I, J = I[keep], J[keep]
     else:
         # stratified sampling over length pairs, deterministic per stratum
         I, J, shares = [], [], []
@@ -617,16 +588,16 @@ class NtrSweep:
                 "reports": [rep.as_record() for rep in self.reports]}
 
 
-def ntr_sweep(spec, r_list, delta, x_grid_n=65, budget=None, **kwargs):
+def ntr_sweep(spec, r_list, delta, **kwargs):
     """Sweep the charged sum over decreasing scales and fit its decay rate.
 
-    Each M(r) comes from ``m_inventory(spec, r, x_grid_n, budget)``; the
-    other keywords go to ``ntr_sum``, and ``NtrSweep.fit`` fits the rate.
+    Each M(r) comes from ``m_inventory(spec, r)`` on its default grid and
+    without a budget; the keywords go to ``ntr_sum``, and ``NtrSweep.fit``
+    fits the rate.
     """
     r_list = [float(r) for r in r_list]
     if any(b >= a for a, b in zip(r_list, r_list[1:])):
         raise ParameterError("scale sweep must be strictly decreasing")
     return NtrSweep.fit([
-        ntr_sum(spec, m_inventory(spec, r, x_grid_n=x_grid_n, budget=budget),
-                delta, **kwargs)
+        ntr_sum(spec, m_inventory(spec, r), delta, **kwargs)
         for r in r_list])

@@ -18,7 +18,7 @@ case of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,12 +128,27 @@ def _level_widths(spec, depth_max, x_grid_n=65):
         yield hi - lo
 
 
+def _width_constants(spec, depth_max, x_grid_n=65):
+    """(k2, k4) from one pass over the width levels: the largest width spread
+    to depth_max, and the worst two-sided defect of width multiplicativity
+    under splicing, to depth min(depth_max, 6)."""
+    k2, diam = 1.0, [None]
+    for wd in _level_widths(spec, depth_max, x_grid_n):
+        diam.append(wd.max(axis=1))
+        k2 = max(k2, float((diam[-1] / wd.min(axis=1)).max()))
+    cap, k4 = min(depth_max, 6), 1.0
+    for la in range(1, cap):
+        for lb in range(1, cap - la + 1):
+            # wa + wb is row i_a * N^lb + i_b of its length: entry (i_a, i_b)
+            dc = diam[la + lb].reshape(diam[la].size, diam[lb].size)
+            q = dc * spec.fiber_len / (diam[la][:, None] * diam[lb][None, :])
+            k4 = max(k4, float(q.max()), float((1.0 / q).max()))
+    return k2, k4
+
+
 def fiber_ratio_sup(spec, depth_max, x_grid_n=65):
     """Largest width spread over every word to depth_max."""
-    out = 1.0
-    for wd in _level_widths(spec, depth_max, x_grid_n):
-        out = max(out, float((wd.max(axis=1) / wd.min(axis=1)).max()))
-    return out
+    return _width_constants(spec, depth_max, x_grid_n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,30 +340,7 @@ class DiagnosticsReport:
     meta: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "k_stable": self.k_stable, "k2": self.k2, "k3": self.k3,
-            "k4": self.k4, "c2": self.c2, "c3": self.c3, "c4": self.c4,
-            "eq12_margin": self.eq12_margin,
-            "eq12_ratio_max": self.eq12_ratio_max,
-            "feasible_c4": self.feasible_c4, "feasible_k0": self.feasible_k0,
-            "route_error": self.route_error,
-            "samples_used": self.samples_used, "meta": self.meta,
-        }
-
-
-def _concatenation_constant(spec, depth, x_grid_n=65):
-    """Worst two-sided defect of width multiplicativity under splicing."""
-    jlen = spec.fiber_len
-    cap = min(depth, 6)
-    diam = [None] + [wd.max(axis=1) for wd in _level_widths(spec, cap, x_grid_n)]
-    worst = 1.0
-    for la in range(1, cap):
-        for lb in range(1, cap - la + 1):
-            # wa + wb is row i_a * N^lb + i_b of its length: entry (i_a, i_b)
-            dc = diam[la + lb].reshape(diam[la].size, diam[lb].size)
-            q = dc * jlen / (diam[la][:, None] * diam[lb][None, :])
-            worst = max(worst, float(q.max()), float((1.0 / q).max()))
-    return worst
+        return asdict(self)
 
 
 def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
@@ -379,8 +371,7 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
         k_stable = max(k_stable,
                        stable_distortion_ratio(spec, word, (x, y1), (x, y2)))
 
-    k2 = fiber_ratio_sup(spec, word_depth)
-    k4 = _concatenation_constant(spec, word_depth)
+    k2, k4 = _width_constants(spec, word_depth)
     margin_words = [()]
     margin_words += [(s,) for s in range(1, spec.n_strips + 1)]
     margin_words += [(1, s) for s in range(1, spec.n_strips + 1)]

@@ -14,6 +14,7 @@ from .errors import BudgetError, ParameterError
 from .symbolic import fiber_image, lex_words
 
 _BAND_BUDGET = 4096  # most bands one figure draws
+_SVG_SIZE, _SVG_PAD = 640, 24  # square SVG side and margin, in pixels
 _PALETTE = ("#27557b", "#b3372b", "#3d7a3f", "#8e5e24",
             "#5c4a7d", "#1d7c84", "#a03d6b", "#556b1f")
 
@@ -46,13 +47,10 @@ def strip_polygons(spec, n, x_grid_n=129, hat=False):
     return list(zip(words, verts))
 
 
-def _svg_text(polygons, size=640, pad=24, y_range=None):
-    if y_range is None:
-        ymin = min(float(v[:, 1].min()) for _, v in polygons)
-        ymax = max(float(v[:, 1].max()) for _, v in polygons)
-        ymin, ymax = min(ymin, 0.0), max(ymax, 1.0)
-    else:
-        ymin, ymax = y_range
+def _svg_text(polygons):
+    size, pad = _SVG_SIZE, _SVG_PAD
+    ymin = min(min(float(v[:, 1].min()) for _, v in polygons), 0.0)
+    ymax = max(max(float(v[:, 1].max()) for _, v in polygons), 1.0)
     span = ymax - ymin
     inner = size - 2 * pad
 

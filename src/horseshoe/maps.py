@@ -27,6 +27,7 @@ import numpy as np
 from .errors import OutOfDomainError, ParameterError
 
 _EDGE_TOL = 1e-12
+_BISECT_ITERS = 80  # halvings of a custom fiber's bisection inverse
 _INCONCLUSIVE_BELOW = 1e-3  # |margin| under which a lattice check is not trusted
 _BUILTIN_LABELS = ("baker", "affine_example")  # families fixed by label and params
 
@@ -77,9 +78,9 @@ def affine_fiber(slope, offset, dslope, doffset, d2slope=None, d2offset=None):
     pass floats for constants.
     """
 
-    def as_fn(spec, default=None):
+    def as_fn(spec):
         if spec is None:
-            return _const(0.0) if default is None else default
+            return _const(0.0)
         if callable(spec):
             return spec
         return _const(float(spec))
@@ -135,16 +136,17 @@ class SkewBranch:
         return (np.asarray(u, dtype=float) - self.base_offset) / self.base_slope
 
 
-def _invert_fiber_bisect(fm, u, v, lo=-10.0, hi=10.0, iters=80):
+def _invert_fiber_bisect(fm, u, v):
     """Monotone-fiber inversion fallback for custom non-affine fibers.
 
     Works elementwise on arrays of (u, v), with the monotonicity sign taken
-    per point.
+    per point; ``_BISECT_ITERS`` halvings of [-10, 10].
     """
+    lo, hi = -10.0, 10.0
     shape = np.broadcast(u, v).shape
     sign = np.where(np.broadcast_to(fm.dy(u, 0.5 * (lo + hi)), shape) > 0, 1.0, -1.0)
     a, b = np.full(shape, lo), np.full(shape, hi)
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
         below = sign * (fm.value(u, mid) - v) < 0
         a, b = np.where(below, mid, a), np.where(below, b, mid)

@@ -18,7 +18,7 @@ then costs O(columns * min(2r/h + 1, occupied cells)).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -177,6 +177,9 @@ def ulam_acip(spec_or_base, bins=4096, tol=1e-12, max_sweeps=100_000):
 # lifting
 
 
+_COUNT_NAMES = ("cond_counts", "sq_counts")
+
+
 @dataclass
 class SrbEstimate:
     """Sampled two-dimensional invariant measure with fiber conditionals.
@@ -206,6 +209,11 @@ class SrbEstimate:
 
     def column_mass(self):
         return self.cond_counts.sum(axis=1) / self.kept
+
+    def meta(self):
+        """Every field but the two count histograms, by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in _COUNT_NAMES}
 
     @property
     def y_cell(self):
@@ -577,9 +585,6 @@ def tsujii_criterion(srb, r_list):
 # checkpointing
 
 
-_COUNT_NAMES = ("cond_counts", "sq_counts")
-
-
 def save_srb(path, srb):
     """Checkpoint an estimate; each count histogram is stored in the smallest
     dtype that holds its maximum (``np.min_scalar_type``)."""
@@ -589,14 +594,7 @@ def save_srb(path, srb):
     for name in _COUNT_NAMES:
         c = getattr(srb, name)
         arrays[name] = c.astype(np.min_scalar_type(c.max(initial=0)))
-    meta = {
-        "spec_hash": srb.spec_hash, "seed": srb.seed, "n_samples": srb.n_samples,
-        "iterations_used": srb.iterations_used, "fiber_bins": srb.fiber_bins,
-        "y_bins": srb.y_bins, "fiber_range": list(srb.fiber_range),
-        "sq_bins": srb.sq_bins, "kept": srb.kept, "discarded": srb.discarded,
-        "jittered": srb.jittered, "contraction_budget": srb.contraction_budget,
-    }
-    return cache.write_blob(path, "srb_estimate", meta, arrays)
+    return cache.write_blob(path, "srb_estimate", srb.meta(), arrays)
 
 
 def load_srb(path, expect_spec_hash=None):
@@ -608,12 +606,7 @@ def load_srb(path, expect_spec_hash=None):
     meta, arrays = cache.read_blob(path, expect_kind="srb_estimate")
     if expect_spec_hash is not None and meta["spec_hash"] != expect_spec_hash:
         raise CacheError(f"{path}: checkpoint belongs to another map instance")
-    for name in _COUNT_NAMES:
-        arrays[name] = arrays[name].astype(np.int64)
-    return SrbEstimate(
-        spec_hash=meta["spec_hash"], seed=meta["seed"], n_samples=meta["n_samples"],
-        iterations_used=meta["iterations_used"], fiber_bins=meta["fiber_bins"],
-        y_bins=meta["y_bins"], fiber_range=tuple(meta["fiber_range"]),
-        cond_counts=arrays["cond_counts"], sq_counts=arrays["sq_counts"],
-        sq_bins=meta["sq_bins"], kept=meta["kept"], discarded=meta["discarded"],
-        jittered=meta["jittered"], contraction_budget=meta["contraction_budget"])
+    meta["fiber_range"] = tuple(meta["fiber_range"])
+    return SrbEstimate(**{
+        f.name: arrays[f.name].astype(np.int64) if f.name in _COUNT_NAMES
+        else meta[f.name] for f in fields(SrbEstimate)})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -58,6 +59,21 @@ def test_flags_feed_config(tmp_path):
     assert cfg.family == "affine"
     assert cfg.bins == 512
     assert cfg.a == 0.8 and cfg.b == 0.55
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_every_flag_parses_its_default(tmp_path, monkeypatch, f):
+    """A field's default, given as text to its generated flag, comes back
+    from _config_from and finalize_config with the same value and type
+    (delta's default None cannot be typed, so it is given a number)."""
+    monkeypatch.chdir(tmp_path)  # the out_dir default is a relative path
+    want = 0.0625 if f.default is None else f.default
+    text = ",".join(map(str, want)) if isinstance(want, tuple) else str(want)
+    ns = make_parser().parse_args(["validate", cli._flag(f.name), text])
+    got = getattr(finalize_config(cli._config_from(ns)), f.name)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, tuple):
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_config_file_beats_flags(tmp_path):

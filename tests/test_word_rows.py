@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from horseshoe import symbolic
-from horseshoe.diagnostics import _concatenation_constant, fiber_ratio_sup
+from horseshoe.diagnostics import _width_constants, fiber_ratio_sup
 from horseshoe.maps import make_affine_example, make_baker
 from horseshoe.symbolic import fiber_image, lex_words
 
@@ -118,6 +118,7 @@ def test_fiber_image_rows_match_one_word_composition(spec, hat, monkeypatch):
     (SPECS[0], 7), (SPECS[1], 6), (SPECS[2], 5), (SPECS[3], 6)], ids=SPEC_IDS)
 def test_width_constants_match_tuple_walks(spec, depth):
     assert fiber_ratio_sup(spec, depth) == _tuple_ratio_sup(spec, depth)
-    assert _concatenation_constant(spec, depth) == _tuple_concatenation(spec, depth)
+    assert _width_constants(spec, depth) == (
+        _tuple_ratio_sup(spec, depth), _tuple_concatenation(spec, depth))
     assert fiber_ratio_sup(spec, 0) == 1.0
-    assert _concatenation_constant(spec, 1) == 1.0
+    assert _width_constants(spec, 1)[1] == 1.0
