@@ -40,7 +40,6 @@ from .maps import (
 )
 from .symbolic import (
     MInventory,
-    base_cylinder,
     cylinder_diameter,
     cylinder_table,
     fiber_image,
@@ -78,7 +77,6 @@ from .diagnostics import (
     adapted_derivative,
     margin_constants,
     run_diagnostics,
-    stable_distortion_ratio,
     unstable_direction,
 )
 from .figures import emit_strip_polygons, strip_polygons

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ParameterError
 from .symbolic import (
     BLOCK,
-    _need_affine,
     check_word,
     cylinder_table,
     envelope_hulls,
@@ -130,7 +129,6 @@ def tail_slope_hull(spec, tail_depth=48):
     grid points.  The hull is computed once per map instance and tail depth
     and kept on the map, so the memo is keyed by what the map is.
     """
-    _need_affine(spec)
     hulls = spec._tail_hulls
     if tail_depth in hulls:
         return hulls[tail_depth]
@@ -140,9 +138,9 @@ def tail_slope_hull(spec, tail_depth=48):
         lo_new, hi_new = np.inf, -np.inf
         for sk in spec.skew:
             fib = sk.fiber
-            sv = fib.slope(ug)
-            spv = fib.dslope(ug)
-            tpv = fib.doffset(ug)
+            sv = fib.at("slope", ug)
+            spv = fib.at("dslope", ug)
+            tpv = fib.at("doffset", ug)
             mm = sv / sk.base_slope
             lo_b = np.minimum(spv, 0.0) + np.minimum(mm * plo, mm * phi) + tpv
             hi_b = np.maximum(spv, 0.0) + np.maximum(mm * plo, mm * phi) + tpv
@@ -174,7 +172,6 @@ def _envelope_rows(spec, words, x_grid, hull):
     the repeats or the slicing of the rows.  Returns (pos_lo, pos_hi,
     slope_lo, slope_hi), each of shape (words, grid).
     """
-    _need_affine(spec)
     xg = np.asarray(x_grid, dtype=float)
     words = np.asarray(words)
     out = [np.empty((len(words), xg.size)) for _ in range(4)]

@@ -20,105 +20,84 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import OutOfDomainError, ParameterError
 
 _EDGE_TOL = 1e-12
-_BISECT_ITERS = 80  # halvings of a custom fiber's bisection inverse
 _INCONCLUSIVE_BELOW = 1e-3  # |margin| under which a lattice check is not trusted
 _BUILTIN_LABELS = ("baker", "affine_example")  # families fixed by label and params
 
 
-def _const(value):
-    """Constant coefficient callable; ``f.constant`` records the value."""
-
-    def f(u, y=None):
-        u = np.asarray(u, dtype=float)
-        return np.full_like(u, value)
-
-    f.constant = value
-    return f
-
-
 @dataclass(frozen=True)
 class FiberMap:
-    """Fiber action psi(u, y) of one branch, u being the arrival base point.
+    """Fiber action psi(u, y) = slope(u) * y + offset(u) of one branch.
 
-    ``affine`` marks the common case psi(u, y) = slope(u) * y + offset(u);
-    the word-tree walker, the envelope composer and the lift need it.  The
-    lift composes slope and offset along backward words; it gathers them
-    from per-branch tables when every branch's fiber came from
-    ``affine_fiber`` with a float slope and a float offset (their callables
-    carry ``constant``), and otherwise evaluates ``slope`` and ``offset`` at
-    the arrival points.  ``symbolic.fiber_step`` reads each constant
-    coefficient as its float.  All callables must accept numpy arrays.
+    u is the arrival base point.  The six coefficients are the slope and
+    offset and their first and second u-derivatives; each is a float or a
+    vectorized callable of u.  The partials of psi and its inverse in y
+    are derived from them below.  The word-tree walker
+    (``symbolic.fiber_step``) reads a float coefficient as it is, and the
+    lift gathers slope and offset from per-branch tables when every branch
+    has float ones.
     """
 
-    value: Callable
-    dy: Callable
-    du: Callable
-    dyy: Callable
-    dyu: Callable
-    duu: Callable
-    affine: bool = False
-    slope: Optional[Callable] = None
-    offset: Optional[Callable] = None
-    dslope: Optional[Callable] = None
-    doffset: Optional[Callable] = None
-    invert: Optional[Callable] = None  # y from (u, v); derived for affine
+    slope: object
+    offset: object
+    dslope: object
+    doffset: object
+    d2slope: object
+    d2offset: object
+
+    def at(self, name, u):
+        """Coefficient ``name`` at arrival points u; a float is filled to
+        the shape of u."""
+        c = getattr(self, name)
+        if isinstance(c, float):
+            return np.full_like(np.asarray(u, dtype=float), c)
+        return c(u)
+
+    def _line(self, a, b, u, y):
+        return self.at(a, u) * y + self.at(b, u)
+
+    def _flat(self, a, u, y):
+        u = np.asarray(u, dtype=float)
+        return self.at(a, u) + np.zeros_like(np.asarray(y, dtype=float))
+
+    def value(self, u, y):
+        return self._line("slope", "offset", u, y)
+
+    def dy(self, u, y):
+        return self._flat("slope", u, y)
+
+    def du(self, u, y):
+        return self._line("dslope", "doffset", u, y)
+
+    def dyy(self, u, y):
+        return np.zeros_like(np.asarray(y, dtype=float) + np.asarray(u, dtype=float))
+
+    def dyu(self, u, y):
+        return self._flat("dslope", u, y)
+
+    def duu(self, u, y):
+        return self._line("d2slope", "d2offset", u, y)
+
+    def invert(self, u, v):
+        """y with psi(u, y) = v."""
+        return (v - self.at("offset", u)) / self.at("slope", u)
 
 
 def affine_fiber(slope, offset, dslope, doffset, d2slope=None, d2offset=None):
     """Build a FiberMap for psi(u, y) = slope(u)*y + offset(u).
 
-    ``slope``/``offset`` and their u-derivatives are vectorized callables;
-    pass floats for constants.
+    Each coefficient is a vectorized callable of u or a number, kept as a
+    float; an omitted second derivative is 0.
     """
-
-    def as_fn(spec):
-        if spec is None:
-            return _const(0.0)
-        if callable(spec):
-            return spec
-        return _const(float(spec))
-
-    s = as_fn(slope)
-    t = as_fn(offset)
-    ds = as_fn(dslope)
-    dt = as_fn(doffset)
-    d2s = as_fn(d2slope)
-    d2t = as_fn(d2offset)
-
-    def value(u, y):
-        return s(u) * y + t(u)
-
-    def dy(u, y):
-        u = np.asarray(u, dtype=float)
-        return s(u) + np.zeros_like(np.asarray(y, dtype=float))
-
-    def du(u, y):
-        return ds(u) * y + dt(u)
-
-    def dyy(u, y):
-        return np.zeros_like(np.asarray(y, dtype=float) + np.asarray(u, dtype=float))
-
-    def dyu(u, y):
-        u = np.asarray(u, dtype=float)
-        return ds(u) + np.zeros_like(np.asarray(y, dtype=float))
-
-    def duu(u, y):
-        return d2s(u) * y + d2t(u)
-
-    def invert(u, v):
-        return (v - t(u)) / s(u)
-
-    return FiberMap(
-        value=value, dy=dy, du=du, dyy=dyy, dyu=dyu, duu=duu,
-        affine=True, slope=s, offset=t, dslope=ds, doffset=dt, invert=invert,
-    )
+    coefs = (slope, offset, dslope, doffset, d2slope, d2offset)
+    return FiberMap(*(c if callable(c) else 0.0 if c is None else float(c)
+                      for c in coefs))
 
 
 @dataclass(frozen=True)
@@ -134,23 +113,6 @@ class SkewBranch:
 
     def base_inverse(self, u):
         return (np.asarray(u, dtype=float) - self.base_offset) / self.base_slope
-
-
-def _invert_fiber_bisect(fm, u, v):
-    """Monotone-fiber inversion fallback for custom non-affine fibers.
-
-    Works elementwise on arrays of (u, v), with the monotonicity sign taken
-    per point; ``_BISECT_ITERS`` halvings of [-10, 10].
-    """
-    lo, hi = -10.0, 10.0
-    shape = np.broadcast(u, v).shape
-    sign = np.where(np.broadcast_to(fm.dy(u, 0.5 * (lo + hi)), shape) > 0, 1.0, -1.0)
-    a, b = np.full(shape, lo), np.full(shape, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        below = sign * (fm.value(u, mid) - v) < 0
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -248,11 +210,10 @@ class GhmSpec:
 
     @cached_property
     def fiber_slope_bounds(self):
-        """Per-strip (min, max) of |d psi / d y| on a 257^2 lattice of [0,1] x J."""
-        jlo, jhi = self.extended_fiber
-        uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 257), np.linspace(jlo, jhi, 257),
-                             indexing="ij")
-        d = [np.abs(sk.fiber.dy(uu, yy)) for sk in self.skew]
+        """Per-strip (min, max) of |d psi / d y| = |slope(u)| at 257 points u
+        of [0,1]; d psi / d y does not depend on y."""
+        ug = np.linspace(0.0, 1.0, 257)
+        d = [np.abs(sk.fiber.at("slope", ug)) for sk in self.skew]
         return tuple((float(v.min()), float(v.max())) for v in d)
 
     @cached_property
@@ -423,8 +384,7 @@ def apply_branch(spec, i, z, direction="forward"):
         py = fm.value(px, y)
     elif direction == "inverse":
         px = sk.base_inverse(x)
-        py = (fm.invert(x, y) if fm.invert is not None
-              else _invert_fiber_bisect(fm, x, y))
+        py = fm.invert(x, y)
         _check_points((lo - 1e-9 <= px) & (px <= hi + 1e-9)
                       & (jlo - 1e-9 <= py) & (py <= jhi + 1e-9), x, y,
                       f"point {{}} has no branch-{i} preimage in its strip", i)

@@ -29,7 +29,6 @@ from .errors import (
     SampleDiscardError,
 )
 from .maps import GhmSpec
-from .symbolic import _need_affine
 
 _CHUNK = 1 << 18
 _SQ_BINS = 256
@@ -221,18 +220,15 @@ class SrbEstimate:
 
 
 def _constant_fibers(spec):
-    """Per-branch slope and offset tables when every fiber is constant-affine.
-
-    That is every fiber that ``affine_fiber`` built from float slope and
-    offset, as in the baker family; ``maps._const`` records the float on the
-    callable it makes.  Returns {"slope": ..., "offset": ...}, or None when
-    any branch lacks the mark.
+    """Per-branch slope and offset tables when every fiber has a float slope
+    and a float offset, as in the baker family.  Returns {"slope": ...,
+    "offset": ...}, or None when any of them is a callable.
     """
-    try:
-        return {name: np.array([getattr(sk.fiber, name).constant for sk in spec.skew])
-                for name in ("slope", "offset")}
-    except AttributeError:
-        return None
+    tables = {name: [getattr(sk.fiber, name) for sk in spec.skew]
+              for name in ("slope", "offset")}
+    if all(isinstance(c, float) for column in tables.values() for c in column):
+        return {name: np.array(column) for name, column in tables.items()}
+    return None
 
 
 def _sample_chunk(spec, n_iter, m, rng):
@@ -249,11 +245,11 @@ def _sample_chunk(spec, n_iter, m, rng):
     ``out=``; U holds a step's draws and then its coefficients.  Gathers use
     ``take(..., mode="clip")``, which writes ``out`` directly (the default
     mode buffers it); the branch index is always in range.
-    Constant-affine fibers (``_constant_fibers``) gather s and t from
-    per-branch tables and never compute u.  Other fibers evaluate each
-    branch's ``slope`` and ``offset`` on u and keep each point's own branch
-    with ``np.where``; a callable that the last branch shares is evaluated
-    once.
+    Fibers whose slopes and offsets are all floats (``_constant_fibers``)
+    gather s and t from per-branch tables and never compute u.  Other
+    fibers evaluate each branch's ``slope`` and ``offset`` on u and keep
+    each point's own branch with ``np.where``; a coefficient that the last
+    branch shares is evaluated once.
     """
     inner = spec.base_breaks[1:-1]
     # rows of one block, which malloc maps and unmaps whole: separate row
@@ -275,12 +271,12 @@ def _sample_chunk(spec, n_iter, m, rng):
         """Each point's own branch's coefficient ``name`` ("slope", "offset")."""
         if tables is not None:
             return tables[name].take(idx, out=U, mode="clip")
-        coefs = [getattr(sk.fiber, name) for sk in spec.skew]
-        w = coefs[-1](u)
-        for i, f in enumerate(coefs[:-1]):
-            if f is not coefs[-1]:
+        last = spec.skew[-1].fiber
+        w = last.at(name, u)
+        for i, sk in enumerate(spec.skew[:-1]):
+            if getattr(sk.fiber, name) is not getattr(last, name):
                 np.equal(idx, i, out=hit)
-                w = np.where(hit, f(u), w)
+                w = np.where(hit, sk.fiber.at(name, u), w)
         return w
 
     for _ in range(n_iter):
@@ -349,11 +345,9 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     leftover fiber uncertainty (max slope)^n_iter * |J| is recorded on the
     estimate so the caller can compare it with the histogram resolution.
 
-    The composition reads each fiber's slope and offset, so the map's fibers
-    must be affine in y.  ``density`` must be the uniform one that
-    ``ulam_acip`` returns for such a map: cell masses off 1/bins by more
-    than 1e-9 relative raise ``ParameterError``, as the backward law would
-    be wrong for them.
+    ``density`` must be the uniform one that ``ulam_acip`` returns for such
+    a map: cell masses off 1/bins by more than 1e-9 relative raise
+    ``ParameterError``, as the backward law would be wrong for them.
 
     Work is split into fixed-size chunks with per-chunk child seeds; results
     are merged in chunk order, so the outcome is identical for any worker
@@ -367,7 +361,6 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         raise ParameterError("need at least one iteration to leave the base line")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
-    _need_affine(spec)
     off = float(np.abs(density.masses * density.bins - 1.0).max())
     if off > 1e-9:
         raise ParameterError(

@@ -28,10 +28,9 @@ of their prefixes: the rows are sorted, and each level steps only the
 distinct prefixes that some row runs through.  On a sampled word set the
 walker would grow every child of every node.  ``cylinder_diameter``
 composes one word with the same ``fiber_step``, a symbol at a time, so
-its grid widths are the walker's bit for bit.  The walker,
-``cylinder_diameter``, the envelopes and the lift of ``measures`` read the
-fiber slopes and offsets, so they need affine-in-y fiber maps;
-``fiber_image`` takes any ``FiberMap``.
+its grid widths are the walker's bit for bit.  Every fiber map is affine
+in y (``maps.FiberMap``), so a composition is one scale and one shift per
+grid point.
 
 M(r) is the family of words whose extended width has dropped to scale r.
 Where a node has some children at or above scale r and some below, the
@@ -163,13 +162,11 @@ def _word_widths(spec, word, x):
 def cylinder_diameter(spec, word):
     """max_x |hat U_w(x)|: grid maximum plus golden-section refinement.
 
-    The widths are those of the word-tree walk, so affine-in-y fibers are
-    required.  The grid maximum alone is within the fiber-ratio distortion
-    constant of the true maximum; refinement narrows the remaining bracket
-    around the best grid cell.
+    The widths are those of the word-tree walk.  The grid maximum alone is
+    within the fiber-ratio distortion constant of the true maximum;
+    refinement narrows the remaining bracket around the best grid cell.
     """
     word = check_word(spec, word)
-    _need_affine(spec)
     xg = np.linspace(0.0, 1.0, _DIAM_GRID_N)
     vals = _word_widths(spec, word, xg)
     j = int(np.argmax(vals))
@@ -242,10 +239,9 @@ def fiber_step(sk, X, A, B=None, coef=None):
 
 
 def _coefficient(f, X):
-    """Fiber coefficient ``f`` at X; a constant one (``maps._const`` records
-    ``constant``) as its float, which rounds as the filled array would."""
-    value = getattr(f, "constant", None)
-    return f(X) if value is None else value
+    """Fiber coefficient ``f`` at X; a float as it is, which rounds as the
+    filled array would."""
+    return f if isinstance(f, float) else f(X)
 
 
 def envelope_hulls(A, B, coef, hull):
@@ -279,12 +275,6 @@ def _padded(rows, width):
                            for w in rows])
 
 
-def _need_affine(spec):
-    if not all(sk.fiber.affine for sk in spec.skew):
-        raise ParameterError(
-            "word trees, envelopes and the lift need affine-in-y fiber maps")
-
-
 def _walk(spec, x_grid_n, keep):
     """Depth-first walk of the word tree, a block of same-depth nodes at a time.
 
@@ -295,7 +285,6 @@ def _walk(spec, x_grid_n, keep):
     together in blocks of at most ``BLOCK`` rows; each symbol's share has at
     most as many rows as the parent block.
     """
-    _need_affine(spec)
     if x_grid_n < 2:
         raise ParameterError("need at least 2 base grid points")
     jlen = spec.fiber_len

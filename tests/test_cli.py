@@ -236,7 +236,7 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
 @pytest.mark.parametrize("args, digests", [
     (["diagnostics", "--family", "affine", "--seed", "7"], {
         "diagnostics.json":
-            "af08bdd8a6cea1ae81cc66adff197aad36dc2cb6cabfd72645cf464682c1a913",
+            "2fd249b49df19c013f8448647955a3aef0578c811ca33062a90824f02120658a",
         "diagnostics_lattice.csv":
             "bbc3f63a0cd79b6f400ef9f114efa97b7f7a6e5377b56820808e8bf8f67fa58f",
     }),

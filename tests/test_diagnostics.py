@@ -9,49 +9,37 @@ from horseshoe.diagnostics import (
     fiber_ratio_sup,
     margin_constants,
     run_diagnostics,
-    stable_distortion_ratio,
     unstable_direction,
 )
 from horseshoe.errors import (
     DegenerateExtensionError,
     DegenerateScaleError,
     ItineraryError,
-    OutOfDomainError,
     ParameterError,
 )
 from horseshoe.maps import (
-    FiberMap,
+    affine_fiber,
     branch_derivative,
     make_affine_example,
     make_baker,
     make_custom_skew,
 )
-from horseshoe.symbolic import base_cylinder, fiber_image
+from horseshoe.symbolic import fiber_image
 
 
-def _quadratic_skew(bisect=False):
-    """Two-branch skew with psi(u, y) = c0 + 0.6 y + 0.05 y^2.
-
-    With ``bisect`` the fibers carry no ``invert``, so inverse steps take
-    the bisection fallback.
-    """
-
-    def fiber(c0):
-        return FiberMap(
-            value=lambda u, y: c0 + 0.6 * y + 0.05 * y * y,
-            dy=lambda u, y: 0.6 + 0.1 * np.asarray(y, dtype=float),
-            du=lambda u, y: np.zeros_like(np.asarray(u, dtype=float)
-                                          + np.asarray(y, dtype=float)),
-            dyy=lambda u, y: 0.1 + 0.0 * np.asarray(y, dtype=float),
-            dyu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
-            duu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
-            affine=False,
-            invert=None if bisect else (
-                lambda u, v: (-0.6 + np.sqrt(0.36 + 0.2 * (np.asarray(v) - c0))) / 0.1),
-        )
-
-    return make_custom_skew((0.0, 0.5, 1.0), [fiber(0.0), fiber(0.35)],
-                            label="quadratic_demo")
+def _quadratic_skew():
+    """Two-branch affine-in-y skew whose fiber slopes and offsets are all
+    quadratic in the arrival point u."""
+    return make_custom_skew((0.0, 0.5, 1.0), [
+        affine_fiber(lambda u: 0.5 + 0.1 * u - 0.04 * u * u,
+                     lambda u: 0.05 * u + 0.02 * u * u,
+                     lambda u: 0.1 - 0.08 * u, lambda u: 0.05 + 0.04 * u,
+                     -0.08, 0.04),
+        affine_fiber(lambda u: 0.55 - 0.05 * u * u,
+                     lambda u: 0.4 + 0.03 * u - 0.02 * u * u,
+                     lambda u: -0.1 * u, lambda u: 0.03 - 0.04 * u,
+                     -0.1, -0.04),
+    ], label="quadratic_demo")
 
 
 # ---------------------------------------------------------------------------
@@ -95,38 +83,6 @@ def test_affine_example_report(affine):
 
 
 # ---------------------------------------------------------------------------
-# stable distortion
-
-
-def test_stable_distortion_is_flat_for_constant_slopes(baker06, affine):
-    for spec, word in ((baker06, (1, 2, 1)), (affine, (2, 1, 2))):
-        lo, hi = base_cylinder(spec, word)
-        x = 0.5 * (lo + hi)
-        assert stable_distortion_ratio(spec, word, (x, 0.15), (x, 0.85)) \
-            == pytest.approx(1.0, abs=1e-12)
-
-
-def test_stable_distortion_requires_departure_point(baker06):
-    lo, hi = base_cylinder(baker06, (1, 2, 1))
-    outside = hi + 0.1
-    with pytest.raises(OutOfDomainError):
-        stable_distortion_ratio(baker06, (1, 2, 1), (outside, 0.2), (outside, 0.8))
-    x = 0.5 * (lo + hi)
-    with pytest.raises(ParameterError):
-        stable_distortion_ratio(baker06, (1, 2, 1), (x, 0.2), (x + 0.01, 0.8))
-    with pytest.raises(ParameterError):
-        stable_distortion_ratio(baker06, (), (x, 0.2), (x, 0.8))
-
-
-def test_stable_distortion_sees_y_dependence():
-    spec = _quadratic_skew()
-    lo, hi = base_cylinder(spec, (1, 2))
-    x = 0.5 * (lo + hi)
-    ratio = stable_distortion_ratio(spec, (1, 2), (x, 0.1), (x, 0.9))
-    assert 1.0 < ratio < 1.5
-
-
-# ---------------------------------------------------------------------------
 # fiber ratio constants
 
 
@@ -142,14 +98,6 @@ def test_fiber_ratio_sup_monotone_in_depth(affine):
 
 def test_fiber_ratio_flat_for_doubling(baker07):
     assert fiber_ratio_sup(baker07, 4) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_quadratic_fiber_widths_stay_flat():
-    # y-nonlinearity alone does not spread widths across the base; that
-    # takes u-dependent fiber coefficients
-    spec = _quadratic_skew()
-    assert fiber_ratio_sup(spec, 1) == pytest.approx(1.0, abs=1e-12)
-    assert fiber_ratio_sup(spec, 3) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +178,8 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-ARRAY_SPECS = [make_affine_example(0.8, 0.55), make_baker(0.6), _quadratic_skew(),
-               _quadratic_skew(bisect=True)]
-ARRAY_IDS = ["affine", "baker06", "quadratic", "quadratic_bisect"]
+ARRAY_SPECS = [make_affine_example(0.8, 0.55), make_baker(0.6), _quadratic_skew()]
+ARRAY_IDS = ["affine", "baker06", "quadratic"]
 
 
 @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=ARRAY_IDS)
@@ -268,24 +215,17 @@ def test_array_frames_need_their_branch(affine):
 
 
 def test_array_batch_with_one_degenerate_frame_raises():
-    """psi = 0.5 + 0.4 (y - 0.5)^3 has d psi/dy = 0 over y = 0.5."""
-    cubic = FiberMap(
-        value=lambda u, y: 0.5 + 0.4 * (y - 0.5) ** 3,
-        dy=lambda u, y: 1.2 * (np.asarray(y, dtype=float) - 0.5) ** 2,
-        du=lambda u, y: np.zeros_like(np.asarray(u, dtype=float)
-                                      + np.asarray(y, dtype=float)),
-        dyy=lambda u, y: 2.4 * (np.asarray(y, dtype=float) - 0.5),
-        dyu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
-        duu=lambda u, y: np.zeros_like(np.asarray(y, dtype=float)),
-        invert=lambda u, v: 0.5 + np.cbrt((np.asarray(v, dtype=float) - 0.5) / 0.4),
-    )
-    spec = make_custom_skew((0.0, 0.5, 1.0), [cubic, cubic], label="cubic_demo")
-    z = (np.full(3, 0.3), np.array([0.45, 0.5, 0.55]))
+    """The fiber slope 0.5 (u - 0.3) + 1e-12 falls below the frame floor
+    over x = 0.3; at y = offset the inverse step is still defined there."""
+    fiber = affine_fiber(lambda u: 0.5 * (u - 0.3) + 1e-12, 0.25, 0.5, 0.0)
+    spec = make_custom_skew((0.0, 0.5, 1.0), [fiber, fiber], alpha=0.5, k0=1.5,
+                            label="vanishing_slope")
+    z = (np.array([0.2, 0.3, 0.4]), np.full(3, 0.25))
     flat = (np.ones(3), np.zeros(3))
-    with pytest.raises(DegenerateScaleError, match=r"adapted frame at \(0\.3, 0\.5\)"):
+    with pytest.raises(DegenerateScaleError, match=r"adapted frame at \(0\.3, 0\.25\)"):
         adapted_derivative(spec, z, z, flat, branch=1)
     with pytest.raises(DegenerateScaleError):
-        adapted_derivative(spec, (0.3, 0.5), (0.3, 0.5), (1.0, 0.0), branch=1)
+        adapted_derivative(spec, (0.3, 0.25), (0.3, 0.25), (1.0, 0.0), branch=1)
     ok = (z[0][::2], z[1][::2])
     assert adapted_derivative(spec, ok, ok, (np.ones(2), np.zeros(2)),
                               branch=1)["c3_sample"].shape == (2,)

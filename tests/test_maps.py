@@ -17,7 +17,7 @@ from horseshoe.maps import (
     validate_hyperbolicity,
 )
 
-from test_diagnostics import ARRAY_IDS, ARRAY_SPECS, _bits, _quadratic_skew
+from test_diagnostics import ARRAY_IDS, ARRAY_SPECS, _bits
 
 lams = st.floats(min_value=0.15, max_value=0.9)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -251,13 +251,9 @@ def test_array_points_match_scalar_calls(spec):
 
 
 def test_array_batch_names_first_point_outside(baker06):
-    quadratic_bisect = _quadratic_skew(bisect=True)
     x = np.array([0.1, 0.2, 0.3, 0.4])
     with pytest.raises(OutOfDomainError, match=r"point \(0\.3, 1\.05\) has no branch-1"):
         apply_branch(baker06, 1, (x, np.array([0.2, 0.3, 1.05, 1.08])),
-                     direction="inverse")
-    with pytest.raises(OutOfDomainError, match=r"point \(0\.2, 1\.05\) has no branch-1"):
-        apply_branch(quadratic_bisect, 1, (x, np.array([0.2, 1.05, 0.3, 0.4])),
                      direction="inverse")
     for op in (apply_branch, branch_derivative):
         with pytest.raises(OutOfDomainError, match=r"point \(0\.7, 0\.5\) outside strip 1") as exc:
@@ -265,10 +261,12 @@ def test_array_batch_names_first_point_outside(baker06):
         assert exc.value.point == (0.7, 0.5) and exc.value.strip == 1
 
 
-def test_bisection_inverse_matches_closed_form():
-    """Without ``invert`` each point of an array is bisected to full precision."""
-    x, y = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.0, 0.7, 5))
-    want = apply_branch(_quadratic_skew(), 1, (x, y), direction="inverse")
-    got = apply_branch(_quadratic_skew(bisect=True), 1, (x, y), direction="inverse")
-    assert np.array_equal(got[0], want[0])
-    assert np.abs(got[1] - want[1]).max() < 1e-14
+@pytest.mark.parametrize("spec", ARRAY_SPECS, ids=ARRAY_IDS)
+def test_fiber_slope_bounds_match_the_dy_lattice(spec):
+    """|slope(u)| at 257 points u has the min and max of |d psi / d y| on
+    the 257 x 257 lattice of [0,1] x J, float for float."""
+    uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 257),
+                         np.linspace(*spec.extended_fiber, 257), indexing="ij")
+    lattice = [np.abs(sk.fiber.dy(uu, yy)) for sk in spec.skew]
+    assert spec.fiber_slope_bounds == tuple(
+        (float(v.min()), float(v.max())) for v in lattice)

@@ -11,7 +11,6 @@ from horseshoe.errors import (
     ResolutionError,
 )
 from horseshoe.maps import (
-    FiberMap,
     affine_fiber,
     make_affine_example,
     make_baker,
@@ -495,28 +494,11 @@ def _constant_three_strip_skew():
 
 
 def _sheared_offset_skew():
-    """Constant fiber slopes, one u-dependent offset: not constant-affine."""
+    """Constant fiber slopes, one u-dependent offset: no per-branch tables."""
     return make_custom_skew((0.0, 0.5, 1.0), [
         affine_fiber(0.5, lambda u: 0.1 * u, 0.0, 0.1),
         affine_fiber(0.5, 0.5, 0.0, 0.0),
     ])
-
-
-def _quadratic_sine_skew():
-    """psi(u, y) = c0 + 0.6 y + 0.05 y^2 + 0.02 sin(u): a non-affine fiber."""
-
-    def fiber(c0):
-        return FiberMap(
-            value=lambda u, y: c0 + 0.6 * y + 0.05 * y * y + 0.02 * np.sin(u),
-            dy=lambda u, y: 0.6 + 0.1 * y + 0.0 * u,
-            du=lambda u, y: 0.02 * np.cos(u) + 0.0 * y,
-            dyy=lambda u, y: 0.1 + 0.0 * (u + y),
-            dyu=lambda u, y: 0.0 * (u + y),
-            duu=lambda u, y: -0.02 * np.sin(u) + 0.0 * y,
-        )
-
-    return make_custom_skew((0.0, 0.5, 1.0), [fiber(0.0), fiber(0.35)],
-                            label="quadratic_sine")
 
 
 def _backward_reference(spec, n_iter, m, rng):
@@ -530,8 +512,8 @@ def _backward_reference(spec, n_iter, m, rng):
         u, A, B = float(x[j]), 1.0, 0.0
         for k in range(n_iter):
             sk = spec.skew[bisect.bisect_right(inner, draws[k, j])]
-            B = A * float(sk.fiber.offset(u)) + B
-            A = A * float(sk.fiber.slope(u))
+            B = A * float(sk.fiber.at("offset", u)) + B
+            A = A * float(sk.fiber.at("slope", u))
             u = (u - sk.base_offset) / sk.base_slope
         y.append(B)
     return x, np.array(y)
@@ -561,12 +543,6 @@ def test_deep_baker_lift_fills_every_column():
     assert np.count_nonzero(srb.cond_counts.sum(axis=1)) == srb.fiber_bins == 256
 
 
-def test_lift_refuses_non_affine_fibers():
-    spec = _quadratic_sine_skew()
-    with pytest.raises(ParameterError):
-        lift_srb(spec, ulam_acip(spec, bins=64), 5, 1000, seed=1)
-
-
 def test_lift_refuses_non_uniform_density(baker06):
     dens = Density1D(bins=4, masses=np.array([0.1, 0.2, 0.3, 0.4]),
                      l_bound=0.4, L_bound=1.6)
@@ -582,15 +558,14 @@ def test_lift_refuses_non_uniform_density(baker06):
 ], ids=["baker06", "baker_trapezoid", "affine", "three_strip",
         "constant_three_strip", "reversing"])
 def test_recorded_fiber_constants_reproduce_value(spec):
-    """Where affine_fiber got a float slope and offset, the recorded constants
-    give fiber.value bit for bit on a lattice of [0,1] x J."""
+    """Where a fiber has a float slope and offset, those floats give
+    fiber.value bit for bit on a lattice of [0,1] x J."""
     uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 65),
                          np.linspace(*spec.extended_fiber, 257), indexing="ij")
     marked = 0
     for sk in spec.skew:
-        s = getattr(sk.fiber.slope, "constant", None)
-        t = getattr(sk.fiber.offset, "constant", None)
-        if s is None or t is None:
+        s, t = sk.fiber.slope, sk.fiber.offset
+        if not (isinstance(s, float) and isinstance(t, float)):
             continue
         marked += 1
         assert (s * yy + t).tobytes() == sk.fiber.value(uu, yy).tobytes()

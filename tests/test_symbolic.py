@@ -125,13 +125,13 @@ def _dfs_inventory(spec, r, tail_hull, x_grid_n=65):
         for s in range(spec.n_strips, 0, -1):
             sk = spec.skew[s - 1]
             fib = sk.fiber
-            sv, tv = fib.slope(X), fib.offset(X)
+            sv, tv = fib.at("slope", X), fib.at("offset", X)
             child = (word + (s,),
                      float(sk.base_inverse(np.array([ilo, ilo + iln])).min()),
                      iln / sk.base_slope, sk.base_inverse(X), A * sv,
                      A * tv + B,
-                     (sy * sv + sp * fib.dslope(X), sp * sv / sk.base_slope,
-                      sy * tv + sp * fib.doffset(X) + s0))
+                     (sy * sv + sp * fib.at("dslope", X), sp * sv / sk.base_slope,
+                      sy * tv + sp * fib.at("doffset", X) + s0))
             d_c = float(np.abs(child[4]).max()) * jlen
             (above if d_c >= r else below).append((child, d_c))
         if above:
@@ -279,7 +279,7 @@ def _level_table(spec, depth_max, budget=None, x_grid_n=65):
     visited, complete = 1, 0
     for depth in range(1, depth_max + 1):
         nxt = [(word + (s,), iln / sk.base_slope, sk.base_inverse(X),
-                A * sk.fiber.slope(X))
+                A * sk.fiber.at("slope", X))
                for word, iln, X, A in level
                for s, sk in enumerate(spec.skew, 1)]
         visited += len(nxt)
@@ -356,20 +356,6 @@ def test_cylinder_grid_widths_are_the_walker_diameters(spec, r):
         assert float(_word_widths(spec, w, inv.x_grid).max()) == d, w
     for w, d in zip(words[::97], inv.diam[::97].tolist()):
         assert cylinder_diameter(spec, w) >= d
-
-
-def test_cylinder_diameter_needs_affine_fibers():
-    """The walker's routines refuse a map that is not affine in y."""
-    from horseshoe.conditions import classify_transversal
-    from test_diagnostics import _quadratic_skew
-
-    spec = _quadratic_skew()
-    for run in (lambda: cylinder_diameter(spec, (1, 2)),
-                lambda: m_inventory(spec, 0.1),
-                lambda: tail_slope_hull(spec),
-                lambda: classify_transversal(spec, (1,), (2,), 0.1)):
-        with pytest.raises(ParameterError, match="affine"):
-            run()
 
 
 def test_inventory_roundtrip(tmp_path, baker06, affine):
