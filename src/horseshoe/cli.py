@@ -180,6 +180,12 @@ def _write_json(path, payload):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _record(obj, *skip):
+    """A dataclass's fields by name, those in ``skip`` left out."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if f.name not in skip}
+
+
 def _spec(ctx):
     if "spec" not in ctx:
         ctx["spec"] = build_spec(ctx["config"])
@@ -233,13 +239,7 @@ def stage_validate(ctx):
     cfg = ctx["config"]
     spec = _spec(ctx)
     rep = validate_hyperbolicity(spec)
-    checks = {
-        name: {
-            "observed": c.observed, "bound": c.bound,
-            "margin": c.margin, "passed": c.passed,
-        }
-        for name, c in rep.checks.items()
-    }
+    checks = {name: _record(c, "witness") for name, c in rep.checks.items()}
     payload = {
         "map": spec.label,
         "map_hash": spec.map_hash,
@@ -286,13 +286,7 @@ def stage_acip(ctx):
         lines.append(f"{float(lo)!r},{float(m)!r},{float(d)!r}")
     with open(Path(cfg.out_dir) / "acip.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_json(Path(cfg.out_dir) / "acip.json", {
-        "bins": dens.bins,
-        "l_bound": dens.l_bound,
-        "L_bound": dens.L_bound,
-        "residual": dens.residual,
-        "sweeps": dens.sweeps,
-    })
+    _write_json(Path(cfg.out_dir) / "acip.json", _record(dens, "masses"))
 
 
 def stage_lift(ctx):
@@ -314,16 +308,8 @@ def stage_fatness(ctx):
     cfg = ctx["config"]
     fit = fatness_fit(_spec(ctx), cfg.fat_depth, depth_min=_FAT_DEPTH_MIN,
                       x_grid_n=cfg.x_grid_n, budget=_WORD_BUDGET)
-    _write_json(Path(cfg.out_dir) / "fatness.json", {
-        "k1": fit.k1,
-        "epsilon": fit.epsilon,
-        "per_word_slack": fit.per_word_slack,
-        "words_used": fit.words_used,
-        "depth_min": fit.depth_min,
-        "depth_max": fit.depth_max,
-        "residual": fit.residual,
-        "passed": fit.passed,
-    })
+    _write_json(Path(cfg.out_dir) / "fatness.json",
+                dict(_record(fit, "partial"), passed=fit.passed))
     ctx["fatness"] = fit
 
 

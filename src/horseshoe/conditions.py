@@ -385,8 +385,8 @@ def _live_leads(spec, delta, xg, hull, margin):
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if a != b:
-                status, _ = _decide(*_gap_arrays(envs[a], envs[b]), delta, margin, xg)
-                live[a, b] = status != "transversal"
+                live[a, b] = not _certified(*_gap_arrays(envs[a], envs[b]),
+                                            delta, margin).all()
     return live
 
 

@@ -12,7 +12,9 @@ strip: ``unstable_direction`` and ``adapted_derivative`` (like
 points whose x and y are arrays of one shape, and each point goes through
 the same IEEE operations as it would alone, so the lattice gives the
 per-point results bit for bit.  A single point is the zero-dimensional
-case of the same code.
+case of the same code.  ``adapted_derivative`` takes its branch and reads
+the branch's Jacobian from the derivative table of ``maps``; the stable
+axis of its frame is vertical, as for every skew product.
 """
 
 from __future__ import annotations
@@ -26,10 +28,15 @@ from .errors import (
     DegenerateExtensionError,
     DegenerateScaleError,
     ItineraryError,
-    OutOfDomainError,
     ParameterError,
 )
-from .maps import _point_arrays, _table, apply_branch, branch_derivative
+from .maps import (
+    _derivative_table,
+    _point_arrays,
+    _table,
+    apply_branch,
+    branch_derivative,
+)
 from .symbolic import check_word, fiber_image, lex_words
 
 _FRAME_FLOOR = 1e-10
@@ -180,14 +187,6 @@ def margin_constants(spec, word, x_grid_n=129, n_points=1000, seed=5):
 # adapted-frame derivative
 
 
-def _skew_df(spec, s, point):
-    sk = spec.skew[s - 1]
-    x, y = _point_arrays(point)
-    u = sk.base_forward(x)
-    m = sk.base_slope
-    return (m, 0.0, sk.fiber.du(u, y) * m, sk.fiber.dy(u, y))
-
-
 def _check_floor(values, x, y, message):
     """Raise DegenerateScaleError at the first point where |values| < _FRAME_FLOOR."""
     low = np.broadcast_to(np.abs(values) < _FRAME_FLOOR, x.shape)
@@ -197,68 +196,52 @@ def _check_floor(values, x, y, message):
             f"{message} at ({float(x.flat[k])}, {float(y.flat[k])})")
 
 
-def _detect_branch(spec, z):
-    if np.ndim(z[0]) or np.ndim(z[1]):
-        raise ParameterError("points given as arrays need their branch")
-    x, y = float(z[0]), float(z[1])
-    for s in range(1, spec.n_strips + 1):
-        lo, hi = fiber_image(spec, (s,), x, hat=True)
-        if lo - 1e-12 <= y <= hi + 1e-12:
-            return s
-    raise OutOfDomainError(
-        f"point {z} lies in no branch image", point=z)
+def adapted_derivative(spec, z, w, unstable_dir, branch):
+    """Inverse-branch derivative of ``branch`` in the splitting-aligned frame
+    at z and w.
 
-
-def adapted_derivative(spec, z, w, unstable_dir, branch=None):
-    """Inverse-branch derivative in the splitting-aligned frame at z and w.
-
-    The frame takes the unstable direction (slope a) and the stable one
-    (slope b, zero for skew products) as axes.  Entries are evaluated twice:
-    from the explicit component expressions and from the assembled matrix
-    product; both are returned with their difference so callers can assert
+    The frame takes the unstable direction (slope a) and the stable one as
+    axes; a skew product's stable direction is vertical, so the frame at a
+    point is [[1, 0], [a, 1]].  Entries are evaluated twice: from the
+    explicit component expressions and from the assembled matrix product;
+    both are returned with their difference so callers can assert
     agreement.  Ratios against the stable entry feed the feasibility flags.
 
     ``z``, ``w`` and ``unstable_dir`` may hold arrays of one shape instead
-    of floats; every sample is then an array of that shape, each 2x2 matrix
-    has shape (2, 2) + shape, and ``branch`` must be given.
+    of floats; every sample is then an array of that shape and each 2x2
+    matrix has shape (2, 2) + shape.
     """
-    if branch is None:
-        branch = _detect_branch(spec, z)
-
-    def frames(rows, shape):
+    def frames(table):
         # one 2x2 matrix per point, stacked for np.linalg.solve
-        return np.moveaxis(_table(rows, shape), (0, 1), (-2, -1))
+        return np.moveaxis(table, (0, 1), (-2, -1))
 
     def entries(point):
         x, y = _point_arrays(point)
         a = (np.asarray(unstable_dir[1], dtype=float)
              / np.asarray(unstable_dir[0], dtype=float))
-        b = 0.0  # stable bundle of a skew product is vertical
-        pre = apply_branch(spec, branch, (x, y), direction="inverse")
-        f1x, f1y, f2x, f2y = _skew_df(spec, branch, pre)
+        # the inverse step checks the branch index and its own domain, so
+        # the table is read without branch_derivative's tighter domain test
+        pre = _point_arrays(apply_branch(spec, branch, (x, y), direction="inverse"))
+        df = _derivative_table(spec.skew[branch - 1], *pre)
+        (f1x, f1y), (f2x, f2y) = df
         jf = f1x * f2y - f1y * f2x
+        _check_floor(jf, x, y, "near-degenerate adapted frame")
         # direction at the preimage: the forward derivative maps it to ours
-        det = jf
-        _check_floor(det, x, y, "near-degenerate adapted frame")
-        vx = (f2y * 1.0 - f1y * a) / det
-        vy = (-f2x * 1.0 + f1x * a) / det
+        vx = (f2y * 1.0 - f1y * a) / jf
+        vy = (-f2x * 1.0 + f1x * a) / jf
         _check_floor(vx, x, y, "pulled-back direction left the cone")
         a_pre = vy / vx
-        b_pre = 0.0
-        ja = 1.0 - a_pre * b_pre
-        _check_floor(jf * ja, x, y, "near-degenerate adapted frame")
-        scale = 1.0 / (jf * ja)
+        scale = 1.0 / jf
         # explicit expansions of inv(frame(pre)) @ inv(DF) @ frame(point)
-        g11 = scale * (f2y + b_pre * f2x - a * f1y - a * b_pre * f1x)
-        g12 = scale * (b * f2y + b * b_pre * f2x - f1y - b_pre * f1x)
+        g11 = scale * (f2y - a * f1y)
+        g12 = scale * -f1y
         g21 = scale * (-a_pre * f2y - f2x + a * a_pre * f1y + a * f1x)
-        g22 = scale * (b * (-a_pre * f2y - f2x) + a_pre * f1y + f1x)
+        g22 = scale * (a_pre * f1y + f1x)
         direct = _table(((g11, g12), (g21, g22)), x.shape)
-        frame_here = frames(((1.0, b), (a, 1.0)), x.shape)
-        frame_pre = frames(((1.0, b_pre), (a_pre, 1.0)), x.shape)
-        df = frames(((f1x, f1y), (f2x, f2y)), x.shape)
+        frame_here = frames(_table(((1.0, 0.0), (a, 1.0)), x.shape))
+        frame_pre = frames(_table(((1.0, 0.0), (a_pre, 1.0)), x.shape))
         assembled = np.moveaxis(
-            np.linalg.solve(frame_pre, np.linalg.solve(df, frame_here)),
+            np.linalg.solve(frame_pre, np.linalg.solve(frames(df), frame_here)),
             (-2, -1), (0, 1))
         return direct, np.abs(direct - assembled).max(axis=(0, 1)), a_pre
 

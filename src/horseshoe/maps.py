@@ -11,6 +11,11 @@ Branch fiber maps are parametrized by the *arrival* base point u = g(x).
 That convention makes compositions along itineraries cheap: walking a word
 backwards through base preimages hands each fiber map exactly the argument
 it wants.
+
+A branch's first and second derivative tables are assembled in one place,
+``_derivative_table``.  ``branch_derivative`` reads them after its domain
+test, ``validate_hyperbolicity`` reads them on each strip's lattice, and
+the adapted frame of ``diagnostics`` reads them at inverse-branch points.
 """
 
 from __future__ import annotations
@@ -395,6 +400,22 @@ def apply_branch(spec, i, z, direction="forward"):
     return tuple(np.array(np.broadcast_to(v, x.shape)) for v in (px, py))
 
 
+def _derivative_table(sk, x, y, order=1):
+    """First (2x2) or second (2x3, six partials) derivative table of branch
+    ``sk`` at points (x, y) of one shape, with no domain test: entries are
+    arrays of that shape, so the table has shape (2, 2) + shape or
+    (2, 3) + shape.  The one place a branch's derivatives are assembled."""
+    fm, m = sk.fiber, sk.base_slope
+    u = sk.base_forward(x)
+    if order == 1:
+        return _table(((m, 0.0), (fm.du(u, y) * m, fm.dy(u, y))), x.shape)
+    if order == 2:
+        return _table(((0.0, 0.0, 0.0),
+                       (fm.duu(u, y) * m * m, fm.dyu(u, y) * m, fm.dyy(u, y))),
+                      x.shape)
+    raise ParameterError(f"derivative order must be 1 or 2, got {order}")
+
+
 def branch_derivative(spec, i, z, order=1):
     """First (2x2) or second (2x3, six partials) derivative table of branch i.
 
@@ -408,16 +429,7 @@ def branch_derivative(spec, i, z, order=1):
     _check_points((lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
                   & (jlo - _EDGE_TOL <= y) & (y <= jhi + _EDGE_TOL), x, y,
                   f"point {{}} outside strip {i} domain", i)
-    sk = spec.skew[i - 1]
-    fm, m = sk.fiber, sk.base_slope
-    u = sk.base_forward(x)
-    if order == 1:
-        return _table(((m, 0.0), (fm.du(u, y) * m, fm.dy(u, y))), x.shape)
-    if order == 2:
-        return _table(((0.0, 0.0, 0.0),
-                       (fm.duu(u, y) * m * m, fm.dyu(u, y) * m, fm.dyy(u, y))),
-                      x.shape)
-    raise ParameterError(f"derivative order must be 1 or 2, got {order}")
+    return _derivative_table(spec.skew[i - 1], x, y, order)
 
 
 # ---------------------------------------------------------------------------
@@ -466,60 +478,45 @@ class HyperbolicityReport:
 def validate_hyperbolicity(spec, grid_n=256):
     """Evaluate every cone / ratio / regularity condition on a lattice.
 
-    Works per strip on a grid_n x grid_n lattice over strip x J.  Never
-    raises for violations; the report carries worst margins and the argmax
-    lattice point of each violated bound.
+    Works per strip on a grid_n x grid_n lattice over strip x J, reading
+    the partials from the branch's derivative tables.  Each check keeps one
+    (worst value, lattice witness) per strip, and the worst over strips is
+    the first strip's unless a later one is strictly worse, so a NaN never
+    replaces a value.  Never raises for violations; the report carries
+    worst margins and the argmax lattice point of each violated bound.
     """
     if grid_n < 2:
         raise ParameterError("need at least a 2x2 validation lattice")
     jlo, jhi = spec.extended_fiber
     alpha, k0 = spec.alpha, spec.k0
-    report = HyperbolicityReport(grid_resolution=grid_n)
-
-    stats = {}
-
-    def push(name, arr, xx, yy, strip_i, mode):
-        """Track worst value of arr ('max' or 'min') with its lattice witness."""
-        if mode == "max":
-            k = int(np.argmax(arr))
-            v = float(arr.flat[k])
-            better = (name not in stats) or v > stats[name][0]
-        else:
-            k = int(np.argmin(arr))
-            v = float(arr.flat[k])
-            better = (name not in stats) or v < stats[name][0]
-        if better:
-            stats[name] = (v, (strip_i, float(xx.flat[k]), float(yy.flat[k])))
+    # worst value of each check, in report order; a1 is c0, the largest
+    # second-order partial, and jac_range the largest |Jacobian|
+    picks = {"eq5": max, "eq6": max, "eq7": max, "eq8": max, "h1": max,
+             "h2": min, "a1": max, "a2": min, "a3": max, "a4": max,
+             "jac_range": max}
+    seen = {name: [] for name in picks}
 
     for si, sk in enumerate(spec.skew, start=1):
         lo, hi = spec.breaks[si - 1:si + 1]
-        xg = np.linspace(lo, hi, grid_n)
-        yg = np.linspace(jlo, jhi, grid_n)
-        xx, yy = np.meshgrid(xg, yg, indexing="ij")
-        m = sk.base_slope
-        uu = sk.base_forward(xx)
-        f1x = np.full_like(xx, m)
-        f1y = np.zeros_like(xx)
-        f2x = np.asarray(sk.fiber.du(uu, yy), dtype=float) * m
-        f2y = np.asarray(sk.fiber.dy(uu, yy), dtype=float)
-        sec = np.stack([
-            np.zeros_like(xx), np.zeros_like(xx), np.zeros_like(xx),
-            np.asarray(sk.fiber.duu(uu, yy), dtype=float) * m * m,
-            np.asarray(sk.fiber.dyu(uu, yy), dtype=float) * m,
-            np.asarray(sk.fiber.dyy(uu, yy), dtype=float),
-        ])
+        xx, yy = np.meshgrid(np.linspace(lo, hi, grid_n),
+                             np.linspace(jlo, jhi, grid_n), indexing="ij")
 
+        def note(name, arr):
+            k = int(np.argmax(arr) if picks[name] is max else np.argmin(arr))
+            at = np.unravel_index(k, arr.shape)
+            seen[name].append((float(arr[at]), (si, float(xx[at]), float(yy[at]))))
+
+        (f1x, f1y), (f2x, f2y) = _derivative_table(sk, xx, yy)
         absf1x = np.abs(f1x)
-        push("eq5", np.abs(f1y) / absf1x, xx, yy, si, "max")
-        push("eq6", np.abs(f2x) / absf1x, xx, yy, si, "max")
-        push("eq7", np.abs(f2y) / absf1x, xx, yy, si, "max")
-        push("a3", np.maximum.reduce([absf1x, np.abs(f1y), np.abs(f2x), np.abs(f2y)]),
-             xx, yy, si, "max")
-        push("a4", np.maximum(np.abs(f1y), np.abs(f2x)), xx, yy, si, "max")
-        push("c0", np.max(np.abs(sec), axis=0), xx, yy, si, "max")
-        jac = f1x * f2y - f1y * f2x
-        push("a2", np.abs(jac), xx, yy, si, "min")
-        push("a2_max", np.abs(jac), xx, yy, si, "max")
+        note("eq5", np.abs(f1y) / absf1x)
+        note("eq6", np.abs(f2x) / absf1x)
+        note("eq7", np.abs(f2y) / absf1x)
+        note("a3", np.maximum.reduce([absf1x, np.abs(f1y), np.abs(f2x), np.abs(f2y)]))
+        note("a4", np.maximum(np.abs(f1y), np.abs(f2x)))
+        note("a1", np.abs(_derivative_table(sk, xx, yy, order=2)).max(axis=(0, 1)))
+        det = f1x * f2y - f1y * f2x
+        note("a2", np.abs(det))
+        note("jac_range", np.abs(det))
 
         # cone images: unstable boundary vectors forward, stable backward
         h1_vals = []
@@ -529,49 +526,41 @@ def validate_hyperbolicity(spec, grid_n=256):
             den = f1x + f1y * t
             h1_vals.append(np.abs(num) / np.abs(den))          # out-slope vs alpha
             h2_vals.append(np.maximum(np.abs(den), np.abs(num)))  # expansion vs k0
-        det = jac
         for s in (alpha, -alpha):
             # DF^{-1} (s, 1) = (1/det) * (F2y*s - F1y, -F2x*s + F1x)
             w1 = (f2y * s - f1y) / det
             w2 = (-f2x * s + f1x) / det
             h1_vals.append(np.abs(w1) / np.abs(w2))
             h2_vals.append(np.maximum(np.abs(w1), np.abs(w2)))
-        push("h1", np.maximum.reduce(h1_vals), xx, yy, si, "max")
-        push("h2", np.minimum.reduce(h2_vals), xx, yy, si, "min")
+        note("h1", np.maximum.reduce(h1_vals))
+        note("h2", np.minimum.reduce(h2_vals))
 
         # same-fiber single-branch contraction ratio (distortion spot check):
-        # columns share x, so compare extremes of |F2y| along each column
-        col_max = np.abs(f2y).max(axis=1)
-        col_min = np.abs(f2y).min(axis=1)
-        ratio = col_max / np.maximum(col_min, 1e-300)
-        push("eq8", ratio, xg, np.full_like(xg, jlo), si, "max")
+        # columns share x, so compare extremes of |F2y| along each column;
+        # row k of the ratio is the column's y = jlo end
+        col_max = np.abs(f2y).max(axis=1, keepdims=True)
+        col_min = np.abs(f2y).min(axis=1, keepdims=True)
+        note("eq8", col_max / np.maximum(col_min, 1e-300))
 
-    c0 = stats["c0"][0]
-    c1 = math.sqrt(2.0) * (1.0 + alpha) * c0
-    report.c0 = c0
-    report.c1 = c1
-
-    def result(name, observed_key, bound, mode="max"):
-        observed, witness = stats[observed_key]
-        margin = bound - observed if mode == "max" else observed - bound
-        return CheckResult(observed=observed, bound=bound, margin=margin,
-                           passed=margin >= 0.0,
-                           witness=witness if margin < 0 else None)
-
-    report.checks["eq5"] = result("eq5", "eq5", alpha)
-    report.checks["eq6"] = result("eq6", "eq6", alpha)
-    report.checks["eq7"] = result("eq7", "eq7", 1.0 / k0 ** 2 + alpha ** 2)
-    report.checks["eq8"] = result("eq8", "eq8", math.exp(c1))
-    report.checks["h1"] = result("h1", "h1", alpha)
-    report.checks["h2"] = result("h2", "h2", k0, mode="min")
-    report.checks["a1"] = CheckResult(observed=c0, bound=math.inf, margin=math.inf,
-                                      passed=math.isfinite(c0))
-    report.checks["a2"] = result("a2", "a2", 0.0, mode="min")
-    # a2 margin is the min |Jacobian| itself; nonzero means invertible
-    report.checks["a2"].passed = report.checks["a2"].observed > 0.0
-    report.checks["a3"] = CheckResult(observed=stats["a3"][0], bound=math.inf,
-                                      margin=math.inf, passed=math.isfinite(stats["a3"][0]))
-    report.checks["a4"] = result("a4", "a4", 0.125)
-    report.checks["jac_range"] = CheckResult(
-        observed=stats["a2_max"][0], bound=math.inf, margin=math.inf, passed=True)
+    worst = {name: pick(seen[name], key=lambda vw: vw[0])
+             for name, pick in picks.items()}
+    c0 = worst["a1"][0]
+    report = HyperbolicityReport(grid_resolution=grid_n, c0=c0,
+                                 c1=math.sqrt(2.0) * (1.0 + alpha) * c0)
+    bounds = {"eq5": alpha, "eq6": alpha, "eq7": 1.0 / k0 ** 2 + alpha ** 2,
+              "eq8": math.exp(report.c1), "h1": alpha, "h2": k0, "a2": 0.0,
+              "a4": 0.125}
+    for name, (observed, witness) in worst.items():
+        if name not in bounds:  # reported only
+            report.checks[name] = CheckResult(
+                observed=observed, bound=math.inf, margin=math.inf,
+                passed=name == "jac_range" or math.isfinite(observed))
+            continue
+        bound = bounds[name]
+        margin = bound - observed if picks[name] is max else observed - bound
+        # a2's margin is the min |Jacobian| itself; nonzero means invertible
+        passed = observed > 0.0 if name == "a2" else margin >= 0.0
+        report.checks[name] = CheckResult(observed=observed, bound=bound,
+                                          margin=margin, passed=passed,
+                                          witness=witness if margin < 0 else None)
     return report

@@ -186,9 +186,6 @@ class SrbEstimate:
     ``cond_counts`` is the (x-bin, y-bin) histogram over [0,1] x J used for
     fiber conditionals; ``sq_counts`` is a square histogram over [0,1]^2 for
     density grids.  The two count histograms are all the lift keeps.
-    ``jittered`` is always 0: the backward lift moves no sample off a
-    branch break.  The field stays so that checkpoints written before that
-    lift, which counted such moves, still load.
     """
 
     spec_hash: str
@@ -203,7 +200,6 @@ class SrbEstimate:
     sq_bins: int
     kept: int
     discarded: int
-    jittered: int
     contraction_budget: float
 
     def column_mass(self):
@@ -416,7 +412,6 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         sq_bins=_SQ_BINS,
         kept=int(kept),
         discarded=int(discarded),
-        jittered=0,
         contraction_budget=float(contraction ** n_iter * (jhi - jlo)),
     )
 

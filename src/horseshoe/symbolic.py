@@ -92,18 +92,6 @@ def check_word(spec, word):
     return word
 
 
-def base_cylinder(spec, word):
-    """Base interval I_w, by folding inverse base branches over the word."""
-    word = check_word(spec, word)
-    lo, hi = 0.0, 1.0
-    for s in word:
-        sk = spec.skew[s - 1]
-        a = float(sk.base_inverse(lo))
-        b = float(sk.base_inverse(hi))
-        lo, hi = (a, b) if a <= b else (b, a)
-    return lo, hi
-
-
 def lex_words(n_strips, depth):
     """All words of one length as (n_strips**depth, depth) rows, lexicographic."""
     return np.indices((n_strips,) * depth).reshape(depth, n_strips ** depth).T + 1

@@ -225,9 +225,9 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
                for name in ("srb.blob", "lift.json")}
     assert digests == {
         "srb.blob":
-            "e2246ef330f834d93adca00d139f30ee8fef07721e433d53a6c15dd57a8fb8c2",
+            "4a0d880ffe284edd548da98eaac0315f0dfc760581387cce027178812b99127f",
         "lift.json":
-            "1206d1ef740c17f72d49e30001d16b444beb15edc66511ab59bb400ca52f2e17",
+            "a7e305649fc4e181029bfaa6e8033451fd4f22b15b1106631ebeb46870664981",
     }
     _, arrays = cache.read_blob(tmp_path / "srb.blob")
     assert sorted(arrays) == ["cond_counts", "sq_counts"]

@@ -160,10 +160,8 @@ def test_adapted_derivative_explicit_matches_assembled(affine):
     w = (0.3, 0.40)
     vec, _ = unstable_direction(affine, (1, 1, 2), z, 3)
     out = adapted_derivative(affine, z, w, vec, branch=1)
-    auto = adapted_derivative(affine, z, w, vec)
     assert out["route_error"] < 1e-12
-    assert auto["branch"] == 1
-    assert np.allclose(out["g_z"], auto["g_z"], atol=0, rtol=0)
+    assert out["branch"] == 1
     # skew products: adapted inverse derivative is exactly diagonal
     assert out["offdiag_ratio"] == 0.0
     assert out["mixed_ratio"] == 0.0
@@ -206,12 +204,6 @@ def test_array_frames_match_scalar_calls(spec):
         for key, value in one.items():
             if key != "branch":
                 assert _bits(got[key][(...,) + k]) == _bits(value), key
-
-
-def test_array_frames_need_their_branch(affine):
-    z = (np.array([0.3, 0.4]), np.array([0.2, 0.25]))
-    with pytest.raises(ParameterError):
-        adapted_derivative(affine, z, z, (np.ones(2), np.zeros(2)))
 
 
 def test_array_batch_with_one_degenerate_frame_raises():

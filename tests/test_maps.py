@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import hypothesis
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from horseshoe.errors import OutOfDomainError, ParameterError
 from horseshoe.maps import (
+    CheckResult,
     SkewBranch,
     affine_fiber,
     apply_branch,
@@ -270,3 +272,125 @@ def test_fiber_slope_bounds_match_the_dy_lattice(spec):
     lattice = [np.abs(sk.fiber.dy(uu, yy)) for sk in spec.skew]
     assert spec.fiber_slope_bounds == tuple(
         (float(v.min()), float(v.max())) for v in lattice)
+
+
+# ---------------------------------------------------------------------------
+# validation against the per-strip accumulator it replaced
+
+
+def _reference_validation(spec, grid_n):
+    """The earlier validation loop, with its own copy of every partial: the
+    worst value of each check with its witness, replaced only by a strictly
+    worse strip.  Returns (checks, c0, c1)."""
+    jlo, jhi = spec.extended_fiber
+    alpha, k0 = spec.alpha, spec.k0
+    stats = {}
+
+    def push(name, arr, xx, yy, si, mode):
+        k = int(np.argmax(arr) if mode == "max" else np.argmin(arr))
+        v = float(arr.flat[k])
+        if name not in stats or (v > stats[name][0] if mode == "max"
+                                 else v < stats[name][0]):
+            stats[name] = (v, (si, float(xx.flat[k]), float(yy.flat[k])))
+
+    for si, sk in enumerate(spec.skew, start=1):
+        lo, hi = spec.breaks[si - 1:si + 1]
+        xg = np.linspace(lo, hi, grid_n)
+        xx, yy = np.meshgrid(xg, np.linspace(jlo, jhi, grid_n), indexing="ij")
+        m, fm = sk.base_slope, sk.fiber
+        uu = sk.base_forward(xx)
+        f1x, f1y = np.full_like(xx, m), np.zeros_like(xx)
+        f2x = np.asarray(fm.du(uu, yy), dtype=float) * m
+        f2y = np.asarray(fm.dy(uu, yy), dtype=float)
+        sec = np.stack([np.zeros_like(xx)] * 3 + [
+            np.asarray(fm.duu(uu, yy), dtype=float) * m * m,
+            np.asarray(fm.dyu(uu, yy), dtype=float) * m,
+            np.asarray(fm.dyy(uu, yy), dtype=float)])
+        a = np.abs(f1x)
+        push("eq5", np.abs(f1y) / a, xx, yy, si, "max")
+        push("eq6", np.abs(f2x) / a, xx, yy, si, "max")
+        push("eq7", np.abs(f2y) / a, xx, yy, si, "max")
+        push("a3", np.maximum.reduce([a, np.abs(f1y), np.abs(f2x), np.abs(f2y)]),
+             xx, yy, si, "max")
+        push("a4", np.maximum(np.abs(f1y), np.abs(f2x)), xx, yy, si, "max")
+        push("c0", np.max(np.abs(sec), axis=0), xx, yy, si, "max")
+        det = f1x * f2y - f1y * f2x
+        push("a2", np.abs(det), xx, yy, si, "min")
+        push("a2_max", np.abs(det), xx, yy, si, "max")
+        h1, h2 = [], []
+        for t in (alpha, -alpha):
+            num, den = f2x + f2y * t, f1x + f1y * t
+            h1.append(np.abs(num) / np.abs(den))
+            h2.append(np.maximum(np.abs(den), np.abs(num)))
+        for s in (alpha, -alpha):
+            w1, w2 = (f2y * s - f1y) / det, (-f2x * s + f1x) / det
+            h1.append(np.abs(w1) / np.abs(w2))
+            h2.append(np.maximum(np.abs(w1), np.abs(w2)))
+        push("h1", np.maximum.reduce(h1), xx, yy, si, "max")
+        push("h2", np.minimum.reduce(h2), xx, yy, si, "min")
+        ratio = np.abs(f2y).max(axis=1) / np.maximum(np.abs(f2y).min(axis=1), 1e-300)
+        push("eq8", ratio, xg, np.full_like(xg, jlo), si, "max")
+
+    c0 = stats["c0"][0]
+    c1 = math.sqrt(2.0) * (1.0 + alpha) * c0
+
+    def result(name, bound, mode="max"):
+        observed, witness = stats[name]
+        margin = bound - observed if mode == "max" else observed - bound
+        return CheckResult(observed, bound, margin, margin >= 0.0,
+                           witness if margin < 0 else None)
+
+    checks = {"eq5": result("eq5", alpha), "eq6": result("eq6", alpha),
+              "eq7": result("eq7", 1.0 / k0 ** 2 + alpha ** 2),
+              "eq8": result("eq8", math.exp(c1)), "h1": result("h1", alpha),
+              "h2": result("h2", k0, "min"),
+              "a1": CheckResult(c0, math.inf, math.inf, math.isfinite(c0)),
+              "a2": result("a2", 0.0, "min")}
+    checks["a2"].passed = checks["a2"].observed > 0.0
+    checks["a3"] = CheckResult(stats["a3"][0], math.inf, math.inf,
+                               math.isfinite(stats["a3"][0]))
+    checks["a4"] = result("a4", 0.125)
+    checks["jac_range"] = CheckResult(stats["a2_max"][0], math.inf, math.inf, True)
+    return checks, c0, c1
+
+
+def _three_strip_skew():
+    """Three strips of unequal width, u-dependent slopes and offsets."""
+    return make_custom_skew((0.0, 0.3, 0.65, 1.0), [
+        affine_fiber(lambda u: 0.3 + 0.05 * u * u, lambda u: 0.1 * u,
+                     lambda u: 0.1 * u, 0.1, 0.1, 0.0),
+        affine_fiber(lambda u: 0.35 - 0.04 * u, lambda u: 0.3 + 0.02 * u * u,
+                     -0.04, lambda u: 0.04 * u, 0.0, 0.04),
+        affine_fiber(0.3, lambda u: 0.65 - 0.03 * u, 0.0, -0.03),
+    ], label="three_strip")
+
+
+def _failing_skew():
+    """The affine 0.8/0.55 fibers with a cone and an expansion floor they miss."""
+    aff = make_affine_example(0.8, 0.55)
+    return make_custom_skew((0.0, 0.5, 1.0), [sk.fiber for sk in aff.skew],
+                            alpha=0.05, k0=3.0, label="failing")
+
+
+VALIDATION_SPECS = {
+    "baker03": lambda: make_baker(0.3), "baker05": lambda: make_baker(0.5),
+    "baker06": lambda: make_baker(0.6),
+    "affine": lambda: make_affine_example(0.8, 0.55),
+    "affine_075": lambda: make_affine_example(0.75, 0.6),
+    "three_strip": _three_strip_skew, "failing": _failing_skew,
+}
+
+
+@pytest.mark.parametrize("grid_n", [256, 17, 2])
+@pytest.mark.parametrize("name", list(VALIDATION_SPECS))
+def test_validation_matches_reference_loop(name, grid_n):
+    """Every CheckResult field, witness included, and c0/c1, bit for bit."""
+    spec = VALIDATION_SPECS[name]()
+    rep = validate_hyperbolicity(spec, grid_n=grid_n)
+    checks, c0, c1 = _reference_validation(spec, grid_n)
+    assert repr(rep.checks) == repr(checks)
+    assert _bits((rep.c0, rep.c1)) == _bits((c0, c1))
+    if name == "failing":
+        failed = {n for n, c in rep.checks.items() if not c.passed}
+        assert failed >= {"eq6", "eq7", "h1", "h2", "a4"}
+        assert all(rep[n].witness is not None for n in failed)

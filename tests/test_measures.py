@@ -217,7 +217,6 @@ def test_lift_worker_count_invariance(baker06, affine):
         b = _lift(spec, n=n, iters=3, workers=4)
         assert np.array_equal(a.cond_counts, b.cond_counts)
         assert np.array_equal(a.sq_counts, b.sq_counts)
-        assert a.jittered == b.jittered
         assert a.discarded == b.discarded
 
 
@@ -271,7 +270,7 @@ def _count_estimate(cond, fiber_range=(-0.5, 1.5)):
         iterations_used=1, fiber_bins=cond.shape[0], y_bins=cond.shape[1],
         fiber_range=fiber_range, cond_counts=cond,
         sq_counts=np.ones((4, 4), dtype=np.int64), sq_bins=4,
-        kept=int(cond.sum()), discarded=0, jittered=0, contraction_budget=0.0)
+        kept=int(cond.sum()), discarded=0, contraction_budget=0.0)
 
 
 def _uniform_estimate(y_bins=1200, fiber_bins=8):
@@ -426,8 +425,8 @@ def test_criterion_norms_equal_per_radius_norms():
 
 
 def test_srb_checkpoint_roundtrip(tmp_path, baker06):
-    # nonzero counters that the lift leaves at 0, so a dropped one shows
-    srb = dataclasses.replace(_lift(baker06, n=10_000), discarded=1, jittered=2)
+    # a nonzero counter that the lift leaves at 0, so a dropped one shows
+    srb = dataclasses.replace(_lift(baker06, n=10_000), discarded=1)
     path = tmp_path / "srb.blob"
     save_srb(path, srb)
     back = load_srb(path, expect_spec_hash=baker06.map_hash)
@@ -468,6 +467,23 @@ def test_srb_checkpoint_narrows_counts_and_loads_int64_blobs(tmp_path, baker06):
     assert np.array_equal(back.sq_counts, srb.sq_counts)
     assert tsujii_criterion(back, [0.1, 0.05]).i_of_r.tolist() == \
         tsujii_criterion(srb, [0.1, 0.05]).i_of_r.tolist()
+
+
+def test_srb_checkpoint_with_jittered_key_loads(tmp_path, baker06):
+    """Checkpoints whose meta still counts jittered samples load: the key is
+    ignored and every declared field comes back."""
+    from horseshoe import cache
+
+    srb = _lift(baker06, n=10_000)
+    old = tmp_path / "old.blob"
+    cache.write_blob(old, "srb_estimate", dict(srb.meta(), jittered=0),
+                     {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts})
+    assert cache.read_blob(old)[0]["jittered"] == 0
+    back = load_srb(old, expect_spec_hash=baker06.map_hash)
+    assert not hasattr(back, "jittered")
+    assert back.meta() == srb.meta()
+    assert np.array_equal(back.cond_counts, srb.cond_counts)
+    assert np.array_equal(back.sq_counts, srb.sq_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +555,7 @@ def test_deep_baker_lift_fills_every_column():
     """60 doubling steps: x is drawn once, so no mantissa bit runs out."""
     spec = make_baker(0.5)
     srb = lift_srb(spec, ulam_acip(spec, bins=1024), 60, 200_000, seed=3)
-    assert srb.jittered == 0 and srb.discarded == 0
+    assert srb.discarded == 0
     assert np.count_nonzero(srb.cond_counts.sum(axis=1)) == srb.fiber_bins == 256
 
 

@@ -1,10 +1,12 @@
-"""Every exported class and function, and every run knob, has a user.
+"""Every class and function, exported or not, and every run knob, has a user.
 
 A name in ``horseshoe.__all__`` counts as used when the code of some
 ``src/horseshoe`` module other than ``__init__.py`` refers to it outside
 its own definition, when ``README.md`` names it, or when
 ``tests/test_acceptance.py`` imports or calls it.  Code references are read
 from the syntax tree, so a mention in a docstring or comment does not count.
+Every module-level function and class of ``src/horseshoe`` needs a user by
+the same rule, so a private helper that nothing calls any more fails too.
 
 A ``RunConfig`` field counts as used when a benchmark workload sets it
 (``perfbench/run.py``), the README shows its flag, or an acceptance check
@@ -27,8 +29,12 @@ PACKAGE = ROOT / "src" / "horseshoe"
 
 def _code_names(path):
     """Identifiers a module refers to, its own class and def names excluded."""
+    return _names_in(ast.parse(path.read_text()))
+
+
+def _names_in(tree):
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -64,6 +70,46 @@ def test_definitions_do_not_count_as_use(tmp_path):
                       "\n\nclass Alone:\n    pass\n\n\nlonely_too = Alone\n")
     names = _code_names(module)
     assert "lonely" not in names and "Alone" in names
+
+
+def _unused_definitions(paths, outside_names):
+    """``module.name`` of each module-level def or class in ``paths`` that no
+    other top-level statement of those modules refers to and that is not in
+    ``outside_names``; a reference inside the definition itself, as in a
+    recursive call, does not count."""
+    bodies = {path: ast.parse(path.read_text()).body for path in paths}
+    uses = [(path, k, _names_in(stmt))
+            for path, body in bodies.items() for k, stmt in enumerate(body)]
+    unused = []
+    for path, body in bodies.items():
+        for k, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not (
+                    stmt.name in outside_names
+                    or any(stmt.name in names for p, j, names in uses
+                           if (p, j) != (path, k))):
+                unused.append(f"{path.stem}.{stmt.name}")
+    return unused
+
+
+def test_every_definition_has_a_user():
+    paths = sorted(path for path in PACKAGE.glob("*.py")
+                   if path.name != "__init__.py")
+    outside = _code_names(ROOT / "tests" / "test_acceptance.py")
+    outside |= set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
+                              (ROOT / "README.md").read_text()))
+    assert len(paths) > 5
+    unused = _unused_definitions(paths, outside)
+    assert not unused, f"defined but used by nothing: {unused}"
+
+
+def test_self_reference_does_not_count_as_use(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("def spin(n):\n    return spin(n - 1) if n else 0\n\n\n"
+                 "def _helper():\n    return 1\n\n\n"
+                 "class Shown:\n    pass\n")
+    b.write_text("from a import _helper\n\n\ndef run():\n    return _helper()\n")
+    assert _unused_definitions([a, b], {"run"}) == ["a.spin", "a.Shown"]
+    assert _unused_definitions([a, b], {"run", "Shown"}) == ["a.spin"]
 
 
 def _flag(field):

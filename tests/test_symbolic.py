@@ -8,7 +8,6 @@ from horseshoe.errors import BudgetError, CacheError, ParameterError
 from horseshoe.maps import affine_fiber, make_affine_example, make_baker, make_custom_skew
 from horseshoe.symbolic import (
     _word_widths,
-    base_cylinder,
     check_word,
     cylinder_diameter,
     cylinder_table,
@@ -29,18 +28,6 @@ def _word_tuples(words, lengths):
     for row, n in zip(rows, lengths):
         assert all(row[:n]) and not any(row[n:]), (row, n)
     return [tuple(row[:n]) for row, n in zip(rows, lengths)]
-
-
-def test_base_cylinder_known_interval(baker06):
-    assert base_cylinder(baker06, (1, 2, 1)) == (0.25, 0.375)
-    assert base_cylinder(baker06, ()) == (0.0, 1.0)
-
-
-@given(words2)
-def test_base_interval_length_is_slope_product(word):
-    spec = make_baker(0.37)
-    lo, hi = base_cylinder(spec, word)
-    assert abs((hi - lo) - 0.5 ** len(word)) < 1e-12
 
 
 @given(st.floats(min_value=0.2, max_value=0.8), words2,
@@ -405,11 +392,11 @@ def test_truncated_blob_refused(tmp_path, baker06):
 
 def test_bad_symbols_rejected(baker06):
     with pytest.raises(ParameterError):
-        base_cylinder(baker06, (1, 3))
+        check_word(baker06, (1, 3))
     with pytest.raises(ParameterError):
         fiber_image(baker06, (0,), 0.5)
     with pytest.raises(ParameterError):
         check_word(baker06, (1.7, 2.2))
     with pytest.raises(ParameterError):
-        base_cylinder(baker06, (1.0, 2))
+        check_word(baker06, (1.0, 2))
     assert check_word(baker06, np.array([1, 2])) == (1, 2)
