@@ -95,7 +95,7 @@ class RunManifest:
 _WORD_BUDGET = 400_000  # tree nodes one M(r) or cylinder table may expand
 _FAT_DEPTH_MIN = 2  # the shallowest depth fatness_fit fits
 _FAMILIES = ("baker", "affine")
-# the field sets follow the defaults; the seed may be any integer
+# the field sets follow the defaults; the seed may be 0, so it is checked apart
 _INT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
                     if type(f.default) is int and f.name != "seed")
 _LIST_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
@@ -122,8 +122,9 @@ def finalize_config(config):
         raise ConfigError(f"unknown map family {config.family!r}")
     for name in _LIST_FIELDS:
         setattr(config, name, _decreasing(getattr(config, name), name))
-    if not isinstance(config.seed, int):
-        raise ConfigError("seed must be an integer (and is mandatory)")
+    if type(config.seed) is not int or config.seed < 0:  # a bool is no seed
+        raise ConfigError(f"seed must be a non-negative integer (and is "
+                          f"mandatory), got {config.seed!r}")
     for name in _INT_FIELDS:
         value = getattr(config, name)
         try:
@@ -330,7 +331,6 @@ def stage_diagnostics(ctx):
     cfg = ctx["config"]
     rep = run_diagnostics(_spec(ctx), word_depth=cfg.diag_word_depth,
                           lattice_n=cfg.diag_lattice, depth=cfg.cone_depth,
-                          seed=cfg.seed,
                           csv_path=Path(cfg.out_dir) / "diagnostics_lattice.csv")
     _write_json(Path(cfg.out_dir) / "diagnostics.json", rep.to_json())
     ctx["diagnostics"] = rep

@@ -136,51 +136,50 @@ class MarginReport:
     control_violations: int
 
 
-def margin_constants(spec, word, x_grid_n=129, n_points=1000, seed=5):
-    """Relative size of the extension margins, plus an inclusion check.
-
-    The extended fiber image carries two margin components around the plain
-    one; k3 is the smaller component relative to the extended width, over
-    the base grid.  The inclusion check draws points whose vertical
-    distance to the plain image is below k3 / spread times the width and
-    asserts they land inside the extended image; a deliberately oversized
-    radius is rerun as a negative control.
-    """
-    word = check_word(spec, word)
-    if x_grid_n < 2:
-        raise ParameterError("need at least 2 grid points")
+def _margin_k3(spec, word, x_grid_n):
+    """(k3, extended widths) of ``word`` on x_grid_n base points: k3 is the
+    smaller of the two margins around the plain fiber image relative to the
+    extended width.  Raises DegenerateExtensionError when they vanish."""
     xg = np.linspace(0.0, 1.0, x_grid_n)
     lo, hi = (np.asarray(v) for v in fiber_image(spec, word, xg, hat=False))
     hlo, hhi = (np.asarray(v) for v in fiber_image(spec, word, xg, hat=True))
     hat_width = hhi - hlo
-    margins = np.minimum(lo - hlo, hhi - hi)
-    k3 = float((margins / hat_width).min())
+    k3 = float((np.minimum(lo - hlo, hhi - hi) / hat_width).min())
     if k3 < 1e-9:
         raise DegenerateExtensionError(
             f"extension margins vanish for word {word} (k3 = {k3:.3g})")
+    return k3, hat_width
+
+
+def margin_constants(spec, word, x_grid_n=129, n_points=1000, seed=5):
+    """Relative size of the extension margins, plus an inclusion check.
+
+    k3 comes from ``_margin_k3`` over the base grid.  The inclusion check
+    draws points whose vertical distance to the plain image is below
+    k3 / spread times the width and asserts they land inside the extended
+    image; a deliberately oversized radius is rerun as a negative control.
+    """
+    word = check_word(spec, word)
+    if x_grid_n < 2:
+        raise ParameterError("need at least 2 grid points")
+    k3, hat_width = _margin_k3(spec, word, x_grid_n)
     spread = float(hat_width.max() / hat_width.min())
     d = float(hat_width.max())
     r = 0.5 * k3 / spread * d
     rng = np.random.default_rng(seed)
 
     def run(radius):
-        xs = rng.random(n_points)
-        side = rng.random(n_points)
-        off = rng.random(n_points)
+        xs, side, off = (rng.random(n_points) for _ in range(3))
         li, hi_i = (np.asarray(v) for v in fiber_image(spec, word, xs, hat=False))
         hli, hhi_i = (np.asarray(v) for v in fiber_image(spec, word, xs, hat=True))
-        ys = np.where(side < 0.5,
-                      li - off * radius * 0.999,
+        ys = np.where(side < 0.5, li - off * radius * 0.999,
                       hi_i + off * radius * 0.999)
         return int(((ys < hli) | (ys > hhi_i)).sum())
 
-    violations = run(r)
     control_r = 10.0 * k3 / spread * d
-    control_violations = run(control_r)
     return MarginReport(
-        word=word, k3=k3, fiber_spread=spread, r_used=r,
-        checked=n_points, violations=violations,
-        control_r=control_r, control_violations=control_violations)
+        word=word, k3=k3, fiber_spread=spread, r_used=r, checked=n_points,
+        violations=run(r), control_r=control_r, control_violations=run(control_r))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +295,7 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
-                    csv_path=None):
+def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, csv_path=None):
     """Estimate every distortion constant on one instance.
 
     Lattice points are taken inside each branch image (so the inverse step
@@ -312,8 +310,7 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, seed=11,
     margin_words = [()]
     margin_words += [(s,) for s in range(1, spec.n_strips + 1)]
     margin_words += [(1, s) for s in range(1, spec.n_strips + 1)]
-    k3 = min(margin_constants(spec, w, x_grid_n=65, n_points=200,
-                              seed=seed).k3 for w in margin_words)
+    k3 = min(_margin_k3(spec, w, 65)[0] for w in margin_words)
 
     c2 = 0.0
     c3 = math.inf

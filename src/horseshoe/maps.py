@@ -14,8 +14,9 @@ it wants.
 
 A branch's first and second derivative tables are assembled in one place,
 ``_derivative_table``.  ``branch_derivative`` reads them after its domain
-test, ``validate_hyperbolicity`` reads them on each strip's lattice, and
-the adapted frame of ``diagnostics`` reads them at inverse-branch points.
+test, ``validate_hyperbolicity`` reads them at the two ends of J (every
+entry is affine in y), and the adapted frame of ``diagnostics`` reads
+them at inverse-branch points.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import OutOfDomainError, ParameterError
 
 _EDGE_TOL = 1e-12
-_INCONCLUSIVE_BELOW = 1e-3  # |margin| under which a lattice check is not trusted
+_INCONCLUSIVE_BELOW = 1e-3  # |margin| under which a grid check is not trusted
 _BUILTIN_LABELS = ("baker", "affine_example")  # families fixed by label and params
 
 
@@ -291,8 +292,9 @@ def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
     ``breaks`` is an increasing sequence 0 = x_0 < ... < x_N = 1; branch i
     maps [x_{i-1}, x_i] affinely onto [0,1].  ``fiber_maps`` is one FiberMap
     per branch.  When ``alpha``/``k0`` are omitted they are estimated from
-    the partials on a lattice; explicit values are accepted unchecked, which
-    is the intended way to build instances that *fail* validation on purpose.
+    the partials at 129 points u and the two ends of J, where |du| and |dy|
+    peak; explicit values are accepted unchecked, which is the intended way
+    to build instances that *fail* validation on purpose.
     """
     breaks = [float(v) for v in breaks]
     if breaks[0] != 0.0 or breaks[-1] != 1.0 or any(
@@ -308,21 +310,20 @@ def make_custom_skew(breaks, fiber_maps, alpha=None, k0=None,
     jlo, jhi = (float(extended_fiber[0]), float(extended_fiber[1]))
 
     if alpha is None or k0 is None:
-        u = np.linspace(0.0, 1.0, 129)
-        y = np.linspace(jlo, jhi, 129)
-        uu, yy = np.meshgrid(u, y, indexing="ij")
-        f2x_max = 0.0
-        f2y_max = 0.0
+        uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 129), np.array([jlo, jhi]),
+                             indexing="ij")
         m_min = min(sk.base_slope for sk in skew)
-        for sk in skew:
-            f2x_max = max(f2x_max, float(np.abs(sk.fiber.du(uu, yy)).max()) * sk.base_slope)
-            f2y_max = max(f2y_max, float(np.abs(sk.fiber.dy(uu, yy)).max()))
+        f2x_max = max(float(np.abs(sk.fiber.du(uu, yy)).max()) * sk.base_slope
+                      for sk in skew)
+        f2y_max = max(float(np.abs(sk.fiber.dy(uu, yy)).max()) for sk in skew)
         if alpha is None:
             denom = m_min - f2y_max
             if denom <= 0:
                 raise ParameterError("fiber maps do not contract below the base expansion")
             alpha = min(0.999, f2x_max / denom * (1.0 + 1e-9)) if f2x_max > 0 else 0.5
         if k0 is None:
+            if f2y_max == 0.0:
+                raise ParameterError("every fiber slope is 0: k0 cannot be estimated")
             k0 = min(m_min, (1.0 - alpha * f2x_max / m_min) / f2y_max)
     return GhmSpec(
         breaks=tuple(breaks),
@@ -442,7 +443,7 @@ class CheckResult:
     bound: float
     margin: float
     passed: bool
-    witness: Optional[tuple] = None  # (strip, x, y) at the worst lattice point
+    witness: Optional[tuple] = None  # (strip, x, y) at the worst grid point
 
 
 @dataclass
@@ -450,9 +451,10 @@ class HyperbolicityReport:
     """Grid-based margins for the cone, ratio and regularity conditions.
 
     Margins are bound minus worst observed value, so nonnegative means the
-    condition held on the lattice.  Margins smaller than
-    ``_INCONCLUSIVE_BELOW`` in absolute value are listed in ``inconclusive``
-    rather than trusted.
+    condition held at ``grid_resolution`` base points per strip at both
+    ends of J.  Margins smaller than ``_INCONCLUSIVE_BELOW`` in absolute
+    value are listed in ``inconclusive`` rather than trusted.  eq5 and eq8
+    are 0 and 1 on every map, so they never fail and carry no witness.
     """
 
     grid_resolution: int
@@ -476,17 +478,27 @@ class HyperbolicityReport:
 
 
 def validate_hyperbolicity(spec, grid_n=256):
-    """Evaluate every cone / ratio / regularity condition on a lattice.
+    """Evaluate every cone / ratio / regularity condition on a base grid.
 
-    Works per strip on a grid_n x grid_n lattice over strip x J, reading
+    Works per strip on grid_n base points times the two ends of J, reading
     the partials from the branch's derivative tables.  Each check keeps one
-    (worst value, lattice witness) per strip, and the worst over strips is
-    the first strip's unless a later one is strictly worse, so a NaN never
+    (worst value, grid witness) per strip, and the worst over strips is the
+    first strip's unless a later one is strictly worse, so a NaN never
     replaces a value.  Never raises for violations; the report carries
-    worst margins and the argmax lattice point of each violated bound.
+    worst margins and the argmax grid point of each violated bound.
+
+    Why the ends of J suffice: F1x = m, F1y = 0 and F2y = slope(u) do not
+    depend on y (so eq5 is 0 and eq8, the spread of |F2y| along a fiber,
+    is 1), and F2x and duu are affine in y, so |.| peaks at an end.  A
+    minimum or a denominator reaches a zero inside J only in two cases,
+    and in both the gate fails at an end as it does on a full lattice:
+    m - F2x alpha changes sign on J (then |F2x| / m >= 1/alpha > alpha, so
+    eq6 fails at an end), or F2x + F2y t does with |.| > m at both ends
+    (then h1 fails at an end).  In the first case h1's observed value is
+    finite at the ends while its supremum over J is infinite.
     """
     if grid_n < 2:
-        raise ParameterError("need at least a 2x2 validation lattice")
+        raise ParameterError("need at least 2 validation base points per strip")
     jlo, jhi = spec.extended_fiber
     alpha, k0 = spec.alpha, spec.k0
     # worst value of each check, in report order; a1 is c0, the largest
@@ -495,11 +507,13 @@ def validate_hyperbolicity(spec, grid_n=256):
              "h2": min, "a1": max, "a2": min, "a3": max, "a4": max,
              "jac_range": max}
     seen = {name: [] for name in picks}
+    # fixed by the model: F1y = 0, and F2y does not depend on y
+    seen["eq5"], seen["eq8"] = [(0.0, None)], [(1.0, None)]
 
     for si, sk in enumerate(spec.skew, start=1):
         lo, hi = spec.breaks[si - 1:si + 1]
-        xx, yy = np.meshgrid(np.linspace(lo, hi, grid_n),
-                             np.linspace(jlo, jhi, grid_n), indexing="ij")
+        xx, yy = np.meshgrid(np.linspace(lo, hi, grid_n), np.array([jlo, jhi]),
+                             indexing="ij")
 
         def note(name, arr):
             k = int(np.argmax(arr) if picks[name] is max else np.argmin(arr))
@@ -508,7 +522,6 @@ def validate_hyperbolicity(spec, grid_n=256):
 
         (f1x, f1y), (f2x, f2y) = _derivative_table(sk, xx, yy)
         absf1x = np.abs(f1x)
-        note("eq5", np.abs(f1y) / absf1x)
         note("eq6", np.abs(f2x) / absf1x)
         note("eq7", np.abs(f2y) / absf1x)
         note("a3", np.maximum.reduce([absf1x, np.abs(f1y), np.abs(f2x), np.abs(f2y)]))
@@ -518,29 +531,18 @@ def validate_hyperbolicity(spec, grid_n=256):
         note("a2", np.abs(det))
         note("jac_range", np.abs(det))
 
-        # cone images: unstable boundary vectors forward, stable backward
-        h1_vals = []
-        h2_vals = []
+        # cone images of the boundary slopes t = +-alpha: out-slope vs alpha
+        # (h1) and expansion vs k0 (h2) of (1, t) forward and of (t, 1)
+        # backward, DF^{-1} (t, 1) = (F2y*t - F1y, -F2x*t + F1x) / det
+        h1_vals, h2_vals = [], []
         for t in (alpha, -alpha):
-            num = f2x + f2y * t
-            den = f1x + f1y * t
-            h1_vals.append(np.abs(num) / np.abs(den))          # out-slope vs alpha
-            h2_vals.append(np.maximum(np.abs(den), np.abs(num)))  # expansion vs k0
-        for s in (alpha, -alpha):
-            # DF^{-1} (s, 1) = (1/det) * (F2y*s - F1y, -F2x*s + F1x)
-            w1 = (f2y * s - f1y) / det
-            w2 = (-f2x * s + f1x) / det
-            h1_vals.append(np.abs(w1) / np.abs(w2))
-            h2_vals.append(np.maximum(np.abs(w1), np.abs(w2)))
+            num, den = f2x + f2y * t, f1x + f1y * t
+            w1, w2 = (f2y * t - f1y) / det, (-f2x * t + f1x) / det
+            h1_vals += [np.abs(num) / np.abs(den), np.abs(w1) / np.abs(w2)]
+            h2_vals += [np.maximum(np.abs(den), np.abs(num)),
+                        np.maximum(np.abs(w1), np.abs(w2))]
         note("h1", np.maximum.reduce(h1_vals))
         note("h2", np.minimum.reduce(h2_vals))
-
-        # same-fiber single-branch contraction ratio (distortion spot check):
-        # columns share x, so compare extremes of |F2y| along each column;
-        # row k of the ratio is the column's y = jlo end
-        col_max = np.abs(f2y).max(axis=1, keepdims=True)
-        col_min = np.abs(f2y).min(axis=1, keepdims=True)
-        note("eq8", col_max / np.maximum(col_min, 1e-300))
 
     worst = {name: pick(seen[name], key=lambda vw: vw[0])
              for name, pick in picks.items()}

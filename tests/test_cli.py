@@ -118,14 +118,23 @@ def test_finalize_rejects_bad_settings(tmp_path):
 
 @pytest.mark.parametrize("override", [
     {"samples": "abc"}, {"enum_r": "abc"}, {"lam": "x"}, {"delta": "x"},
-    {"fat_depth": 10.9}, {"workers": True},
-], ids=["samples", "enum_r", "lam", "delta", "fractional", "boolean"])
+    {"fat_depth": 10.9}, {"workers": True}, {"seed": True},
+], ids=["samples", "enum_r", "lam", "delta", "fractional", "boolean",
+        "boolean_seed"])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, override):
     cfile = tmp_path / "run.json"
     cfile.write_text(json.dumps(override))
     assert main(["validate", "--config", str(cfile), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    """Rejected with the other settings, not later inside the lift."""
+    assert main(["all", "--seed", "-3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer" in err and "-3" in err
+    assert not (tmp_path / "hyperbolicity.json").exists()
 
 
 def test_default_delta_by_family(tmp_path):
@@ -253,9 +262,18 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
         "criterion.json":
             "d1dd469cb5e164cfb026357e8b0101eddbc7ba2ff9fea0f47bf46d0753d3d8e4",
     }),
-], ids=["diagnostics", "figure", "criterion"])
+    (["validate", "--family", "affine"], {
+        "hyperbolicity.json":
+            "ee17bd46d1b83f70a8ea1ffee4c598a2bc3f9219f7f4842f7829b5d5ea975fdf",
+    }),
+    (["validate", "--family", "baker", "--lam", "0.5"], {
+        "hyperbolicity.json":
+            "8f03ff4f136db698ad2a5a9dad9b508c55ac8cb042e591546d267f95d20c11b2",
+    }),
+], ids=["diagnostics", "figure", "criterion", "validate_affine", "validate_baker"])
 def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):
-    """The width constants, strip bands and I(r) sweep keep their exact bytes."""
+    """The width constants, strip bands, I(r) sweep and hyperbolicity checks
+    (with the estimated alpha and k0) keep their exact bytes."""
     assert main(args + ["--out", str(tmp_path)]) == 0
     assert {name: cache.file_sha256(tmp_path / name) for name in digests} == digests
 

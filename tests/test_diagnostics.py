@@ -274,12 +274,12 @@ def _sheared_derivative(spec, i, z, order=1):
     return d
 
 
-@pytest.mark.parametrize("name, shear, lattice_n, depth, seed", [
-    ("affine", False, 24, 7, 5),
-    ("baker06", False, 17, 6, 9),
-    ("affine", True, 16, 5, 2),
+@pytest.mark.parametrize("name, shear, lattice_n, depth", [
+    ("affine", False, 24, 7),
+    ("baker06", False, 17, 6),
+    ("affine", True, 16, 5),
 ], ids=["affine", "baker06", "affine_sheared"])
-def test_lattice_matches_per_point_loop(name, shear, lattice_n, depth, seed,
+def test_lattice_matches_per_point_loop(name, shear, lattice_n, depth,
                                         request, tmp_path, monkeypatch):
     """The array lattice gives the per-point loop's suprema and CSV bytes."""
     spec = request.getfixturevalue(name)
@@ -288,7 +288,7 @@ def test_lattice_matches_per_point_loop(name, shear, lattice_n, depth, seed,
     want, n, csv = _reference_lattice(spec, lattice_n, depth)
     path = tmp_path / "lattice.csv"
     rep = run_diagnostics(spec, word_depth=4, lattice_n=lattice_n, depth=depth,
-                          seed=seed, csv_path=path)
+                          csv_path=path)
     for key, value in want.items():
         assert _bits(getattr(rep, key)) == _bits(value), key
     assert rep.samples_used["lattice"] == n == 2 * lattice_n * max(2, lattice_n // 8)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from horseshoe.errors import OutOfDomainError, ParameterError
 from horseshoe.maps import (
     CheckResult,
+    HyperbolicityReport,
     SkewBranch,
     affine_fiber,
     apply_branch,
@@ -151,6 +152,20 @@ def test_custom_skew_requires_fiber_contraction():
                           affine_fiber(2.5, 0.0, 0.0, 0.0)))
 
 
+def test_all_zero_fiber_slopes_leave_k0_unestimated():
+    """No slope to divide by is a ParameterError; one zero branch still
+    builds, and fails a2 (a singular Jacobian) as meant."""
+    with pytest.raises(ParameterError, match="every fiber slope is 0"):
+        make_custom_skew((0.0, 0.5, 1.0), (affine_fiber(0.0, 0.2, 0.0, 0.0),
+                                           affine_fiber(0.0, 0.5, 0.0, 0.0)))
+    one = make_custom_skew((0.0, 0.5, 1.0), (affine_fiber(0.0, 0.2, 0.0, 0.0),
+                                             affine_fiber(0.5, 0.5, 0.0, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # det = 0 on strip 1
+        rep = validate_hyperbolicity(one, grid_n=17)
+    assert rep["a2"].observed == 0.0 and not rep["a2"].passed
+    assert rep["eq8"].passed and not rep.passed()
+
+
 def test_spec_rejects_branch_not_onto_its_strip():
     """Branch i must send [x_{i-1}, x_i] onto [0,1]; either orientation will do.
 
@@ -261,6 +276,32 @@ def test_array_batch_names_first_point_outside(baker06):
         with pytest.raises(OutOfDomainError, match=r"point \(0\.7, 0\.5\) outside strip 1") as exc:
             op(baker06, 1, (np.array([0.1, 0.7, 0.9]), np.full(3, 0.5)))
         assert exc.value.point == (0.7, 0.5) and exc.value.strip == 1
+
+
+def _estimated(spec):
+    """The same fibers with alpha and k0 left to ``make_custom_skew``."""
+    return make_custom_skew(spec.breaks, [sk.fiber for sk in spec.skew],
+                            extended_fiber=spec.extended_fiber)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _three_strip_skew(), lambda: _estimated(_sheared_pair()[1]),
+    *(lambda spec=spec: _estimated(spec) for spec in ARRAY_SPECS)],
+    ids=["three_strip", "sheared", *ARRAY_IDS])
+def test_cone_estimate_matches_the_lattice(build):
+    """alpha and k0 read at the two ends of J equal the estimate from the
+    129 x 129 lattice of [0,1] x J, float for float."""
+    spec = build()
+    uu, yy = np.meshgrid(np.linspace(0.0, 1.0, 129),
+                         np.linspace(*spec.extended_fiber, 129), indexing="ij")
+    m_min = min(sk.base_slope for sk in spec.skew)
+    f2x_max = max(float(np.abs(sk.fiber.du(uu, yy)).max()) * sk.base_slope
+                  for sk in spec.skew)
+    f2y_max = max(float(np.abs(sk.fiber.dy(uu, yy)).max()) for sk in spec.skew)
+    alpha = (min(0.999, f2x_max / (m_min - f2y_max) * (1.0 + 1e-9))
+             if f2x_max > 0 else 0.5)
+    k0 = min(m_min, (1.0 - alpha * f2x_max / m_min) / f2y_max)
+    assert _bits((spec.alpha, spec.k0)) == _bits((alpha, k0))
 
 
 @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=ARRAY_IDS)
@@ -394,3 +435,21 @@ def test_validation_matches_reference_loop(name, grid_n):
         failed = {n for n, c in rep.checks.items() if not c.passed}
         assert failed >= {"eq6", "eq7", "h1", "h2", "a4"}
         assert all(rep[n].witness is not None for n in failed)
+
+
+def test_sign_change_inside_j_fails_as_on_the_lattice():
+    """m - F2x * alpha vanishes at y = 1/2, inside J, where the backward
+    cone slope of h1 is infinite.  The ends of J miss that zero, but eq6
+    fails at an end, and the gate and the failed checks match the lattice;
+    only h1's observed value differs (finite at the ends)."""
+    fiber = affine_fiber(lambda u: 0.3 + 0.4 * u, lambda u: 1.8 * u, 0.4, 1.8)
+    spec = make_custom_skew((0.0, 0.5, 1.0), [fiber, fiber], alpha=0.5, k0=1.5)
+    rep = validate_hyperbolicity(spec)
+    checks, _, _ = _reference_validation(spec, 256)
+    lattice = HyperbolicityReport(grid_resolution=256, checks=checks)
+    assert rep.passed() is lattice.passed() is False
+    failed = {n for n, c in rep.checks.items() if not c.passed}
+    assert failed == {n for n, c in checks.items() if not c.passed}
+    assert failed == {"a4", "eq6", "h1", "h2"}
+    assert rep["h1"].observed == pytest.approx(2.415, abs=1e-3)
+    assert checks["h1"].observed == pytest.approx(371.9, abs=0.1)
