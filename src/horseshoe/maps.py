@@ -34,6 +34,8 @@ from .errors import OutOfDomainError, ParameterError
 
 _EDGE_TOL = 1e-12
 _INCONCLUSIVE_BELOW = 1e-3  # |margin| under which a grid check is not trusted
+# checks whose value the model fixes: F1y = 0, and F2y does not depend on y
+_MODEL_CONSTANTS = {"eq5": 0.0, "eq8": 1.0}
 _BUILTIN_LABELS = ("baker", "affine_example")  # families fixed by label and params
 
 
@@ -454,7 +456,8 @@ class HyperbolicityReport:
     condition held at ``grid_resolution`` base points per strip at both
     ends of J.  Margins smaller than ``_INCONCLUSIVE_BELOW`` in absolute
     value are listed in ``inconclusive`` rather than trusted.  eq5 and eq8
-    are 0 and 1 on every map, so they never fail and carry no witness.
+    are 0 and 1 on every map (``_MODEL_CONSTANTS``), so they never fail,
+    carry no witness and are never inconclusive.
     """
 
     grid_resolution: int
@@ -468,7 +471,8 @@ class HyperbolicityReport:
     @property
     def inconclusive(self):
         return sorted(name for name, c in self.checks.items()
-                      if abs(c.margin) < _INCONCLUSIVE_BELOW)
+                      if name not in _MODEL_CONSTANTS
+                      and abs(c.margin) < _INCONCLUSIVE_BELOW)
 
     def passed(self):
         """Whether every gating check holds; a1, a3, a4 and jac_range are
@@ -485,7 +489,7 @@ def validate_hyperbolicity(spec, grid_n=256):
     (worst value, grid witness) per strip, and the worst over strips is the
     first strip's unless a later one is strictly worse, so a NaN never
     replaces a value.  Never raises for violations; the report carries
-    worst margins and the argmax grid point of each violated bound.
+    worst margins and the argmax grid point of each failing check.
 
     Why the ends of J suffice: F1x = m, F1y = 0 and F2y = slope(u) do not
     depend on y (so eq5 is 0 and eq8, the spread of |F2y| along a fiber,
@@ -507,8 +511,8 @@ def validate_hyperbolicity(spec, grid_n=256):
              "h2": min, "a1": max, "a2": min, "a3": max, "a4": max,
              "jac_range": max}
     seen = {name: [] for name in picks}
-    # fixed by the model: F1y = 0, and F2y does not depend on y
-    seen["eq5"], seen["eq8"] = [(0.0, None)], [(1.0, None)]
+    for name, value in _MODEL_CONSTANTS.items():
+        seen[name] = [(value, None)]
 
     for si, sk in enumerate(spec.skew, start=1):
         lo, hi = spec.breaks[si - 1:si + 1]
@@ -534,13 +538,15 @@ def validate_hyperbolicity(spec, grid_n=256):
         # cone images of the boundary slopes t = +-alpha: out-slope vs alpha
         # (h1) and expansion vs k0 (h2) of (1, t) forward and of (t, 1)
         # backward, DF^{-1} (t, 1) = (F2y*t - F1y, -F2x*t + F1x) / det
+        # on a singular Jacobian (det = 0, where a2 fails) they are inf or NaN
         h1_vals, h2_vals = [], []
-        for t in (alpha, -alpha):
-            num, den = f2x + f2y * t, f1x + f1y * t
-            w1, w2 = (f2y * t - f1y) / det, (-f2x * t + f1x) / det
-            h1_vals += [np.abs(num) / np.abs(den), np.abs(w1) / np.abs(w2)]
-            h2_vals += [np.maximum(np.abs(den), np.abs(num)),
-                        np.maximum(np.abs(w1), np.abs(w2))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in (alpha, -alpha):
+                num, den = f2x + f2y * t, f1x + f1y * t
+                w1, w2 = (f2y * t - f1y) / det, (-f2x * t + f1x) / det
+                h1_vals += [np.abs(num) / np.abs(den), np.abs(w1) / np.abs(w2)]
+                h2_vals += [np.maximum(np.abs(den), np.abs(num)),
+                            np.maximum(np.abs(w1), np.abs(w2))]
         note("h1", np.maximum.reduce(h1_vals))
         note("h2", np.minimum.reduce(h2_vals))
 
@@ -553,16 +559,15 @@ def validate_hyperbolicity(spec, grid_n=256):
               "eq8": math.exp(report.c1), "h1": alpha, "h2": k0, "a2": 0.0,
               "a4": 0.125}
     for name, (observed, witness) in worst.items():
+        bound = bounds.get(name, math.inf)
         if name not in bounds:  # reported only
-            report.checks[name] = CheckResult(
-                observed=observed, bound=math.inf, margin=math.inf,
-                passed=name == "jac_range" or math.isfinite(observed))
-            continue
-        bound = bounds[name]
-        margin = bound - observed if picks[name] is max else observed - bound
-        # a2's margin is the min |Jacobian| itself; nonzero means invertible
-        passed = observed > 0.0 if name == "a2" else margin >= 0.0
+            margin = math.inf
+            passed = name == "jac_range" or math.isfinite(observed)
+        else:
+            margin = bound - observed if picks[name] is max else observed - bound
+            # a2's margin is the min |Jacobian| itself; nonzero means invertible
+            passed = observed > 0.0 if name == "a2" else margin >= 0.0
         report.checks[name] = CheckResult(observed=observed, bound=bound,
                                           margin=margin, passed=passed,
-                                          witness=witness if margin < 0 else None)
+                                          witness=None if passed else witness)
     return report

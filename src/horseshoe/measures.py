@@ -31,6 +31,7 @@ from .errors import (
 from .maps import GhmSpec
 
 _CHUNK = 1 << 18
+_LANE = 1 << 14  # lift points per lane: 128 KiB per float row, so a lane fits in L2
 _SQ_BINS = 256
 _MAX_DISCARD_FRAC = 0.01  # share of samples whose y may fall outside J
 _DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
@@ -237,10 +238,20 @@ def _sample_chunk(spec, n_iter, m, rng):
     then u <- g_i^-1(u), from A = 1, B = 0 and u = x.  y = B is the fiber
     point y = 0 pushed through the whole backward word.
 
-    The steps reuse work buffers allocated here once, written through
-    ``out=``; U holds a step's draws and then its coefficients.  Gathers use
-    ``take(..., mode="clip")``, which writes ``out`` directly (the default
-    mode buffers it); the branch index is always in range.
+    The draws are those of m x values followed by n_iter rows of m uniforms:
+    sample p reads position p of ``rng``'s stream for x and position
+    (k + 1) * m + p for step k.  The points run in lanes of ``_LANE``, each
+    through all n_iter steps while its rows stay in cache.  A lane reaches
+    its positions with a PCG64 copy of ``rng``: ``advance(lo)`` before its x
+    and ``advance(m - n)`` before each step, for a lane of n points from
+    point lo.  ``rng`` itself is then advanced past all m * (n_iter + 1)
+    draws, so every output and the generator's final state are those of one
+    pass over the whole chunk, whatever the lane size.
+
+    The steps reuse lane-sized work rows allocated here once, written
+    through ``out=``; U holds a step's draws and then its coefficients.
+    Gathers use ``take(..., mode="clip")``, which writes ``out`` directly
+    (the default mode buffers it); the branch index is always in range.
     Fibers whose slopes and offsets are all floats (``_constant_fibers``)
     gather s and t from per-branch tables and never compute u.  Other
     fibers evaluate each branch's ``slope`` and ``offset`` on u and keep
@@ -248,23 +259,21 @@ def _sample_chunk(spec, n_iter, m, rng):
     branch shares is evaluated once.
     """
     inner = spec.base_breaks[1:-1]
-    # rows of one block, which malloc maps and unmaps whole: separate row
-    # buffers stayed in the threads' heaps after the lift (about 10 MiB)
-    x, U, A, B, u = np.empty((5, m))
-    rng.random(out=x)
-    A.fill(1.0)
-    B.fill(0.0)
+    x, y = np.empty((2, m))
+    rows = np.empty((3, min(m, _LANE)))
     # idx starts at zero: a one-strip map has no inner break to set it
-    idx = np.zeros(m, dtype=np.intp)
-    hit = np.empty(m, dtype=bool)
+    idx_row = np.zeros(rows.shape[1], dtype=np.intp)
+    hit_row = np.empty(rows.shape[1], dtype=bool)
     tables = _constant_fibers(spec)
     if tables is None:
         base_slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
         base_offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
-        np.copyto(u, x)
+    start = rng.bit_generator.state
+    lane_rng = np.random.Generator(np.random.PCG64())
 
     def own_branch(name):
-        """Each point's own branch's coefficient ``name`` ("slope", "offset")."""
+        """Each point's own branch's coefficient ``name`` ("slope",
+        "offset"), on the lane's rows."""
         if tables is not None:
             return tables[name].take(idx, out=U, mode="clip")
         last = spec.skew[-1].fiber
@@ -275,21 +284,35 @@ def _sample_chunk(spec, n_iter, m, rng):
                 w = np.where(hit, sk.fiber.at(name, u), w)
         return w
 
-    for _ in range(n_iter):
-        rng.random(out=U)
-        for k, b in enumerate(inner):
-            np.greater_equal(U, b, out=hit if k else idx)
-            if k:
-                np.add(idx, hit, out=idx)
-        np.multiply(A, own_branch("offset"), out=U)
-        np.add(U, B, out=B)
-        np.multiply(A, own_branch("slope"), out=A)
+    for lo in range(0, m, _LANE):
+        n = min(_LANE, m - lo)
+        U, A, u = rows[:, :n]
+        idx, hit = idx_row[:n], hit_row[:n]
+        B = y[lo:lo + n]
+        lane_rng.bit_generator.state = start
+        lane_rng.bit_generator.advance(lo)
+        lane_rng.random(out=x[lo:lo + n])
+        A.fill(1.0)
+        B.fill(0.0)
         if tables is None:
-            base_offsets.take(idx, out=U, mode="clip")
-            np.subtract(u, U, out=u)
-            base_slopes.take(idx, out=U, mode="clip")
-            np.divide(u, U, out=u)
-    return x, B
+            np.copyto(u, x[lo:lo + n])
+        for _ in range(n_iter):
+            lane_rng.bit_generator.advance(m - n)
+            lane_rng.random(out=U)
+            for k, b in enumerate(inner):
+                np.greater_equal(U, b, out=hit if k else idx)
+                if k:
+                    np.add(idx, hit, out=idx)
+            np.multiply(A, own_branch("offset"), out=U)
+            np.add(U, B, out=B)
+            np.multiply(A, own_branch("slope"), out=A)
+            if tables is None:
+                base_offsets.take(idx, out=U, mode="clip")
+                np.subtract(u, U, out=u)
+                base_slopes.take(idx, out=U, mode="clip")
+                np.divide(u, U, out=u)
+    rng.bit_generator.advance(m * (n_iter + 1))
+    return x, y
 
 
 def _bin_index(v, lo, hi, n):
@@ -320,10 +343,14 @@ def _grid_counts(x, y, nx, ny, yrange):
 
     The same counts as NumPy's two-dimensional histogram with ``bins=[nx, ny]``
     and ``range=[[0, 1], yrange]``: points outside the range fall into the
-    outlier rim and are dropped.
+    outlier rim and are dropped.  The flat bin indices are computed a lane
+    of ``_LANE`` points at a time, so the temporaries are lane-sized.
     """
-    flat = _bin_index(x, 0.0, 1.0, nx) * (ny + 2)
-    flat += _bin_index(y, yrange[0], yrange[1], ny)
+    flat = np.empty(len(x), dtype=np.intp)
+    for lo in range(0, len(x), _LANE):
+        f = flat[lo:lo + _LANE]
+        np.multiply(_bin_index(x[lo:lo + _LANE], 0.0, 1.0, nx), ny + 2, out=f)
+        f += _bin_index(y[lo:lo + _LANE], yrange[0], yrange[1], ny)
     counts = np.bincount(flat, minlength=(nx + 2) * (ny + 2))
     return counts.reshape(nx + 2, ny + 2)[1:-1, 1:-1].astype(np.int64)
 

@@ -77,7 +77,12 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateScaleError, ParameterError
 
-BLOCK = 4096  # rows per block of the batched word-tree and pair kernels
+# Rows per block of the batched word-tree and pair kernels.  At 1024 rows a
+# block's grid arrays (rows x 65 base points) are 520 KiB each; at 4096 they
+# were 2 MiB, and ``conditions.fatness_fit`` to depth 16 traced a 41 MiB
+# peak instead of 17 MiB.  Every row is computed alike in any block, so no
+# output depends on it.
+BLOCK = 1024
 
 
 def check_word(spec, word):

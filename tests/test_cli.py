@@ -268,7 +268,7 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
     }),
     (["validate", "--family", "baker", "--lam", "0.5"], {
         "hyperbolicity.json":
-            "8f03ff4f136db698ad2a5a9dad9b508c55ac8cb042e591546d267f95d20c11b2",
+            "73ff3d7372f26f00233db5a637ba7ee2ef7e24000d7b5c5abd2fe7832b798a47",
     }),
 ], ids=["diagnostics", "figure", "criterion", "validate_affine", "validate_baker"])
 def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):

@@ -26,6 +26,7 @@ from horseshoe.symbolic import (
     fiber_step,
     m_inventory,
 )
+from test_measures import _traced_peak
 from test_symbolic import _three_strip_skew
 
 
@@ -78,6 +79,14 @@ def test_fatness_budget_reports_partial(affine):
     fit = fatness_fit(affine, depth_max=12, budget=120)
     assert fit.partial
     assert fit.depth_max < 12
+
+
+def test_fatness_working_set_is_block_sized(affine):
+    """The depth-16 table (131,070 words) is walked ``BLOCK`` nodes at a
+    time: 24 MiB holds the table and the blocks in flight, where blocks of
+    4096 rows took about 41 MiB."""
+    _, peak = _traced_peak(lambda: fatness_fit(affine, 16))
+    assert peak <= 24 << 20
 
 
 def test_fatness_validation(baker06):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import hypothesis
 import numpy as np
@@ -160,9 +161,13 @@ def test_all_zero_fiber_slopes_leave_k0_unestimated():
                                            affine_fiber(0.0, 0.5, 0.0, 0.0)))
     one = make_custom_skew((0.0, 0.5, 1.0), (affine_fiber(0.0, 0.2, 0.0, 0.0),
                                              affine_fiber(0.5, 0.5, 0.0, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # det = 0 on strip 1
+    with warnings.catch_warnings():  # det = 0 on strip 1 warns nothing
+        warnings.simplefilter("error")
         rep = validate_hyperbolicity(one, grid_n=17)
     assert rep["a2"].observed == 0.0 and not rep["a2"].passed
+    strip, x, y = rep["a2"].witness  # a failing check keeps its grid point
+    assert strip == 1 and 0.0 <= x <= 0.5 and y in one.extended_fiber
+    assert all(c.witness is not None for c in rep.checks.values() if not c.passed)
     assert rep["eq8"].passed and not rep.passed()
 
 

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from horseshoe.maps import (
 )
 from horseshoe.measures import (
     _CHUNK,
+    _LANE,
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
@@ -535,20 +537,51 @@ def _backward_reference(spec, n_iter, m, rng):
     return x, np.array(y)
 
 
-@pytest.mark.parametrize("spec, table", [
-    (make_baker(0.6), True), (make_affine_example(0.8, 0.55), False),
-    (_three_strip_skew(), False), (_constant_three_strip_skew(), True),
-    (_sheared_offset_skew(), False),
+@pytest.mark.parametrize("spec, table, n_iter, m", [
+    (make_baker(0.6), True, 30, 400), (make_affine_example(0.8, 0.55), False, 30, 400),
+    (_three_strip_skew(), False, 30, 400), (_constant_three_strip_skew(), True, 30, 400),
+    (_sheared_offset_skew(), False, 30, 400),
+    (make_baker(0.6), True, 4, 2 * _LANE + 37),
+    (make_affine_example(0.8, 0.55), False, 4, 2 * _LANE + 37),
 ], ids=["baker06", "affine", "three_strip", "constant_three_strip",
-        "sheared_offset"])
-def test_sampler_matches_scalar_reference(spec, table):
+        "sheared_offset", "baker06_lanes", "affine_lanes"])
+def test_sampler_matches_scalar_reference(spec, table, n_iter, m):
     """Bit for bit, on the constant-fiber table path exactly for maps whose
-    every fiber has a constant slope and offset, and on the general path."""
+    every fiber has a constant slope and offset, and on the general path;
+    the generator ends where the reference's draws leave it.  The _lanes
+    cases hold two full lanes and a ragged one; four steps keep the scalar
+    loop short, and each step after the first moves a lane's generator
+    past the other lanes' draws."""
     assert (_constant_fibers(spec) is not None) == table
-    x, y = _sample_chunk(spec, 30, 400, np.random.default_rng(2024))
-    ref_x, ref_y = _backward_reference(spec, 30, 400, np.random.default_rng(2024))
+    rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    x, y = _sample_chunk(spec, n_iter, m, rng)
+    ref_x, ref_y = _backward_reference(spec, n_iter, m, ref_rng)
     assert x.tobytes() == ref_x.tobytes()
     assert y.tobytes() == ref_y.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _traced_peak(call):
+    """(call(), peak bytes that tracemalloc traced during the call above what
+    was traced when it began).  NumPy reports its data buffers to
+    tracemalloc, so the peak counts every array the call held at once."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_working_set_is_lane_sized(affine):
+    """Beyond its two output rows the sampler holds lane-sized work rows and
+    the callable coefficients' lane-sized temporaries: 2 MiB covers them,
+    while chunk-sized work rows would take about 11 MiB more here."""
+    (x, y), peak = _traced_peak(
+        lambda: _sample_chunk(affine, 30, 200_000, np.random.default_rng(3)))
+    assert peak <= x.nbytes + y.nbytes + (2 << 20)
 
 
 def test_deep_baker_lift_fills_every_column():
