@@ -48,8 +48,8 @@ class FiberMap:
     vectorized callable of u.  The partials of psi and its inverse in y
     are derived from them below.  The word-tree walker
     (``symbolic.fiber_step``) reads a float coefficient as it is, and the
-    lift gathers slope and offset from per-branch tables when every branch
-    has float ones.
+    lift gathers each step's offsets from one precomputed table when every
+    branch has a float offset and the same float slope, bit for bit.
     """
 
     slope: object

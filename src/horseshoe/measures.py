@@ -31,7 +31,8 @@ from .errors import (
 from .maps import GhmSpec
 
 _CHUNK = 1 << 18
-_LANE = 1 << 14  # lift points per lane: 128 KiB per float row, so a lane fits in L2
+_LANE = 1 << 14  # general-path lift points per lane: 128 KiB per float row, so a lane fits in L2
+_TABLE_LANE = 1 << 16  # table-path lift points per lane: its three rows take 1.1 MiB of a 2 MiB L2
 _SQ_BINS = 256
 _MAX_DISCARD_FRAC = 0.01  # share of samples whose y may fall outside J
 _DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
@@ -219,13 +220,32 @@ class SrbEstimate:
 def _constant_fibers(spec):
     """Per-branch slope and offset tables when every fiber has a float slope
     and a float offset, as in the baker family.  Returns {"slope": ...,
-    "offset": ...}, or None when any of them is a callable.
+    "offset": ...}, or None when any of them is a callable.  The lift's
+    table path needs more: one slope, the same in every branch bit for bit
+    (``_shared_slope``).
     """
     tables = {name: [getattr(sk.fiber, name) for sk in spec.skew]
               for name in ("slope", "offset")}
     if all(isinstance(c, float) for column in tables.values() for c in column):
         return {name: np.array(column) for name, column in tables.items()}
     return None
+
+
+def _shared_slope(spec):
+    """(s, offsets) for the lift's table path: constant fibers
+    (``_constant_fibers``) whose slopes are the one float s, equal bit for
+    bit in every branch (0.0 and -0.0 differ), with ``offsets`` the
+    per-branch offset table.  None otherwise.  With a shared slope every
+    point's running product after k steps is the same float, s^k rounded
+    step by step, whatever branches it took.
+    """
+    tables = _constant_fibers(spec)
+    if tables is None:
+        return None
+    slopes = tables["slope"].tolist()
+    if len({v.hex() for v in slopes}) > 1:
+        return None
+    return slopes[0], tables["offset"]
 
 
 def _sample_chunk(spec, n_iter, m, rng):
@@ -240,9 +260,9 @@ def _sample_chunk(spec, n_iter, m, rng):
 
     The draws are those of m x values followed by n_iter rows of m uniforms:
     sample p reads position p of ``rng``'s stream for x and position
-    (k + 1) * m + p for step k.  The points run in lanes of ``_LANE``, each
-    through all n_iter steps while its rows stay in cache.  A lane reaches
-    its positions with a PCG64 copy of ``rng``: ``advance(lo)`` before its x
+    (k + 1) * m + p for step k.  The points run in lanes, each through all
+    n_iter steps while its rows stay in cache.  A lane reaches its
+    positions with a PCG64 copy of ``rng``: ``advance(lo)`` before its x
     and ``advance(m - n)`` before each step, for a lane of n points from
     point lo.  ``rng`` itself is then advanced past all m * (n_iter + 1)
     draws, so every output and the generator's final state are those of one
@@ -252,30 +272,43 @@ def _sample_chunk(spec, n_iter, m, rng):
     through ``out=``; U holds a step's draws and then its coefficients.
     Gathers use ``take(..., mode="clip")``, which writes ``out`` directly
     (the default mode buffers it); the branch index is always in range.
-    Fibers whose slopes and offsets are all floats (``_constant_fibers``)
-    gather s and t from per-branch tables and never compute u.  Other
-    fibers evaluate each branch's ``slope`` and ``offset`` on u and keep
-    each point's own branch with ``np.where``; a coefficient that the last
-    branch shares is evaluated once.
+
+    Fibers with a shared float slope s and float offsets
+    (``_shared_slope``) take the table path: A is the same a_k for every
+    point at step k, so row k of an n_iter x branches table holds a_k * t_i
+    (a_0 = 1, a_{k+1} = a_k * s), and a step is a draw, the branch index, a
+    gather of row k and an add.  Its lanes hold ``_TABLE_LANE`` points, so
+    each numpy call runs long next to a hand-off of the GIL between lift
+    threads.  Other fibers take the general path in lanes of ``_LANE``: it
+    evaluates each branch's ``slope`` and ``offset`` on u and keeps each
+    point's own branch with ``np.where``; a coefficient that the last
+    branch shares is evaluated once.  Both paths round A * t, the add and
+    A * s alike, so they give the same bits.
     """
     inner = spec.base_breaks[1:-1]
     x, y = np.empty((2, m))
-    rows = np.empty((3, min(m, _LANE)))
+    shared = _shared_slope(spec)
+    lane = _LANE if shared is None else _TABLE_LANE
+    rows = np.empty((3 if shared is None else 1, min(m, lane)))
     # idx starts at zero: a one-strip map has no inner break to set it
     idx_row = np.zeros(rows.shape[1], dtype=np.intp)
     hit_row = np.empty(rows.shape[1], dtype=bool)
-    tables = _constant_fibers(spec)
-    if tables is None:
+    if shared is None:
         base_slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
         base_offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
+    else:
+        s, offsets = shared
+        steps = np.empty((n_iter, offsets.size))
+        a = 1.0
+        for row in steps:
+            np.multiply(a, offsets, out=row)
+            a *= s
     start = rng.bit_generator.state
     lane_rng = np.random.Generator(np.random.PCG64())
 
     def own_branch(name):
         """Each point's own branch's coefficient ``name`` ("slope",
         "offset"), on the lane's rows."""
-        if tables is not None:
-            return tables[name].take(idx, out=U, mode="clip")
         last = spec.skew[-1].fiber
         w = last.at(name, u)
         for i, sk in enumerate(spec.skew[:-1]):
@@ -284,33 +317,37 @@ def _sample_chunk(spec, n_iter, m, rng):
                 w = np.where(hit, sk.fiber.at(name, u), w)
         return w
 
-    for lo in range(0, m, _LANE):
-        n = min(_LANE, m - lo)
-        U, A, u = rows[:, :n]
+    for lo in range(0, m, lane):
+        n = min(lane, m - lo)
+        U = rows[0, :n]
         idx, hit = idx_row[:n], hit_row[:n]
         B = y[lo:lo + n]
         lane_rng.bit_generator.state = start
         lane_rng.bit_generator.advance(lo)
         lane_rng.random(out=x[lo:lo + n])
-        A.fill(1.0)
         B.fill(0.0)
-        if tables is None:
+        if shared is None:
+            A, u = rows[1:, :n]
+            A.fill(1.0)
             np.copyto(u, x[lo:lo + n])
-        for _ in range(n_iter):
+        for k in range(n_iter):
             lane_rng.bit_generator.advance(m - n)
             lane_rng.random(out=U)
-            for k, b in enumerate(inner):
-                np.greater_equal(U, b, out=hit if k else idx)
-                if k:
+            for j, b in enumerate(inner):
+                np.greater_equal(U, b, out=hit if j else idx)
+                if j:
                     np.add(idx, hit, out=idx)
+            if shared is not None:
+                steps[k].take(idx, out=U, mode="clip")
+                np.add(U, B, out=B)
+                continue
             np.multiply(A, own_branch("offset"), out=U)
             np.add(U, B, out=B)
             np.multiply(A, own_branch("slope"), out=A)
-            if tables is None:
-                base_offsets.take(idx, out=U, mode="clip")
-                np.subtract(u, U, out=u)
-                base_slopes.take(idx, out=U, mode="clip")
-                np.divide(u, U, out=u)
+            base_offsets.take(idx, out=U, mode="clip")
+            np.subtract(u, U, out=u)
+            base_slopes.take(idx, out=U, mode="clip")
+            np.divide(u, U, out=u)
     rng.bit_generator.advance(m * (n_iter + 1))
     return x, y
 
@@ -344,7 +381,8 @@ def _grid_counts(x, y, nx, ny, yrange):
     The same counts as NumPy's two-dimensional histogram with ``bins=[nx, ny]``
     and ``range=[[0, 1], yrange]``: points outside the range fall into the
     outlier rim and are dropped.  The flat bin indices are computed a lane
-    of ``_LANE`` points at a time, so the temporaries are lane-sized.
+    of ``_LANE`` points at a time, so the temporaries are lane-sized.  The
+    result is the inner slice of the rim-padded bin count, not a copy.
     """
     flat = np.empty(len(x), dtype=np.intp)
     for lo in range(0, len(x), _LANE):
@@ -352,7 +390,7 @@ def _grid_counts(x, y, nx, ny, yrange):
         np.multiply(_bin_index(x[lo:lo + _LANE], 0.0, 1.0, nx), ny + 2, out=f)
         f += _bin_index(y[lo:lo + _LANE], yrange[0], yrange[1], ny)
     counts = np.bincount(flat, minlength=(nx + 2) * (ny + 2))
-    return counts.reshape(nx + 2, ny + 2)[1:-1, 1:-1].astype(np.int64)
+    return counts.reshape(nx + 2, ny + 2)[1:-1, 1:-1].astype(np.int64, copy=False)
 
 
 def lift_srb(spec, density, n_iter, n_samples, seed,
@@ -372,13 +410,15 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     a map: cell masses off 1/bins by more than 1e-9 relative raise
     ``ParameterError``, as the backward law would be wrong for them.
 
-    Work is split into fixed-size chunks with per-chunk child seeds; results
-    are merged in chunk order, so the outcome is identical for any worker
-    count.  Samples with y outside J are discarded; the rest are counted on
-    equal bins as ``np.histogramdd`` bins them (``_grid_counts``), into
-    ``cond_counts`` and the ``_SQ_BINS`` square ``sq_counts``; the samples
-    themselves are not kept.  More than ``_MAX_DISCARD_FRAC`` of the samples
-    discarded raises ``SampleDiscardError``.
+    Work is split into fixed-size chunks with per-chunk child seeds; each
+    chunk's counts are added in chunk order as they arrive, into the first
+    chunk's arrays, so the outcome is identical for any worker count and
+    only the chunks in flight are held at once.  Samples with y outside J
+    are discarded; the rest are counted on equal bins as ``np.histogramdd``
+    bins them (``_grid_counts``), into ``cond_counts`` and the ``_SQ_BINS``
+    square ``sq_counts``; the samples themselves are not kept.  More than
+    ``_MAX_DISCARD_FRAC`` of the samples discarded raises
+    ``SampleDiscardError``.
     """
     if n_iter < 1:
         raise ParameterError("need at least one iteration to leave the base line")
@@ -407,20 +447,21 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0))
         return cond, sq, dropped
 
-    args = list(zip(seeds, sizes))
+    def merge(results):
+        cond, sq, discarded = next(results)
+        for c, s, d in results:
+            cond += c
+            sq += s
+            discarded += d
+            del c, s  # free this chunk's counts before the next one is made
+        return cond, sq, discarded
+
+    args = zip(seeds, sizes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, args))
+            cond, sq, discarded = merge(pool.map(run_chunk, args))
     else:
-        results = [run_chunk(a) for a in args]
-
-    cond = np.zeros((fiber_bins, y_bins), dtype=np.int64)
-    sq = np.zeros((_SQ_BINS, _SQ_BINS), dtype=np.int64)
-    discarded = 0
-    for c, s, d in results:
-        cond += c
-        sq += s
-        discarded += d
+        cond, sq, discarded = merge(map(run_chunk, args))
     if discarded > _MAX_DISCARD_FRAC * n_samples:
         raise SampleDiscardError(
             f"{discarded} of {n_samples} samples left the fiber interval J",

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from horseshoe import measures
 from horseshoe.errors import (
     CacheError,
     ConvergenceError,
@@ -20,6 +21,7 @@ from horseshoe.maps import (
 from horseshoe.measures import (
     _CHUNK,
     _LANE,
+    _TABLE_LANE,
     Density1D,
     PiecewiseAffineBase,
     SrbEstimate,
@@ -34,6 +36,7 @@ from horseshoe.measures import (
     save_srb,
     _grid_counts,
     _sample_chunk,
+    _shared_slope,
     tsujii_criterion,
     ulam_acip,
     ulam_transition,
@@ -519,6 +522,32 @@ def _sheared_offset_skew():
     ])
 
 
+def _negative_shared_slope_skew():
+    """Both fibers reverse y with the one slope -0.5: the table path."""
+    return make_custom_skew((0.0, 0.5, 1.0), [
+        affine_fiber(-0.5, 0.75, 0.0, 0.0),
+        affine_fiber(-0.5, 1.0, 0.0, 0.0),
+    ])
+
+
+def _shared_three_strip_skew():
+    """Unequal breaks, the one slope 0.3 and a -0.0 offset: the table path."""
+    return make_custom_skew((0.0, 0.25, 0.6, 1.0), [
+        affine_fiber(0.3, -0.0, 0.0, 0.0),
+        affine_fiber(0.3, 0.35, 0.0, 0.0),
+        affine_fiber(0.3, 0.7, 0.0, 0.0),
+    ])
+
+
+def _signed_zero_slope_skew():
+    """Slopes 0.0 and -0.0 compare equal but differ in their bits, so the
+    map takes the general path.  A zero slope leaves no k0 to estimate."""
+    return make_custom_skew((0.0, 0.5, 1.0), [
+        affine_fiber(0.0, 0.25, 0.0, 0.0),
+        affine_fiber(-0.0, 0.75, 0.0, 0.0),
+    ], alpha=0.5, k0=1.5)
+
+
 def _backward_reference(spec, n_iter, m, rng):
     """Each sample's backward word composed in a scalar loop, from the same
     generator draws: x first, then one uniform per sample per step."""
@@ -543,15 +572,20 @@ def _backward_reference(spec, n_iter, m, rng):
     (_sheared_offset_skew(), False, 30, 400),
     (make_baker(0.6), True, 4, 2 * _LANE + 37),
     (make_affine_example(0.8, 0.55), False, 4, 2 * _LANE + 37),
+    (_negative_shared_slope_skew(), True, 30, 400),
+    (_shared_three_strip_skew(), True, 30, 400),
+    (_signed_zero_slope_skew(), True, 30, 400),
 ], ids=["baker06", "affine", "three_strip", "constant_three_strip",
-        "sheared_offset", "baker06_lanes", "affine_lanes"])
+        "sheared_offset", "baker06_lanes", "affine_lanes",
+        "negative_shared_slope", "shared_three_strip", "signed_zero_slopes"])
 def test_sampler_matches_scalar_reference(spec, table, n_iter, m):
-    """Bit for bit, on the constant-fiber table path exactly for maps whose
-    every fiber has a constant slope and offset, and on the general path;
-    the generator ends where the reference's draws leave it.  The _lanes
-    cases hold two full lanes and a ragged one; four steps keep the scalar
-    loop short, and each step after the first moves a lane's generator
-    past the other lanes' draws."""
+    """Bit for bit, for maps whose every fiber has a constant slope and
+    offset (``table``) and for the others, on the table path (a shared
+    slope, ``_shared_slope``) and on the general path; the generator ends
+    where the reference's draws leave it.  affine_lanes holds two full
+    general-path lanes and a ragged one, baker06_lanes one table lane;
+    four steps keep the scalar loop short, and each step after the first
+    moves a lane's generator past the other lanes' draws."""
     assert (_constant_fibers(spec) is not None) == table
     rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
     x, y = _sample_chunk(spec, n_iter, m, rng)
@@ -575,6 +609,44 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("spec, slope", [
+    (make_baker(2.0 ** -0.5), 2.0 ** -0.5), (_negative_shared_slope_skew(), -0.5),
+    (_shared_three_strip_skew(), 0.3), (_constant_three_strip_skew(), None),
+    (_signed_zero_slope_skew(), None), (make_affine_example(0.8, 0.55), None),
+], ids=["baker_trapezoid", "negative_shared_slope", "shared_three_strip",
+        "constant_three_strip", "signed_zero_slopes", "affine"])
+def test_table_path_needs_one_slope_bit_for_bit(spec, slope):
+    """The table path takes constant fibers whose slopes share their bits;
+    its offset table keeps each offset's bits, the sign of -0.0 too."""
+    shared = _shared_slope(spec)
+    assert (shared is None) == (slope is None)
+    if shared is not None:
+        assert shared[0] == slope
+        offsets = np.array([sk.fiber.offset for sk in spec.skew])
+        assert shared[1].tobytes() == offsets.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    make_baker(2.0 ** -0.5), make_affine_example(0.8, 0.55),
+    _constant_three_strip_skew(),
+], ids=["baker_trapezoid", "affine", "constant_three_strip"])
+def test_sampler_is_lane_independent(spec, monkeypatch):
+    """x, y and the generator's end state do not depend on either lane
+    size: lanes of 7 and of 1,000 points give the default lanes' bits, on
+    the table path (baker) and on the general path (affine, and constant
+    fibers with distinct slopes)."""
+    def sample():
+        rng = np.random.default_rng(77)
+        x, y = _sample_chunk(spec, 6, 2_500, rng)
+        return x.tobytes(), y.tobytes(), rng.bit_generator.state
+
+    expected = sample()
+    for lane in (7, 1_000):
+        monkeypatch.setattr(measures, "_LANE", lane)
+        monkeypatch.setattr(measures, "_TABLE_LANE", lane)
+        assert sample() == expected
+
+
 def test_sampler_working_set_is_lane_sized(affine):
     """Beyond its two output rows the sampler holds lane-sized work rows and
     the callable coefficients' lane-sized temporaries: 2 MiB covers them,
@@ -582,6 +654,34 @@ def test_sampler_working_set_is_lane_sized(affine):
     (x, y), peak = _traced_peak(
         lambda: _sample_chunk(affine, 30, 200_000, np.random.default_rng(3)))
     assert peak <= x.nbytes + y.nbytes + (2 << 20)
+
+
+def test_table_path_working_set_is_lane_sized():
+    """Beyond its two output rows the table path holds three rows of
+    ``_TABLE_LANE`` points (draws and gathered offsets at 8 bytes a point,
+    the branch index at 8 and the hit mask at 1: 1,114,112 bytes) and the
+    n_iter x branches offset table.  Measured on baker 2^-1/2 at 30 steps
+    and 200,000 points: 1,127,962 bytes above the outputs.  Chunk-sized
+    rows would take about 2.2 MiB more.  A first tiny call does numpy's
+    lazy imports for the lane generator, which are no part of the set."""
+    spec = make_baker(2.0 ** -0.5)
+    _sample_chunk(spec, 1, 1, np.random.default_rng(0))
+    (x, y), peak = _traced_peak(
+        lambda: _sample_chunk(spec, 30, 200_000, np.random.default_rng(3)))
+    assert peak <= x.nbytes + y.nbytes + 17 * _TABLE_LANE + (64 << 10)
+
+
+def test_lift_merges_chunk_counts_as_they_arrive(baker06):
+    """Eight chunks peak at the accumulators (the first chunk's rim-padded
+    count arrays) plus one more chunk: its x, y and flat bin indices and
+    its own count arrays.  Measured: 23.4 MiB at the default 256 x 4096
+    bins, the same at two chunks; holding every chunk's counts until the
+    merge read 81.8 MiB."""
+    dens = ulam_acip(baker06, bins=256)
+    srb, peak = _traced_peak(
+        lambda: lift_srb(baker06, dens, 2, 8 * _CHUNK, seed=1))
+    grids = 8 * ((srb.fiber_bins + 2) * (srb.y_bins + 2) + (srb.sq_bins + 2) ** 2)
+    assert peak <= 2 * grids + 3 * 8 * _CHUNK + (1 << 20)
 
 
 def test_deep_baker_lift_fills_every_column():
