@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .maps import (
     apply_branch,
     branch_derivative,
 )
-from .symbolic import check_word, fiber_image, lex_words
+from .symbolic import _level_starts, _tree_table, check_word, fiber_image
 
 _FRAME_FLOOR = 1e-10
 _PARTNER_OFFSET = 1e-3  # distance of a lattice point's partner along its direction
@@ -90,21 +91,21 @@ def unstable_direction(spec, word_history, z, depth):
 
 
 def _level_widths(spec, depth_max, x_grid_n=65):
-    """Extended width grids of the ``lex_words`` rows of each length 1..depth_max."""
-    xg = np.linspace(0.0, 1.0, x_grid_n)
-    for d in range(1, depth_max + 1):
-        lo, hi = fiber_image(spec, lex_words(spec.n_strips, d), xg, hat=True)
-        yield hi - lo
+    """(largest, smallest) extended width |A| * |J| over the base grid of
+    every word to depth_max, from one walk of the word tree: two arrays,
+    rows length by length and in ``lex_words`` order within a length."""
+    jlen = spec.fiber_len
+    return _tree_table(spec, depth_max, x_grid_n, attrgetter("diam"),
+                       lambda c: np.abs(c.A).min(axis=1) * jlen)
 
 
 def _width_constants(spec, depth_max, x_grid_n=65):
     """(k2, k4) from one pass over the width levels: the largest width spread
     to depth_max, and the worst two-sided defect of width multiplicativity
     under splicing, to depth min(depth_max, 6)."""
-    k2, diam = 1.0, [None]
-    for wd in _level_widths(spec, depth_max, x_grid_n):
-        diam.append(wd.max(axis=1))
-        k2 = max(k2, float((diam[-1] / wd.min(axis=1)).max()))
+    wmax, wmin = _level_widths(spec, depth_max, x_grid_n)
+    k2 = float((wmax / wmin).max(initial=1.0))
+    diam = [None] + np.split(wmax, _level_starts(spec.n_strips, depth_max)[1:-1])
     cap, k4 = min(depth_max, 6), 1.0
     for la in range(1, cap):
         for lb in range(1, cap - la + 1):

@@ -46,8 +46,8 @@ class FiberMap:
     u is the arrival base point.  The six coefficients are the slope and
     offset and their first and second u-derivatives; each is a float or a
     vectorized callable of u.  The partials of psi and its inverse in y
-    are derived from them below.  The word-tree walker
-    (``symbolic.fiber_step``) reads a float coefficient as it is, and the
+    are derived from them below.  The word-tree walks (``symbolic._walk``
+    and ``symbolic.fiber_step``) read a float coefficient as it is, and the
     lift gathers each step's offsets from one precomputed table when every
     branch has a float offset and the same float slope, bit for bit.
     """

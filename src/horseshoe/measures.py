@@ -304,7 +304,8 @@ def _sample_chunk(spec, n_iter, m, rng):
             np.multiply(a, offsets, out=row)
             a *= s
     start = rng.bit_generator.state
-    lane_rng = np.random.Generator(np.random.PCG64())
+    # seeded, not drawn from OS entropy: each lane sets its state from rng's
+    lane_rng = np.random.Generator(np.random.PCG64(0))
 
     def own_branch(name):
         """Each point's own branch's coefficient ``name`` ("slope",

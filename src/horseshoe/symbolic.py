@@ -14,23 +14,25 @@ on the right to the longest length L (0 is no symbol), with the lengths
 beside it.  ``MInventory`` and ``cylinder_table`` return their words so,
 and the envelopes and the checkpoint read them so.
 
-Every walk that shares prefixes steps each prefix once with
+Every walk that shares prefixes steps each prefix once with the step of
 ``fiber_step``, in one of two ways.  The walker ``_walk`` grows the tree:
 it pops a block of at most ``BLOCK`` nodes of one depth and grows each
 node by every symbol.  A node carries the arrival-point grid of its deep
-end and the composed fiber scale, so a block grows in a few array
-operations of O(nodes * grid).  The caller sees the block with its
-children and says by mask which children are pushed.  ``m_inventory``
-keeps the children at or above scale r, and ``cylinder_table`` those above
-its last complete depth.  The envelopes of ``conditions``
-(``_envelope_rows``) compose a given set of words instead, along the trie
-of their prefixes: the rows are sorted, and each level steps only the
-distinct prefixes that some row runs through.  On a sampled word set the
-walker would grow every child of every node.  ``cylinder_diameter``
-composes one word with the same ``fiber_step``, a symbol at a time, so
-its grid widths are the walker's bit for bit.  Every fiber map is affine
-in y (``maps.FiberMap``), so a composition is one scale and one shift per
-grid point.
+end, the composed fiber scale and its lex index within its depth, so a
+block grows in a few array operations of O(nodes * grid).  The caller sees
+the block with its children and says by mask which children are pushed;
+only pushed children get their grid stepped.  ``m_inventory`` keeps the
+children at or above scale r.  ``cylinder_table`` and the width constants
+of ``diagnostics`` keep every child above their last depth, and
+``_tree_table`` writes each word's row at its lex index.  The envelopes of
+``conditions`` (``_envelope_rows``) compose a given set of words instead,
+along the trie of their prefixes: the rows are sorted, and each level
+steps only the distinct prefixes that some row runs through.  On a sampled
+word set the walker would grow every child of every node.
+``cylinder_diameter`` composes one word with ``fiber_step``, a symbol at a
+time, so its grid widths are the walker's bit for bit.  Every fiber map is
+affine in y (``maps.FiberMap``), so a composition is one scale and one
+shift per grid point.
 
 M(r) is the family of words whose extended width has dropped to scale r.
 Where a node has some children at or above scale r and some below, the
@@ -58,12 +60,14 @@ overlap and leave gaps.  For the affine family a = 0.8, b = 0.55 the
 intervals of M(2^-4) cover only about 0.77 of [0,1].
 
 ``fiber_image`` composes whole words, each from the deep end toward the
-arrival point, a block of equal-length rows at a time; the width families
-of ``diagnostics`` and the bands of ``figures`` go through it, a length at
-a time, with ``lex_words`` rows.  The walker composes prefix by prefix
-instead, which rounds differently: for each of the 126 affine words to
-depth 6 the extended width grid differs from the ``fiber_image`` one in the
-last bits (by up to 1.2e-15 relative), so those families stay off it.
+arrival point, a block of equal-length rows at a time.  The bands of
+``figures`` (``lex_words`` rows) and the extension margins of
+``diagnostics`` go through it: it keeps the exact nesting U_ws inside U_w,
+which composing from the root breaks by an ulp.  Every width family reads
+the walker's composition instead, a word's extended width being |A| * |J|:
+``m_inventory``, ``cylinder_table``, ``cylinder_diameter`` and the width
+constants of ``diagnostics``.  That rounds differently from
+``fiber_image``'s hi - lo, by up to about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -97,9 +101,10 @@ def check_word(spec, word):
     return word
 
 
-def lex_words(n_strips, depth):
+def lex_words(n_strips, depth, dtype=int):
     """All words of one length as (n_strips**depth, depth) rows, lexicographic."""
-    return np.indices((n_strips,) * depth).reshape(depth, n_strips ** depth).T + 1
+    return (np.indices((n_strips,) * depth, dtype=dtype)
+            .reshape(depth, n_strips ** depth).T + 1)
 
 
 def fiber_image(spec, words, x, hat=False):
@@ -250,9 +255,13 @@ def envelope_hulls(A, B, coef, hull):
 
 
 # Word-tree nodes of one depth, one row each: the words as an (n, depth)
-# symbol array, the base intervals' left ends and lengths, the (n, grid)
-# deep-end grids X and fiber scales A, and the extended widths |A| * |J|.
-_Nodes = namedtuple("_Nodes", "word lo ln X A diam")
+# symbol array, their lex indices within the depth, the base intervals'
+# left ends and lengths, the (n, grid) deep-end grids X and fiber scales A,
+# and the extended widths |A| * |J|.  A child's lex index is its parent's
+# times N plus s - 1; it is exact while N^depth < 2^63, which every
+# full-tree walk meets, and the scale-stopped walk never reads it.
+# Children carry X = None: the walker steps X for the rows it pushes only.
+_Nodes = namedtuple("_Nodes", "word index lo ln X A diam")
 
 
 def _join(parts):
@@ -277,39 +286,79 @@ def _walk(spec, x_grid_n, keep):
     returned for them.  Only kept children are pushed, those of all symbols
     together in blocks of at most ``BLOCK`` rows; each symbol's share has at
     most as many rows as the parent block.
+
+    A child's A is its parent's A times the branch's fiber slope at the
+    parent's X, the step of ``fiber_step``; branches that hold one slope
+    object evaluate it once per block.  The children's X, the parent's X
+    under the base inverse, is stepped when they are pushed, for the kept
+    rows alone.
     """
     if x_grid_n < 2:
         raise ParameterError("need at least 2 base grid points")
     jlen = spec.fiber_len
+    n_sym = spec.n_strips
     xg = np.linspace(0.0, 1.0, x_grid_n)
-    sym_type = np.min_scalar_type(spec.n_strips)
-    stack = [_Nodes(np.zeros((1, 0), dtype=sym_type), np.zeros(1), np.ones(1),
-                    xg[None, :], np.ones((1, x_grid_n)), np.array([jlen]))]
+    sym_type = np.min_scalar_type(n_sym)
+    stack = [_Nodes(np.zeros((1, 0), dtype=sym_type), np.zeros(1, dtype=np.intp),
+                    np.zeros(1), np.ones(1), xg[None, :], np.ones((1, x_grid_n)),
+                    np.array([jlen]))]
     while stack:
         block = stack.pop()
-        children, kept = [], []
+        slopes, children, kept = {}, [], []
         for s, sk in enumerate(spec.skew, 1):
-            X, A, _, _ = fiber_step(sk, block.X, block.A)
+            slope = sk.fiber.slope
+            if id(slope) not in slopes:
+                slopes[id(slope)] = _coefficient(slope, block.X)
+            A = block.A * slopes[id(slope)]
             child = _Nodes(
                 np.concatenate((block.word, np.full((len(block.ln), 1), s,
                                                     dtype=sym_type)), axis=1),
+                block.index * n_sym + (s - 1),
                 np.minimum(sk.base_inverse(block.lo),
                            sk.base_inverse(block.lo + block.ln)),
-                block.ln / sk.base_slope, X, A, np.abs(A).max(axis=1) * jlen)
+                block.ln / sk.base_slope, None, A, np.abs(A).max(axis=1) * jlen)
             children.append(child)
             kept.append(keep(child))
         yield block, children, kept
         batch, rows = [], 0
-        for child, k in zip(children, kept):
-            if not k.any():
+        for sk, child, k in zip(spec.skew, children, kept):
+            n = int(k.sum())
+            if not n:
                 continue
-            if batch and rows + int(k.sum()) > BLOCK:
+            if batch and rows + n > BLOCK:
                 stack.append(_join(batch))
                 batch, rows = [], 0
-            batch.append(_Nodes(*(f[k] for f in child)))
-            rows += int(k.sum())
+            part = child._replace(X=block.X)
+            if n < len(k):
+                part = _Nodes(*(f[k] for f in part))
+            batch.append(part._replace(X=sk.base_inverse(part.X)))
+            rows += n
         if batch:
             stack.append(_join(batch))
+
+
+def _level_starts(n_strips, depth):
+    """First row of each length 1..depth in a table of every word to
+    ``depth``, length by length, and the table's row count last."""
+    return np.cumsum([0] + [n_strips ** d for d in range(1, depth + 1)])
+
+
+def _tree_table(spec, depth, x_grid_n, *reads):
+    """``read(nodes)`` of every word to ``depth``, one row per word, for each
+    read: rows run length by length, in ``lex_words`` order within a
+    length, each written at its lex index as the full walk reaches it."""
+    starts = _level_starts(spec.n_strips, depth)
+    out = np.empty((len(reads), starts[-1]))
+    if depth < 1:
+        return out
+    for _, children, _ in _walk(
+            spec, x_grid_n,
+            lambda c: np.full(len(c.ln), c.word.shape[1] < depth)):
+        for child in children:
+            rows = starts[child.word.shape[1] - 1] + child.index
+            for col, read in zip(out, reads):
+                col[rows] = read(child)
+    return out
 
 
 def m_inventory(spec, r, x_grid_n=65, budget=None):
@@ -389,21 +438,16 @@ def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
     if complete == 0:
         raise BudgetError(
             f"budget {budget} too small for even one full level")
-    levels = [[] for _ in range(complete)]
-    for block, children, _ in _walk(
-            spec, x_grid_n,
-            lambda c: np.full(len(c.ln), c.word.shape[1] < complete)):
-        levels[block.word.shape[1]].extend((c.word, c.ln, c.diam)
-                                           for c in children)
-    words, lens, diams = [], [], []
-    for level in levels:
-        word, ln, diam = (np.concatenate(f) for f in zip(*level))
-        order = np.lexsort(word.T[::-1])
-        words.append(word[order])
-        lens.append(ln[order])
-        diams.append(diam[order])
-    return (_padded(words, complete), np.concatenate(lens),
-            np.concatenate(diams), complete)
+    lens, diams = _tree_table(spec, complete, x_grid_n,
+                              operator.attrgetter("ln"),
+                              operator.attrgetter("diam"))
+    starts = _level_starts(spec.n_strips, complete)
+    words = np.zeros((starts[-1], complete),
+                     dtype=np.min_scalar_type(spec.n_strips))
+    for d in range(1, complete + 1):
+        words[starts[d - 1]:starts[d], :d] = lex_words(
+            spec.n_strips, d, words.dtype)
+    return words, lens, diams, complete
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
 @pytest.mark.parametrize("args, digests", [
     (["diagnostics", "--family", "affine", "--seed", "7"], {
         "diagnostics.json":
-            "2fd249b49df19c013f8448647955a3aef0578c811ca33062a90824f02120658a",
+            "da7fdae8bcfcbb4f5f1e53cb58ef8263d75c6dad151df48b2759783152bb3bca",
         "diagnostics_lattice.csv":
             "bbc3f63a0cd79b6f400ef9f114efa97b7f7a6e5377b56820808e8bf8f67fa58f",
     }),

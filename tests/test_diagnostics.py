@@ -5,6 +5,7 @@ import pytest
 
 from horseshoe import diagnostics
 from horseshoe.diagnostics import (
+    _width_constants,
     adapted_derivative,
     fiber_ratio_sup,
     margin_constants,
@@ -25,6 +26,8 @@ from horseshoe.maps import (
     make_custom_skew,
 )
 from horseshoe.symbolic import fiber_image
+
+from test_measures import _traced_peak
 
 
 def _quadratic_skew():
@@ -98,6 +101,15 @@ def test_fiber_ratio_sup_monotone_in_depth(affine):
 
 def test_fiber_ratio_flat_for_doubling(baker07):
     assert fiber_ratio_sup(baker07, 4) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_width_constants_working_set_is_block_sized(affine):
+    """The depth-11 width levels (4,094 words) come from one walk of the
+    word tree in ``BLOCK``-row blocks: a block's grids and their children's
+    scales, plus two floats per word.  Measured: 4.80 MB.  Composing each
+    level whole from its deep end through ``fiber_image`` took 13.0 MB."""
+    _, peak = _traced_peak(lambda: _width_constants(affine, 11))
+    assert peak <= 11 << 19
 
 
 # ---------------------------------------------------------------------------

@@ -656,18 +656,35 @@ def test_sampler_working_set_is_lane_sized(affine):
     assert peak <= x.nbytes + y.nbytes + (2 << 20)
 
 
+@pytest.mark.parametrize("spec", [
+    make_baker(2.0 ** -0.5), make_affine_example(0.8, 0.55),
+], ids=["table_path", "general_path"])
+def test_sampler_draws_no_os_entropy(spec, monkeypatch):
+    """The lane generator's state is set from ``rng``'s before every lane,
+    so building it reads no OS entropy (which numpy takes from
+    ``secrets.randbits``) and imports nothing."""
+    def no_entropy(*args):
+        raise AssertionError("OS entropy requested")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    x, y = _sample_chunk(spec, 3, 100, rng)
+    ref_x, ref_y = _backward_reference(spec, 3, 100, ref_rng)
+    assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+
+
 def test_table_path_working_set_is_lane_sized():
     """Beyond its two output rows the table path holds three rows of
     ``_TABLE_LANE`` points (draws and gathered offsets at 8 bytes a point,
     the branch index at 8 and the hit mask at 1: 1,114,112 bytes) and the
     n_iter x branches offset table.  Measured on baker 2^-1/2 at 30 steps
     and 200,000 points: 1,127,962 bytes above the outputs.  Chunk-sized
-    rows would take about 2.2 MiB more.  A first tiny call does numpy's
-    lazy imports for the lane generator, which are no part of the set."""
+    rows would take about 2.2 MiB more.  The generator is built before the
+    trace: a first ``np.random`` call imports numpy's random module (about
+    0.7 MB), which is no part of the set."""
     spec = make_baker(2.0 ** -0.5)
-    _sample_chunk(spec, 1, 1, np.random.default_rng(0))
-    (x, y), peak = _traced_peak(
-        lambda: _sample_chunk(spec, 30, 200_000, np.random.default_rng(3)))
+    rng = np.random.default_rng(3)
+    (x, y), peak = _traced_peak(lambda: _sample_chunk(spec, 30, 200_000, rng))
     assert peak <= x.nbytes + y.nbytes + 17 * _TABLE_LANE + (64 << 10)
 
 

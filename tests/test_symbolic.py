@@ -5,7 +5,14 @@ from hypothesis import given, strategies as st
 
 from horseshoe.conditions import _envelope_rows, tail_slope_hull
 from horseshoe.errors import BudgetError, CacheError, ParameterError
-from horseshoe.maps import affine_fiber, make_affine_example, make_baker, make_custom_skew
+from horseshoe import symbolic
+from horseshoe.maps import (
+    SkewBranch,
+    affine_fiber,
+    make_affine_example,
+    make_baker,
+    make_custom_skew,
+)
 from horseshoe.symbolic import (
     _word_widths,
     check_word,
@@ -294,6 +301,41 @@ def test_cylinder_table_matches_level_walk(spec, depth, budget):
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2].tobytes() == want[2].tobytes()
     assert got[3] == want[3]
+
+
+def test_walk_evaluates_a_shared_slope_once_and_steps_pushed_rows(monkeypatch):
+    """Two branches hold one slope callable: each popped block evaluates it
+    once, on the block's X.  The children's X is stepped for the pushed
+    rows only, whole shares and masked ones, over blocks of 7 rows."""
+    calls = []
+
+    def slope(u):
+        calls.append(np.ndim(u))
+        return 0.5 + 0.1 * u
+
+    spec = make_custom_skew((0.0, 0.4, 1.0), [
+        affine_fiber(slope, 0.0, 0.1, 0.0), affine_fiber(slope, 0.45, 0.1, 0.0)])
+    stepped = []
+    base_inverse = SkewBranch.base_inverse
+
+    def counted(self, u):
+        if np.ndim(u) == 2:
+            stepped.append(len(u))
+        return base_inverse(self, u)
+
+    monkeypatch.setattr(SkewBranch, "base_inverse", counted)
+    monkeypatch.setattr(symbolic, "BLOCK", 7)
+    calls.clear()
+    blocks = pushed = grown = whole = 0
+    for _, children, kept in symbolic._walk(spec, 65, lambda c: c.diam >= 0.05):
+        blocks += 1
+        pushed += sum(int(k.sum()) for k in kept)
+        grown += sum(len(c.ln) for c in children)
+        whole += sum(bool(k.all()) for k in kept)
+        assert all(c.X is None for c in children)
+    assert calls == [2] * blocks
+    assert sum(stepped) == pushed < grown
+    assert 0 < whole < 2 * blocks
 
 
 def test_scale_family_budget_counts_nodes(affine):
