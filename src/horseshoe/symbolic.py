@@ -344,9 +344,9 @@ def _level_starts(n_strips, depth):
 
 
 def _tree_table(spec, depth, x_grid_n, *reads):
-    """``read(nodes)`` of every word to ``depth``, one row per word, for each
-    read: rows run length by length, in ``lex_words`` order within a
-    length, each written at its lex index as the full walk reaches it."""
+    """One array per ``read``, holding ``read(nodes)`` for every word to
+    ``depth``: rows run length by length and in ``lex_words`` order within
+    a length, each written at its lex index as the full walk reaches it."""
     starts = _level_starts(spec.n_strips, depth)
     out = np.empty((len(reads), starts[-1]))
     if depth < 1:

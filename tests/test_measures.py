@@ -661,16 +661,14 @@ def test_sampler_working_set_is_lane_sized(affine):
 ], ids=["table_path", "general_path"])
 def test_sampler_draws_no_os_entropy(spec, monkeypatch):
     """The lane generator's state is set from ``rng``'s before every lane,
-    so building it reads no OS entropy (which numpy takes from
-    ``secrets.randbits``) and imports nothing."""
+    so building it reads no OS entropy, which numpy takes from
+    ``secrets.randbits``."""
     def no_entropy(*args):
         raise AssertionError("OS entropy requested")
 
+    rng = np.random.default_rng(5)
     monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    x, y = _sample_chunk(spec, 3, 100, rng)
-    ref_x, ref_y = _backward_reference(spec, 3, 100, ref_rng)
-    assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+    _sample_chunk(spec, 3, 100, rng)
 
 
 def test_table_path_working_set_is_lane_sized():

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from horseshoe import symbolic
 from horseshoe.conditions import _envelope_rows, tail_slope_hull
 from horseshoe.errors import BudgetError, CacheError, ParameterError
-from horseshoe import symbolic
 from horseshoe.maps import (
     SkewBranch,
     affine_fiber,
@@ -293,14 +293,17 @@ def _level_table(spec, depth_max, budget=None, x_grid_n=65):
     (make_affine_example(0.8, 0.55), 12, 120),
     (make_affine_example(0.8, 0.55), 12, 127),
 ], ids=["affine", "three_strip", "affine_budget", "affine_budget_edge"])
-def test_cylinder_table_matches_level_walk(spec, depth, budget):
-    got = cylinder_table(spec, depth, budget=budget)
+def test_cylinder_table_matches_level_walk(spec, depth, budget, monkeypatch):
+    """Bit for bit, at the default block size and at 7 rows a block."""
     want = _level_table(spec, depth, budget=budget)
-    assert got[0].shape == (len(want[0]), want[3])
-    assert _word_tuples(got[0], np.array([len(w) for w in want[0]])) == want[0]
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2].tobytes() == want[2].tobytes()
-    assert got[3] == want[3]
+    for block in (symbolic.BLOCK, 7):
+        monkeypatch.setattr(symbolic, "BLOCK", block)
+        got = cylinder_table(spec, depth, budget=budget)
+        assert got[0].shape == (len(want[0]), want[3])
+        assert _word_tuples(got[0], np.array([len(w) for w in want[0]])) == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[3] == want[3]
 
 
 def test_walk_evaluates_a_shared_slope_once_and_steps_pushed_rows(monkeypatch):

@@ -1,13 +1,13 @@
 """Word families composed as rows agree with one-word compositions.
 
 ``fiber_image`` composes a block of equal-length word rows at once, and the
-diagnostics width constants and ``cylinder_table`` read whole levels of the
-word-tree walk.  Each is compared here, byte for byte or with ``==``,
-against a one-word-at-a-time reference: for ``fiber_image`` a compact copy
-of its deep-end composition, for the walk's widths the walker's own
-one-word composition ``symbolic._word_widths`` (the one
-``cylinder_diameter`` uses), run over tuple walks of every word.  The
-small block size of 7 rows splits every level over several blocks.
+diagnostics width constants read whole levels of the word-tree walk.  Each
+is compared here, byte for byte or with ``==``, against a
+one-word-at-a-time reference: for ``fiber_image`` a compact copy of its
+deep-end composition, for the width constants the walker's own one-word
+composition ``symbolic._word_widths`` (the one ``cylinder_diameter``
+uses), run over tuple walks of every word.  A block size of 7 rows splits
+every level over several blocks.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 from horseshoe import symbolic
 from horseshoe.diagnostics import _width_constants, fiber_ratio_sup
 from horseshoe.maps import make_affine_example, make_baker
-from horseshoe.symbolic import _word_widths, cylinder_table, fiber_image, lex_words
+from horseshoe.symbolic import _word_widths, fiber_image, lex_words
 
 from test_diagnostics import _quadratic_skew
 from test_symbolic import _three_strip_skew
@@ -126,28 +126,3 @@ def test_width_constants_match_tuple_walks(spec, depth, monkeypatch):
         assert _width_constants(spec, depth) == want
     assert fiber_ratio_sup(spec, 0) == 1.0
     assert _width_constants(spec, 1)[1] == 1.0
-
-
-def _base_length(spec, word):
-    """|I_w|, divided down a symbol at a time as the walker does."""
-    ln = 1.0
-    for s in word:
-        ln /= spec.skew[s - 1].base_slope
-    return ln
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-def test_cylinder_table_rows_match_tuple_walks(spec, monkeypatch):
-    """Rows run length by length in ``lex_words`` order, whatever the block
-    size, and each diameter is the walker's one-word width maximum."""
-    depth = 5
-    widths = _tuple_widths(spec, depth)
-    want = [tuple(w) for d in range(1, depth + 1)
-            for w in lex_words(spec.n_strips, d).tolist()]
-    for block in (symbolic.BLOCK, 7):
-        monkeypatch.setattr(symbolic, "BLOCK", block)
-        words, lens, diams, complete = cylinder_table(spec, depth)
-        assert complete == depth and words.shape == (len(want), depth)
-        assert [tuple(s for s in row if s) for row in words.tolist()] == want
-        assert diams.tolist() == [float(widths[w].max()) for w in want]
-        assert lens.tolist() == [_base_length(spec, w) for w in want]
