@@ -80,6 +80,6 @@ from .diagnostics import (
     unstable_direction,
 )
 from .figures import emit_strip_polygons, strip_polygons
-from .cli import RunConfig, RunManifest, cache_roundtrip, run_pipeline
+from .cli import RunConfig, RunManifest, run_pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]

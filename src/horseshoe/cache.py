@@ -55,8 +55,10 @@ def write_blob(path, kind, meta, arrays):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _read_header(path):
-    """Check magic, version and header of a container; (header, payload)."""
+def read_blob(path, expect_kind=None):
+    """Load a container as (meta, arrays).  Magic, version, header, payload
+    digest and kind tag are checked, and any failing check raises
+    CacheError."""
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
         raise CacheError(f"{path}: not a cache file")
@@ -66,33 +68,25 @@ def _read_header(path):
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}; "
             "regenerate the cache")
     start = len(MAGIC) + 12
-    try:
+    payload = raw[start + hlen:]
+    try:  # bad UTF-8 or JSON is a ValueError, a non-object header a TypeError
         header = json.loads(raw[start: start + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheError(f"{path}: unreadable header ({exc})") from exc
-    return header, raw[start + hlen:]
-
-
-def read_blob(path, expect_kind=None):
-    """Load a container, verifying magic, version and payload digest."""
-    header, payload = _read_header(path)
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
+        digest, kind, meta = (header["payload_sha256"], header["kind"],
+                              dict(header["meta"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CacheError(f"{path}: unreadable header ({exc!r})") from exc
+    if hashlib.sha256(payload).hexdigest() != digest:
         raise CacheError(f"{path}: payload digest mismatch (truncated or edited)")
-    if expect_kind is not None and header.get("kind") != expect_kind:
-        raise CacheError(
-            f"{path}: holds {header.get('kind')!r}, expected {expect_kind!r}")
-    arrays = {}
-    for desc in header["arrays"]:
-        buf = payload[desc["offset"]: desc["offset"] + desc["nbytes"]]
-        arrays[desc["name"]] = np.frombuffer(
-            buf, dtype=np.dtype(desc["dtype"])).reshape(desc["shape"]).copy()
-    return header["meta"], arrays
-
-
-def blob_kind(path):
-    """Read only the kind tag of a container (still verifies the header)."""
-    return _read_header(path)[0]["kind"]
+    if expect_kind is not None and kind != expect_kind:
+        raise CacheError(f"{path}: holds {kind!r}, expected {expect_kind!r}")
+    try:
+        arrays = {desc["name"]: np.frombuffer(
+            payload[desc["offset"]: desc["offset"] + desc["nbytes"]],
+            dtype=np.dtype(desc["dtype"])).reshape(desc["shape"]).copy()
+            for desc in header["arrays"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheError(f"{path}: arrays do not fit the payload ({exc!r})") from exc
+    return meta, arrays
 
 
 def file_sha256(path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -102,15 +103,16 @@ _LIST_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
                      if type(f.default) is tuple)
 
 
-def _decreasing(values, what):
+def _scales(values, what):
+    """``values`` as a tuple of positive finite floats, strictly decreasing."""
     try:
         vals = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a list of numbers: {exc}") from exc
+        raise ConfigError(f"{what} must hold numbers only: {exc}") from exc
     if not vals:
         raise ConfigError(f"{what} must not be empty")
-    if any(v <= 0 for v in vals):
-        raise ConfigError(f"{what} must be positive")
+    if not all(0 < v < math.inf for v in vals):  # NaN fails too
+        raise ConfigError(f"{what} must be positive and finite, got {vals}")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{what} must decrease strictly, got {vals}")
     return tuple(vals)
@@ -121,7 +123,10 @@ def finalize_config(config):
     if config.family not in _FAMILIES:
         raise ConfigError(f"unknown map family {config.family!r}")
     for name in _LIST_FIELDS:
-        setattr(config, name, _decreasing(getattr(config, name), name))
+        setattr(config, name, _scales(getattr(config, name), name))
+    labels = [_label(r) for r in config.enum_r]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"enum_r blob labels must differ, got {labels}")
     if type(config.seed) is not int or config.seed < 0:  # a bool is no seed
         raise ConfigError(f"seed must be a non-negative integer (and is "
                           f"mandatory), got {config.seed!r}")
@@ -137,12 +142,7 @@ def finalize_config(config):
     if config.fat_depth <= _FAT_DEPTH_MIN:
         raise ConfigError(f"fat_depth must exceed {_FAT_DEPTH_MIN}")
     if config.delta is not None:
-        try:
-            config.delta = float(config.delta)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"delta must be a number: {exc}") from exc
-        if not config.delta > 0.0:
-            raise ConfigError("delta must be positive")
+        config.delta = _scales([config.delta], "delta")[0]
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -200,40 +200,57 @@ def _acip(ctx):
     return ctx["acip"]
 
 
+def _label(r):
+    """A scale as it names its inventory blob and its enumeration.json entry."""
+    return f"{r:.10g}"
+
+
+def _checkpoint(path, load, key, want, build, save):
+    """The one reuse rule: ``load(path)`` checks the map hash, and the blob is
+    reused when ``key`` of what it holds is ``want``; a missing blob or any
+    CacheError is a miss, built afresh and rewritten."""
+    if path.exists():
+        try:
+            found = load(path)
+            if key(found) == want:
+                return found
+        except CacheError:
+            pass
+    made = build()
+    save(made, path)
+    return made
+
+
 def _inventories(ctx):
-    """M(r) for every ``enum_r`` scale, built once per run."""
+    """M(r) for every ``enum_r`` scale, keyed by r and the x grid size."""
     if "inventories" not in ctx:
-        cfg = ctx["config"]
-        ctx["inventories"] = [
-            m_inventory(_spec(ctx), r, x_grid_n=cfg.x_grid_n,
-                        budget=_WORD_BUDGET)
+        cfg, spec = ctx["config"], _spec(ctx)
+        ctx["inventories"] = [_checkpoint(
+            Path(cfg.out_dir) / f"inventory_r{_label(r)}.blob",
+            lambda path: load_inventory(path, spec),
+            lambda inv: (inv.r, inv.x_grid.size), (r, cfg.x_grid_n),
+            lambda: m_inventory(spec, r, x_grid_n=cfg.x_grid_n,
+                                budget=_WORD_BUDGET),
+            lambda inv, path: save_inventory(inv, path, spec))
             for r in cfg.enum_r]
     return ctx["inventories"]
 
 
 def _srb(ctx):
-    if "srb" in ctx:
-        return ctx["srb"]
-    cfg = ctx["config"]
-    spec = _spec(ctx)
-    path = Path(cfg.out_dir) / "srb.blob"
-    if path.exists():
-        try:
-            srb = load_srb(path, expect_spec_hash=spec.map_hash)
-            if (srb.seed == cfg.seed and srb.n_samples == cfg.samples
-                    and srb.iterations_used == cfg.iters
-                    and srb.fiber_bins == cfg.fiber_bins
-                    and srb.y_bins == cfg.y_bins):
-                ctx["srb"] = srb
-                return srb
-        except CacheError:
-            pass
-    srb = lift_srb(spec, _acip(ctx), cfg.iters, cfg.samples, cfg.seed,
-                   fiber_bins=cfg.fiber_bins, y_bins=cfg.y_bins,
-                   workers=cfg.workers)
-    save_srb(path, srb)
-    ctx["srb"] = srb
-    return srb
+    """The lift, keyed by seed, sample count, steps and histogram bins."""
+    if "srb" not in ctx:
+        cfg, spec = ctx["config"], _spec(ctx)
+        ctx["srb"] = _checkpoint(
+            Path(cfg.out_dir) / "srb.blob",
+            lambda path: load_srb(path, spec.map_hash),
+            lambda srb: (srb.seed, srb.n_samples, srb.iterations_used,
+                         srb.fiber_bins, srb.y_bins),
+            (cfg.seed, cfg.samples, cfg.iters, cfg.fiber_bins, cfg.y_bins),
+            lambda: lift_srb(spec, _acip(ctx), cfg.iters, cfg.samples, cfg.seed,
+                             fiber_bins=cfg.fiber_bins, y_bins=cfg.y_bins,
+                             workers=cfg.workers),
+            lambda srb, path: save_srb(path, srb))
+    return ctx["srb"]
 
 
 def stage_validate(ctx):
@@ -263,10 +280,8 @@ def stage_enumerate(ctx):
     cfg = ctx["config"]
     summary = {}
     for inv in _inventories(ctx):
-        name = f"inventory_r{inv.r:.10g}.blob"
-        save_inventory(inv, Path(cfg.out_dir) / name, _spec(ctx))
-        summary[f"{inv.r:.10g}"] = {
-            "file": name,
+        summary[_label(inv.r)] = {
+            "file": f"inventory_r{_label(inv.r)}.blob",
             "words": len(inv.words),
             "mass": inv.mass(),
             "mass_defect": abs(inv.mass() - 1.0),
@@ -442,16 +457,6 @@ def run_pipeline(config):
                 manifest.files[p.name] = cache.file_sha256(p)
         _write_json(out / _MANIFEST_NAME, dataclasses.asdict(manifest))
     return manifest
-
-
-def cache_roundtrip(path):
-    """Reload any cache container, dispatching on its kind tag."""
-    kind = cache.blob_kind(path)
-    if kind == "m_inventory":
-        return load_inventory(path)
-    if kind == "srb_estimate":
-        return load_srb(path)
-    return cache.read_blob(path)
 
 
 # ---------------------------------------------------------------------------

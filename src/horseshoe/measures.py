@@ -22,7 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import cache
 from .errors import (
+    CacheError,
     ConvergenceError,
     ParameterError,
     ResolutionError,
@@ -645,8 +647,6 @@ def tsujii_criterion(srb, r_list):
 def save_srb(path, srb):
     """Checkpoint an estimate; each count histogram is stored in the smallest
     dtype that holds its maximum (``np.min_scalar_type``)."""
-    from . import cache
-
     arrays = {}
     for name in _COUNT_NAMES:
         c = getattr(srb, name)
@@ -654,16 +654,18 @@ def save_srb(path, srb):
     return cache.write_blob(path, "srb_estimate", srb.meta(), arrays)
 
 
-def load_srb(path, expect_spec_hash=None):
-    """Read a checkpoint back; counts are widened to int64, so blobs with
-    narrowed counts and older int64 blobs load alike."""
-    from . import cache
-    from .errors import CacheError
-
+def load_srb(path, spec_hash):
+    """Read back a checkpoint of the map with ``spec_hash``; counts are
+    widened to int64, so blobs with narrowed counts and older int64 blobs
+    load alike.  CacheError when the blob is another map's or lacks a
+    field."""
     meta, arrays = cache.read_blob(path, expect_kind="srb_estimate")
-    if expect_spec_hash is not None and meta["spec_hash"] != expect_spec_hash:
-        raise CacheError(f"{path}: checkpoint belongs to another map instance")
-    meta["fiber_range"] = tuple(meta["fiber_range"])
-    return SrbEstimate(**{
-        f.name: arrays[f.name].astype(np.int64) if f.name in _COUNT_NAMES
-        else meta[f.name] for f in fields(SrbEstimate)})
+    if meta.get("spec_hash") != spec_hash:
+        raise CacheError(f"{path}: spec_hash is not {spec_hash!r}")
+    try:
+        meta["fiber_range"] = tuple(meta["fiber_range"])
+        return SrbEstimate(**{
+            f.name: arrays[f.name].astype(np.int64) if f.name in _COUNT_NAMES
+            else meta[f.name] for f in fields(SrbEstimate)})
+    except KeyError as exc:
+        raise CacheError(f"{path}: checkpoint lacks {exc}") from exc

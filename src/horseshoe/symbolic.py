@@ -79,7 +79,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateScaleError, ParameterError
+from . import cache
+from .errors import BudgetError, CacheError, DegenerateScaleError, ParameterError
 
 # Rows per block of the batched word-tree and pair kernels.  At 1024 rows a
 # block's grid arrays (rows x 65 base points) are 520 KiB each; at 4096 they
@@ -454,14 +455,10 @@ def cylinder_table(spec, depth_max, x_grid_n=65, budget=None):
 # inventory persistence
 
 
-def save_inventory(inv, path, spec=None):
-    """Checkpoint an MInventory (words and scalars only) to a cache blob."""
-    from .cache import write_blob
-
-    meta = {"r": inv.r, "n_words": len(inv.words)}
-    if spec is not None:
-        meta["map_hash"] = spec.map_hash
-    return write_blob(path, "m_inventory", meta, {
+def save_inventory(inv, path, spec):
+    """Checkpoint an MInventory of ``spec`` (words and scalars only)."""
+    meta = {"r": inv.r, "n_words": len(inv.words), "map_hash": spec.map_hash}
+    return cache.write_blob(path, "m_inventory", meta, {
         "symbols": inv.words[inv.words > 0].astype(np.int32),
         "lengths": inv.lengths.astype(np.int32),
         "x_grid": inv.x_grid,
@@ -471,21 +468,20 @@ def save_inventory(inv, path, spec=None):
     })
 
 
-def load_inventory(path, spec=None):
-    """Reload a checkpointed inventory; verifies the map hash when given."""
-    from .cache import read_blob
-    from .errors import CacheError
-
-    meta, arrays = read_blob(path, expect_kind="m_inventory")
-    if spec is not None and "map_hash" in meta and meta["map_hash"] != spec.map_hash:
-        raise CacheError(
-            f"{path}: inventory belongs to map {meta['map_hash'][:12]}, "
-            f"not {spec.map_hash[:12]}")
-    symbols, lengths = arrays["symbols"], arrays["lengths"].astype(int)
-    words = np.zeros((lengths.size, lengths.max(initial=0)),
-                     dtype=np.min_scalar_type(symbols.max(initial=1)))
-    words[np.arange(words.shape[1]) < lengths[:, None]] = symbols
-    return MInventory(
-        r=float(meta["r"]), x_grid=arrays["x_grid"], words=words,
-        lengths=lengths, base_lo=arrays["base_lo"],
-        base_len=arrays["base_len"], diam=arrays["diam"])
+def load_inventory(path, spec):
+    """Reload an inventory checkpointed for ``spec``; CacheError when the
+    blob is another map's or lacks a field."""
+    meta, arrays = cache.read_blob(path, expect_kind="m_inventory")
+    if meta.get("map_hash") != spec.map_hash:
+        raise CacheError(f"{path}: map_hash is not {spec.map_hash!r}")
+    try:
+        symbols, lengths = arrays["symbols"], arrays["lengths"].astype(int)
+        words = np.zeros((lengths.size, lengths.max(initial=0)),
+                         dtype=np.min_scalar_type(symbols.max(initial=1)))
+        words[np.arange(words.shape[1]) < lengths[:, None]] = symbols
+        return MInventory(
+            r=float(meta["r"]), x_grid=arrays["x_grid"], words=words,
+            lengths=lengths, base_lo=arrays["base_lo"],
+            base_len=arrays["base_len"], diam=arrays["diam"])
+    except KeyError as exc:
+        raise CacheError(f"{path}: checkpoint lacks {exc}") from exc

@@ -1,17 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from horseshoe import cache, cli
 from horseshoe.cli import (
     RunConfig,
-    cache_roundtrip,
     default_delta,
     finalize_config,
     main,
@@ -19,8 +19,7 @@ from horseshoe.cli import (
     run_pipeline,
 )
 from horseshoe.errors import CacheError, ConfigError
-from horseshoe.measures import SrbEstimate, save_srb
-from horseshoe.symbolic import m_inventory, save_inventory
+from horseshoe.symbolic import load_inventory, m_inventory, save_inventory
 
 
 def _tiny_args(out, extra=()):
@@ -109,6 +108,9 @@ def test_finalize_rejects_bad_settings(tmp_path):
         finalize_config(RunConfig(r_list=(0.1, 0.2), **base))
     with pytest.raises(ConfigError):
         finalize_config(RunConfig(enum_r=(0.1, 0.1), **base))
+    # two scales that would share one inventory file name
+    with pytest.raises(ConfigError, match="labels"):
+        finalize_config(RunConfig(enum_r=(0.25, 0.24999999999), **base))
     with pytest.raises(ConfigError):
         finalize_config(RunConfig(samples=0, **base))
     with pytest.raises(ConfigError, match="fat_depth"):
@@ -195,6 +197,16 @@ def test_config_error_exit_code(tmp_path, capsys):
         cfg.write_text(json.dumps({key: val}))
         assert main(["acip", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+    # non-finite values and clashing scale labels are refused before any stage
+    for flags, what in ((["--enum-r", "nan"], "enum_r"),
+                        (["--r-list", "inf,0.1"], "r_list"),
+                        (["--delta", "inf"], "delta"),
+                        (["--delta", "nan"], "delta"),
+                        (["--enum-r", "0.25,0.24999999999"], "enum_r")):
+        out = tmp_path / "nonfinite"
+        assert main(["all", *flags, "--out", str(out)]) == 2, flags
+        assert what in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_enumerate_checkpoint_bytes_pinned(tmp_path):
@@ -220,7 +232,7 @@ def test_enumerate_checkpoint_bytes_pinned(tmp_path):
     spec = cli.build_spec(RunConfig(family="affine"))
     for r in (0.0625, 0.015625):
         inv = m_inventory(spec, r)
-        back = cache_roundtrip(tmp_path / f"inventory_r{r:.10g}.blob")
+        back = load_inventory(tmp_path / f"inventory_r{r:.10g}.blob", spec)
         assert back.words.tolist() == inv.words.tolist()
         assert back.lengths.tolist() == inv.lengths.tolist()
 
@@ -278,20 +290,122 @@ def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):
     assert {name: cache.file_sha256(tmp_path / name) for name in digests} == digests
 
 
+def _counted(monkeypatch, name):
+    """Calls of ``cli.<name>`` from here on, by their positional arguments."""
+    calls, real = [], getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def _read_outputs(out, *names):
+    return {name: (out / name).read_bytes() for name in names}
+
+
 def test_each_scale_enumerated_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(spec, r, **kwargs):
-        calls.append(r)
-        return m_inventory(spec, r, **kwargs)
-
-    monkeypatch.setattr(cli, "m_inventory", counted)
-    ctx = {"config": finalize_config(
-        RunConfig(lam=0.5, enum_r=(0.3, 0.15), out_dir=str(tmp_path)))}
+    calls = _counted(monkeypatch, "m_inventory")
+    config = finalize_config(
+        RunConfig(lam=0.5, enum_r=(0.3, 0.15), out_dir=str(tmp_path)))
+    ctx = {"config": config}
     cli.stage_enumerate(ctx)
     cli.stage_transversality(ctx)
-    assert calls == [0.3, 0.15]
+    assert [r for _, r in calls] == [0.3, 0.15]
     assert [rep.r for rep in ctx["ntr"].reports] == [0.3, 0.15]
+    written = _read_outputs(tmp_path, "ntr.csv", "ntr.json")
+    # a later run on the same directory reads the inventories back
+    cli.stage_transversality({"config": config})
+    assert len(calls) == 2
+    assert _read_outputs(tmp_path, "ntr.csv", "ntr.json") == written
+
+
+def test_criterion_after_lift_reads_the_checkpoint(tmp_path, monkeypatch):
+    calls = _counted(monkeypatch, "lift_srb")
+    config = finalize_config(RunConfig(
+        lam=0.5, samples=20_000, iters=10, fiber_bins=64, y_bins=1200,
+        out_dir=str(tmp_path)))
+    ctx = {"config": config}
+    cli.stage_lift(ctx)
+    cli.stage_criterion(ctx)
+    assert len(calls) == 1
+    written = _read_outputs(tmp_path, "criterion.csv", "criterion.json")
+    cli.stage_criterion({"config": config})
+    assert len(calls) == 1
+    assert _read_outputs(tmp_path, "criterion.csv", "criterion.json") == written
+
+
+_SMALL = ["--lam", "0.5", "--samples", "20000", "--iters", "10",
+          "--fiber-bins", "64", "--y-bins", "1200", "--enum-r", "0.3,0.15",
+          "--x-grid-n", "33", "--seed", "7"]
+# blob -> (stage writing it, stage reading it, builder, kind tag)
+_CHECKPOINTS = {
+    "inventory_r0.3.blob": ("enumerate", "transversality", "m_inventory",
+                            "m_inventory"),
+    "srb.blob": ("lift", "criterion", "lift_srb", "srb_estimate"),
+}
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _drop_meta(key):
+    def drop(path):
+        meta, arrays = cache.read_blob(path)
+        del meta[key]
+        cache.write_blob(path, _CHECKPOINTS[path.name][3], meta, arrays)
+    return drop
+
+
+@pytest.mark.parametrize("blob, change, damage", [
+    ("inventory_r0.3.blob", ["--lam", "0.6"], None),
+    ("srb.blob", ["--lam", "0.6"], None),
+    # the same file name, but not the exact stored r
+    ("inventory_r0.3.blob", ["--enum-r", "0.30000000001,0.15"], None),
+    ("inventory_r0.3.blob", ["--x-grid-n", "17"], None),
+    ("srb.blob", ["--seed", "8"], None),
+    ("inventory_r0.3.blob", [], _truncate),
+    ("srb.blob", [], _truncate),
+    ("inventory_r0.3.blob", [], _drop_meta("map_hash")),
+    ("srb.blob", [], _drop_meta("contraction_budget")),
+], ids=["inventory_other_map", "srb_other_map", "inventory_other_r",
+        "inventory_other_x_grid_n", "srb_other_seed", "inventory_truncated",
+        "srb_truncated", "inventory_missing_field", "srb_missing_field"])
+def test_checkpoint_miss_is_recomputed(tmp_path, monkeypatch, blob, change,
+                                       damage):
+    """A blob written for another key, or damaged, is built afresh and
+    rewritten; the rewritten blob is then a hit."""
+    writer, reader, builder, _ = _CHECKPOINTS[blob]
+    path = tmp_path / blob
+    assert main([writer, *_SMALL, "--out", str(tmp_path)]) == 0
+    original = path.read_bytes()
+    if damage is not None:
+        damage(path)
+    calls = _counted(monkeypatch, builder)
+    assert main([reader, *_SMALL, *change, "--out", str(tmp_path)]) == 0
+    built = len(calls)
+    assert built >= 1
+    if damage is not None:
+        assert path.read_bytes() == original
+    assert main([reader, *_SMALL, *change, "--out", str(tmp_path)]) == 0
+    assert len(calls) == built
+
+
+def test_second_run_reuses_every_checkpoint(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["all", *_tiny_args(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    inventories = _counted(monkeypatch, "m_inventory")
+    lifts = _counted(monkeypatch, "lift_srb")
+    assert main(["all", *_tiny_args(out)]) == 0
+    assert inventories == [] and lifts == []
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == sorted(second)
+    del first["manifest.json"], second["manifest.json"]
+    assert first == second
 
 
 def test_stage_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -340,35 +454,7 @@ def test_runs_are_reproducible(tmp_path, baker_half):
 
 
 # ---------------------------------------------------------------------------
-# cache dispatch
-
-
-def test_roundtrip_dispatch_inventory(tmp_path, baker06):
-    inv = m_inventory(baker06, 0.3)
-    path = tmp_path / "inv.blob"
-    save_inventory(inv, path, baker06)
-    back = cache_roundtrip(path)
-    assert back.words.tolist() == inv.words.tolist()
-    assert back.lengths.tolist() == inv.lengths.tolist()
-    assert np.array_equal(back.base_len, inv.base_len)
-
-
-def test_roundtrip_dispatch_srb(tmp_path, baker06):
-    from horseshoe.measures import lift_srb, ulam_acip
-    srb = lift_srb(baker06, ulam_acip(baker06, bins=64), 5, 2000, seed=3)
-    path = tmp_path / "srb.blob"
-    save_srb(path, srb)
-    back = cache_roundtrip(path)
-    assert isinstance(back, SrbEstimate)
-    assert np.array_equal(back.sq_counts, srb.sq_counts)
-
-
-def test_roundtrip_generic_blob(tmp_path):
-    path = tmp_path / "misc.blob"
-    cache.write_blob(path, "scratch", {"note": 1}, {"v": np.arange(4.0)})
-    meta, arrays = cache_roundtrip(path)
-    assert meta == {"note": 1}
-    assert np.array_equal(arrays["v"], np.arange(4.0))
+# the cache container
 
 
 def test_truncated_blob_refused(tmp_path, baker06):
@@ -378,7 +464,24 @@ def test_truncated_blob_refused(tmp_path, baker06):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(CacheError):
-        cache_roundtrip(path)
+        cache.read_blob(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"[1, 2]",
+    b'{"kind": "x", "meta": {}, "payload_sha256": "%s", "arrays": [{"name": "v"}]}',
+    b'{"kind": "x", "meta": {}, "payload_sha256": "%s", "arrays": '
+    b'[{"name": "v", "dtype": "<f8", "shape": [9], "offset": 0, "nbytes": 32}]}',
+], ids=["not_an_object", "array_fields_missing", "array_too_long"])
+def test_unreadable_header_refused(tmp_path, header):
+    payload = bytes(32)
+    if b"%s" in header:
+        header = header % hashlib.sha256(payload).hexdigest().encode()
+    path = tmp_path / "bad.blob"
+    path.write_bytes(cache.MAGIC + struct.pack("<IQ", cache.FORMAT_VERSION,
+                                               len(header)) + header + payload)
+    with pytest.raises(CacheError):
+        cache.read_blob(path)
 
 
 def test_future_format_version_refused(tmp_path, baker06):
@@ -389,7 +492,7 @@ def test_future_format_version_refused(tmp_path, baker06):
     raw[4] += 1  # little-endian uint32 version field
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError, match="version"):
-        cache_roundtrip(path)
+        cache.read_blob(path)
 
 
 def test_import_loads_no_scipy():

@@ -434,7 +434,7 @@ def test_srb_checkpoint_roundtrip(tmp_path, baker06):
     srb = dataclasses.replace(_lift(baker06, n=10_000), discarded=1)
     path = tmp_path / "srb.blob"
     save_srb(path, srb)
-    back = load_srb(path, expect_spec_hash=baker06.map_hash)
+    back = load_srb(path, baker06.map_hash)
     for f in dataclasses.fields(SrbEstimate):
         got, want = getattr(back, f.name), getattr(srb, f.name)
         if isinstance(want, np.ndarray):
@@ -442,7 +442,7 @@ def test_srb_checkpoint_roundtrip(tmp_path, baker06):
         else:
             assert got == want and type(got) is type(want), f.name
     with pytest.raises(CacheError):
-        load_srb(path, expect_spec_hash="somethingelse")
+        load_srb(path, "somethingelse")
 
 
 def test_srb_checkpoint_narrows_counts_and_loads_int64_blobs(tmp_path, baker06):
@@ -457,7 +457,7 @@ def test_srb_checkpoint_narrows_counts_and_loads_int64_blobs(tmp_path, baker06):
     _, arrays = cache.read_blob(path)
     assert arrays["cond_counts"].dtype == np.uint8
     assert arrays["sq_counts"].dtype == np.uint16
-    back = load_srb(path)
+    back = load_srb(path, baker06.map_hash)
     assert back.cond_counts.dtype == back.sq_counts.dtype == np.int64
     assert np.array_equal(back.cond_counts, srb.cond_counts)
     assert np.array_equal(back.sq_counts, srb.sq_counts)
@@ -467,11 +467,26 @@ def test_srb_checkpoint_narrows_counts_and_loads_int64_blobs(tmp_path, baker06):
     cache.write_blob(old, "srb_estimate", meta,
                      {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts})
     assert cache.read_blob(old)[1]["cond_counts"].dtype == np.int64
-    back = load_srb(old, expect_spec_hash=baker06.map_hash)
+    back = load_srb(old, baker06.map_hash)
     assert np.array_equal(back.cond_counts, srb.cond_counts)
     assert np.array_equal(back.sq_counts, srb.sq_counts)
     assert tsujii_criterion(back, [0.1, 0.05]).i_of_r.tolist() == \
         tsujii_criterion(srb, [0.1, 0.05]).i_of_r.tolist()
+
+
+@pytest.mark.parametrize("key", ["spec_hash", "contraction_budget"])
+def test_srb_checkpoint_without_a_field_refused(tmp_path, baker06, key):
+    """A missing meta field is a CacheError, not a KeyError."""
+    from horseshoe import cache
+
+    srb = _lift(baker06, n=10_000)
+    path = tmp_path / "srb.blob"
+    meta = srb.meta()
+    del meta[key]
+    cache.write_blob(path, "srb_estimate", meta,
+                     {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts})
+    with pytest.raises(CacheError, match=key):
+        load_srb(path, baker06.map_hash)
 
 
 def test_srb_checkpoint_with_jittered_key_loads(tmp_path, baker06):
@@ -484,7 +499,7 @@ def test_srb_checkpoint_with_jittered_key_loads(tmp_path, baker06):
     cache.write_blob(old, "srb_estimate", dict(srb.meta(), jittered=0),
                      {"cond_counts": srb.cond_counts, "sq_counts": srb.sq_counts})
     assert cache.read_blob(old)[0]["jittered"] == 0
-    back = load_srb(old, expect_spec_hash=baker06.map_hash)
+    back = load_srb(old, baker06.map_hash)
     assert not hasattr(back, "jittered")
     assert back.meta() == srb.meta()
     assert np.array_equal(back.cond_counts, srb.cond_counts)

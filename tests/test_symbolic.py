@@ -432,7 +432,22 @@ def test_truncated_blob_refused(tmp_path, baker06):
     raw = path.read_bytes()
     path.write_bytes(raw[:-20])
     with pytest.raises(CacheError):
-        load_inventory(path)
+        load_inventory(path, baker06)
+
+
+@pytest.mark.parametrize("key", ["map_hash", "r"])
+def test_inventory_without_a_field_refused(tmp_path, baker06, key):
+    """A blob with no map hash loads for no map, and a missing field is a
+    CacheError, not a KeyError."""
+    from horseshoe import cache
+
+    path = tmp_path / "inv.blob"
+    save_inventory(m_inventory(baker06, 0.3), path, baker06)
+    meta, arrays = cache.read_blob(path)
+    del meta[key]
+    cache.write_blob(path, "m_inventory", meta, arrays)
+    with pytest.raises(CacheError, match=key):
+        load_inventory(path, baker06)
 
 
 def test_bad_symbols_rejected(baker06):
