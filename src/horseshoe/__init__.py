@@ -14,7 +14,6 @@ from .errors import (
     BudgetError,
     CacheError,
     ConfigError,
-    ConvergenceError,
     DegenerateExtensionError,
     DegenerateScaleError,
     HorseshoeError,

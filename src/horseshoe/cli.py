@@ -187,6 +187,12 @@ def _record(obj, *skip):
             if f.name not in skip}
 
 
+def _out(ctx, name):
+    """Path of output file ``name``, noted in ``ctx`` for the manifest."""
+    ctx.setdefault("outputs", set()).add(name)
+    return Path(ctx["config"].out_dir) / name
+
+
 def _spec(ctx):
     if "spec" not in ctx:
         ctx["spec"] = build_spec(ctx["config"])
@@ -226,7 +232,7 @@ def _inventories(ctx):
     if "inventories" not in ctx:
         cfg, spec = ctx["config"], _spec(ctx)
         ctx["inventories"] = [_checkpoint(
-            Path(cfg.out_dir) / f"inventory_r{_label(r)}.blob",
+            _out(ctx, f"inventory_r{_label(r)}.blob"),
             lambda path: load_inventory(path, spec),
             lambda inv: (inv.r, inv.x_grid.size), (r, cfg.x_grid_n),
             lambda: m_inventory(spec, r, x_grid_n=cfg.x_grid_n,
@@ -241,7 +247,7 @@ def _srb(ctx):
     if "srb" not in ctx:
         cfg, spec = ctx["config"], _spec(ctx)
         ctx["srb"] = _checkpoint(
-            Path(cfg.out_dir) / "srb.blob",
+            _out(ctx, "srb.blob"),
             lambda path: load_srb(path, spec.map_hash),
             lambda srb: (srb.seed, srb.n_samples, srb.iterations_used,
                          srb.fiber_bins, srb.y_bins),
@@ -254,7 +260,6 @@ def _srb(ctx):
 
 
 def stage_validate(ctx):
-    cfg = ctx["config"]
     spec = _spec(ctx)
     rep = validate_hyperbolicity(spec)
     checks = {name: _record(c, "witness") for name, c in rep.checks.items()}
@@ -269,7 +274,7 @@ def stage_validate(ctx):
         "inconclusive": sorted(rep.inconclusive),
         "passed": rep.passed(),
     }
-    _write_json(Path(cfg.out_dir) / "hyperbolicity.json", payload)
+    _write_json(_out(ctx, "hyperbolicity.json"), payload)
     ctx["hyperbolicity"] = rep
     if not rep.passed():
         failing = [n for n, c in rep.checks.items() if not c.passed]
@@ -277,7 +282,6 @@ def stage_validate(ctx):
 
 
 def stage_enumerate(ctx):
-    cfg = ctx["config"]
     summary = {}
     for inv in _inventories(ctx):
         summary[_label(inv.r)] = {
@@ -288,7 +292,7 @@ def stage_enumerate(ctx):
             "len_min": int(inv.lengths.min()),
             "len_max": int(inv.lengths.max()),
         }
-    _write_json(Path(cfg.out_dir) / "enumeration.json", summary)
+    _write_json(_out(ctx, "enumeration.json"), summary)
     ctx["enumeration"] = summary
 
 
@@ -300,23 +304,22 @@ def stage_acip(ctx):
     dd = dens.density()
     for lo, m, d in zip(edges[:-1], dens.masses, dd):
         lines.append(f"{float(lo)!r},{float(m)!r},{float(d)!r}")
-    with open(Path(cfg.out_dir) / "acip.csv", "w") as fh:
+    with open(_out(ctx, "acip.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_json(Path(cfg.out_dir) / "acip.json", _record(dens, "masses"))
+    _write_json(_out(ctx, "acip.json"), _record(dens, "masses"))
 
 
 def stage_lift(ctx):
-    cfg = ctx["config"]
     meta = _srb(ctx).meta()
     del meta["fiber_range"], meta["sq_bins"]
-    _write_json(Path(cfg.out_dir) / "lift.json", meta)
+    _write_json(_out(ctx, "lift.json"), meta)
 
 
 def stage_criterion(ctx):
     cfg = ctx["config"]
     table = tsujii_criterion(_srb(ctx), cfg.r_list)
-    table.to_csv(Path(cfg.out_dir) / "criterion.csv")
-    _write_json(Path(cfg.out_dir) / "criterion.json", table.report())
+    table.to_csv(_out(ctx, "criterion.csv"))
+    _write_json(_out(ctx, "criterion.json"), table.report())
     ctx["criterion"] = table
 
 
@@ -324,7 +327,7 @@ def stage_fatness(ctx):
     cfg = ctx["config"]
     fit = fatness_fit(_spec(ctx), cfg.fat_depth, depth_min=_FAT_DEPTH_MIN,
                       x_grid_n=cfg.x_grid_n, budget=_WORD_BUDGET)
-    _write_json(Path(cfg.out_dir) / "fatness.json",
+    _write_json(_out(ctx, "fatness.json"),
                 dict(_record(fit, "partial"), passed=fit.passed))
     ctx["fatness"] = fit
 
@@ -337,8 +340,8 @@ def stage_transversality(ctx):
                            tail_depth=cfg.tail_depth,
                            pair_budget=cfg.pair_budget, seed=cfg.seed)
         for inv in _inventories(ctx)])
-    sweep.to_csv(Path(cfg.out_dir) / "ntr.csv")
-    _write_json(Path(cfg.out_dir) / "ntr.json", sweep.to_json())
+    sweep.to_csv(_out(ctx, "ntr.csv"))
+    _write_json(_out(ctx, "ntr.json"), sweep.to_json())
     ctx["ntr"] = sweep
 
 
@@ -346,16 +349,16 @@ def stage_diagnostics(ctx):
     cfg = ctx["config"]
     rep = run_diagnostics(_spec(ctx), word_depth=cfg.diag_word_depth,
                           lattice_n=cfg.diag_lattice, depth=cfg.cone_depth,
-                          csv_path=Path(cfg.out_dir) / "diagnostics_lattice.csv")
-    _write_json(Path(cfg.out_dir) / "diagnostics.json", rep.to_json())
+                          csv_path=_out(ctx, "diagnostics_lattice.csv"))
+    _write_json(_out(ctx, "diagnostics.json"), rep.to_json())
     ctx["diagnostics"] = rep
 
 
 def stage_figure(ctx):
     cfg = ctx["config"]
-    stem = Path(cfg.out_dir) / f"strips_n{cfg.figure_n}"
-    emit_strip_polygons(_spec(ctx), cfg.figure_n, svg_path=stem.with_suffix(".svg"),
-                        csv_path=stem.with_suffix(".csv"), x_grid_n=cfg.figure_grid)
+    stem = f"strips_n{cfg.figure_n}"
+    emit_strip_polygons(_spec(ctx), cfg.figure_n, svg_path=_out(ctx, stem + ".svg"),
+                        csv_path=_out(ctx, stem + ".csv"), x_grid_n=cfg.figure_grid)
 
 
 def _trend(values):
@@ -371,7 +374,6 @@ def _trend(values):
 
 
 def stage_verdict(ctx):
-    cfg = ctx["config"]
     fit = ctx.get("fatness")
     table = ctx.get("criterion")
     sweep = ctx.get("ntr")
@@ -384,7 +386,7 @@ def stage_verdict(ctx):
         "ntr_exponent": sweep.exponent if sweep is not None else None,
         "map_hash": _spec(ctx).map_hash,
     }
-    _write_json(Path(cfg.out_dir) / "verdict.json", payload)
+    _write_json(_out(ctx, "verdict.json"), payload)
     ctx["verdict"] = payload
 
 
@@ -441,10 +443,12 @@ def _start(config):
 def run_pipeline(config):
     """Run every stage in order and write the manifest.
 
-    The manifest records wall-clock per stage and a digest per output file;
-    it is the only output that differs between otherwise identical runs, so
-    byte-level comparisons should skip it.  On stage failure the partial
-    manifest is still written, with the failing stage named.
+    The manifest records wall-clock per stage and a digest of each file
+    this run wrote or reused (``_out``), not of files an earlier run left
+    in the directory.  It is the only output that differs between otherwise
+    identical runs, so byte-level comparisons should skip it.  On stage
+    failure the partial manifest is still written, with the failing stage
+    named.
     """
     ctx, manifest = _start(finalize_config(config))
     out = Path(config.out_dir)
@@ -452,9 +456,9 @@ def run_pipeline(config):
         for name, fn in STAGES + (("verdict", stage_verdict),):
             _run_stage(ctx, name, fn, manifest)
     finally:
-        for p in sorted(out.iterdir()):
-            if p.is_file() and p.name != _MANIFEST_NAME:
-                manifest.files[p.name] = cache.file_sha256(p)
+        for name in sorted(ctx.get("outputs", ())):
+            if (out / name).is_file():
+                manifest.files[name] = cache.file_sha256(out / name)
         _write_json(out / _MANIFEST_NAME, dataclasses.asdict(manifest))
     return manifest
 

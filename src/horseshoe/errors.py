@@ -37,17 +37,6 @@ class DegenerateExtensionError(HorseshoeError):
     """The extended fiber adds no usable margin around the unit fiber."""
 
 
-class ConvergenceError(HorseshoeError):
-    """An iterative solve failed to reach its tolerance.
-
-    ``history`` holds the residuals seen so far, most recent last.
-    """
-
-    def __init__(self, message, history=()):
-        super().__init__(message)
-        self.history = list(history)
-
-
 class SampleDiscardError(HorseshoeError):
     """Too many orbit samples were discarded for the estimate to be trusted."""
 

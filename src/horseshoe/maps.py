@@ -46,10 +46,10 @@ class FiberMap:
     u is the arrival base point.  The six coefficients are the slope and
     offset and their first and second u-derivatives; each is a float or a
     vectorized callable of u.  The partials of psi and its inverse in y
-    are derived from them below.  The word-tree walks (``symbolic._walk``
-    and ``symbolic.fiber_step``) read a float coefficient as it is, and the
-    lift gathers each step's offsets from one precomputed table when every
-    branch has a float offset and the same float slope, bit for bit.
+    are derived from them below.  Every reader takes a coefficient through
+    ``at``, which returns a float as it is, and the lift gathers each
+    step's offsets from one precomputed table when every branch has a float
+    offset and the same float slope, bit for bit.
     """
 
     slope: object
@@ -60,19 +60,17 @@ class FiberMap:
     d2offset: object
 
     def at(self, name, u):
-        """Coefficient ``name`` at arrival points u; a float is filled to
-        the shape of u."""
+        """Coefficient ``name`` at arrival points u.  A float is returned as
+        it is: numpy broadcasting fills it, and it rounds as the filled
+        array would."""
         c = getattr(self, name)
-        if isinstance(c, float):
-            return np.full_like(np.asarray(u, dtype=float), c)
-        return c(u)
+        return c if isinstance(c, float) else c(u)
 
     def _line(self, a, b, u, y):
         return self.at(a, u) * y + self.at(b, u)
 
     def _flat(self, a, u, y):
-        u = np.asarray(u, dtype=float)
-        return self.at(a, u) + np.zeros_like(np.asarray(y, dtype=float))
+        return self.at(a, np.asarray(u, dtype=float)) + self.dyy(u, y)
 
     def value(self, u, y):
         return self._line("slope", "offset", u, y)

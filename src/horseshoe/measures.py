@@ -1,9 +1,9 @@
 """Base-factor density, measure lifting, and the fiberwise L2 criterion.
 
 The base factor of a skew product is the piecewise expanding interval map
-induced on the first coordinate.  Its invariant density is estimated by a
-transfer-matrix (cell-overlap) discretization.  Every branch is affine onto
-[0,1], so that density is uniform, and the two-dimensional invariant measure
+induced on the first coordinate.  Every branch is affine onto [0,1], so its
+invariant density is uniform: one transfer sweep on the map, a cell-overlap
+discretization, returns it with its defect, and the two-dimensional measure
 is sampled by backward composition: a uniform base point, fiber maps
 composed along an i.i.d. backward itinerary, and histograms of the fiber
 conditionals.  The L2 criterion integrates squared sliding-window masses of
@@ -25,12 +25,10 @@ import numpy as np
 from . import cache
 from .errors import (
     CacheError,
-    ConvergenceError,
     ParameterError,
     ResolutionError,
     SampleDiscardError,
 )
-from .maps import GhmSpec
 
 _CHUNK = 1 << 18
 _LANE = 1 << 14  # general-path lift points per lane: 128 KiB per float row, so a lane fits in L2
@@ -45,41 +43,13 @@ _BOUNDED_RATIO = 2.0  # spread of the three smallest-r values of a bounded I(r)
 # base factor
 
 
-@dataclass(frozen=True)
-class PiecewiseAffineBase:
-    """Standalone expanding interval map, for density estimation on its own.
-
-    ``breaks`` partitions [0,1]; branch i sends x to slopes[i]*x + offsets[i].
-    Branches need not be onto [0,1] (Markov test maps are not), but must map
-    into it.
-    """
-
-    breaks: tuple
-    slopes: tuple
-    offsets: tuple
-
-    def __post_init__(self):
-        if len(self.slopes) != len(self.breaks) - 1:
-            raise ParameterError("one slope per base interval required")
-        if len(self.offsets) != len(self.slopes):
-            raise ParameterError("one offset per base interval required")
-
-
-def _base_of(spec_or_base):
-    if isinstance(spec_or_base, GhmSpec):
-        sks = spec_or_base.skew
-        breaks = tuple(float(v) for v in spec_or_base.base_breaks)
-        return PiecewiseAffineBase(
-            breaks=breaks,
-            slopes=tuple(sk.base_slope for sk in sks),
-            offsets=tuple(sk.base_offset for sk in sks),
-        )
-    return spec_or_base
-
-
 @dataclass
 class Density1D:
-    """Binned base-invariant density with essential-bound estimates."""
+    """Binned base-invariant density with essential-bound estimates.
+
+    ``residual`` is the defect of the transfer sweep that made it, and
+    ``sweeps`` the number of sweeps, 1 for ``ulam_acip``.
+    """
 
     bins: int
     masses: np.ndarray
@@ -92,7 +62,7 @@ class Density1D:
         return self.masses * self.bins
 
 
-def ulam_transition(base, bins):
+def ulam_transition(spec, bins):
     """Cell-to-cell transfer fractions of the base map, as a COO triple.
 
     Returns integer arrays ``j``, ``k`` and float ``frac``: ``frac`` is the
@@ -102,11 +72,10 @@ def ulam_transition(base, bins):
     (only cells that hold a break) emit the same (j, k) more than once;
     those terms are summed in branch order, starting from 0.0.
     """
-    base = _base_of(base)
     edges = np.linspace(0.0, 1.0, bins + 1)
     parts = []
-    for (blo, bhi), m, c in zip(zip(base.breaks, base.breaks[1:]),
-                                base.slopes, base.offsets):
+    for (blo, bhi), sk in zip(zip(spec.breaks, spec.breaks[1:]), spec.skew):
+        m, c = sk.base_slope, sk.base_offset
         j_first = max(int(np.searchsorted(edges, blo, side="right")) - 1, 0)
         j_last = min(int(np.searchsorted(edges, bhi, side="left")) - 1, bins - 1)
         j = np.arange(j_first, j_last + 1)
@@ -137,43 +106,31 @@ def ulam_transition(base, bins):
     return j[first], k[first], frac
 
 
-def ulam_acip(spec_or_base, bins=4096, tol=1e-12, max_sweeps=100_000):
-    """Stationary cell masses of the transfer discretization.
+def ulam_acip(spec, bins=4096):
+    """Cell masses after one transfer sweep of the uniform vector.
 
-    Power-iterates the mass transport from the uniform vector until the
-    total-variation step residual reaches ``tol``.  The triple of
-    ``ulam_transition`` is ordered by k once (stably, so j stays ascending
-    within each k); a sweep is then ``np.bincount(k, frac * v[j])``, which
-    adds each column's terms in ascending j from 0.0.  That is the order in
-    which a CSR mat-vec with the transposed matrix sums them, so the masses
-    equal a sparse-matrix power iteration's bit for bit.
+    Every branch is affine onto [0,1], so the uniform vector is the fixed
+    point; one sweep of the transfer discretization shows how closely the
+    discretization keeps it, and ``residual`` reports that one-sweep
+    defect, the total variation 0.5 * |w - v|_1 between the normalised
+    image w and the uniform v.  The triple of ``ulam_transition`` is
+    ordered by k (stably, so j stays ascending within each k), and the
+    sweep is ``np.bincount(k, frac * v[j])``, which adds each column's
+    terms in ascending j from 0.0, as a CSR mat-vec with the transposed
+    matrix sums them.
     """
     if bins < 16 or bins & (bins - 1) != 0:
         raise ParameterError(f"bin count must be a power of two >= 16, got {bins}")
-    if not tol > 0.0:
-        raise ParameterError("a zero residual tolerance is unreachable; use tol > 0")
-    j, k, frac = ulam_transition(spec_or_base, bins)
+    j, k, frac = ulam_transition(spec, bins)
     order = np.argsort(k, kind="stable")
     j, k, frac = j[order], k[order], frac[order]
     v = np.full(bins, 1.0 / bins)
-    history = []
-    for sweep in range(1, max_sweeps + 1):
-        w = np.bincount(k, weights=frac * v[j], minlength=bins)
-        s = w.sum()
-        if s <= 0:
-            raise ConvergenceError("transfer matrix lost all mass", history)
-        w /= s
-        residual = 0.5 * float(np.abs(w - v).sum())
-        history.append(residual)
-        v = w
-        if residual <= tol:
-            dens = v * bins
-            return Density1D(bins=bins, masses=v,
-                            l_bound=float(dens.min()), L_bound=float(dens.max()),
-                            residual=residual, sweeps=sweep)
-    raise ConvergenceError(
-        f"no residual <= {tol} within {max_sweeps} sweeps "
-        f"(last {min(5, len(history))}: {history[-5:]})", history)
+    w = np.bincount(k, weights=frac * v[j], minlength=bins)
+    w /= w.sum()
+    dens = w * bins
+    return Density1D(bins=bins, masses=w,
+                     l_bound=float(dens.min()), L_bound=float(dens.max()),
+                     residual=0.5 * float(np.abs(w - v).sum()), sweeps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,35 +176,21 @@ class SrbEstimate:
         return (self.fiber_range[1] - self.fiber_range[0]) / self.y_bins
 
 
-def _constant_fibers(spec):
-    """Per-branch slope and offset tables when every fiber has a float slope
-    and a float offset, as in the baker family.  Returns {"slope": ...,
-    "offset": ...}, or None when any of them is a callable.  The lift's
-    table path needs more: one slope, the same in every branch bit for bit
-    (``_shared_slope``).
-    """
-    tables = {name: [getattr(sk.fiber, name) for sk in spec.skew]
-              for name in ("slope", "offset")}
-    if all(isinstance(c, float) for column in tables.values() for c in column):
-        return {name: np.array(column) for name, column in tables.items()}
-    return None
-
-
 def _shared_slope(spec):
-    """(s, offsets) for the lift's table path: constant fibers
-    (``_constant_fibers``) whose slopes are the one float s, equal bit for
-    bit in every branch (0.0 and -0.0 differ), with ``offsets`` the
-    per-branch offset table.  None otherwise.  With a shared slope every
-    point's running product after k steps is the same float, s^k rounded
-    step by step, whatever branches it took.
+    """(s, offsets) for the lift's table path: every fiber has a float
+    slope and a float offset, as in the baker family, and the slopes are
+    the one float s, equal bit for bit in every branch (0.0 and -0.0
+    differ), with ``offsets`` the per-branch offset table.  None otherwise.
+    With a shared slope every point's running product after k steps is the
+    same float, s^k rounded step by step, whatever branches it took.
     """
-    tables = _constant_fibers(spec)
-    if tables is None:
+    slopes = [sk.fiber.slope for sk in spec.skew]
+    offsets = [sk.fiber.offset for sk in spec.skew]
+    if not all(isinstance(c, float) for c in slopes + offsets):
         return None
-    slopes = tables["slope"].tolist()
     if len({v.hex() for v in slopes}) > 1:
         return None
-    return slopes[0], tables["offset"]
+    return slopes[0], np.array(offsets)
 
 
 def _sample_chunk(spec, n_iter, m, rng):
@@ -416,10 +359,11 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     Work is split into fixed-size chunks with per-chunk child seeds; each
     chunk's counts are added in chunk order as they arrive, into the first
     chunk's arrays, so the outcome is identical for any worker count and
-    only the chunks in flight are held at once.  Samples with y outside J
-    are discarded; the rest are counted on equal bins as ``np.histogramdd``
-    bins them (``_grid_counts``), into ``cond_counts`` and the ``_SQ_BINS``
-    square ``sq_counts``; the samples themselves are not kept.  More than
+    only the chunks in flight are held at once.  The samples are counted on
+    equal bins as ``np.histogramdd`` bins them (``_grid_counts``), into
+    ``cond_counts`` over [0,1] x J and the ``_SQ_BINS`` square
+    ``sq_counts``; the samples themselves are not kept.  Those with y
+    outside J fall outside both and are counted as discarded.  More than
     ``_MAX_DISCARD_FRAC`` of the samples discarded raises
     ``SampleDiscardError``.
     """
@@ -442,13 +386,12 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     def run_chunk(args):
         child_seed, m = args
         x, y = _sample_chunk(spec, n_iter, m, np.random.default_rng(child_seed))
-        good = (y >= jlo) & (y <= jhi)
-        dropped = int(m - good.sum())
-        if dropped:
-            x, y = x[good], y[good]
+        # x lies in [0,1), so cond counts exactly the points with y in J
+        # (its rim takes the rest, NaN too); each y outside J lies outside
+        # sq's range [0,1] as well
         cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi))
         sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0))
-        return cond, sq, dropped
+        return cond, sq, m - int(cond.sum())
 
     def merge(results):
         cond, sq, discarded = next(results)

@@ -226,21 +226,15 @@ def fiber_step(sk, X, A, B=None, coef=None):
     leave out B and coef and get them back as None.
     """
     fib = sk.fiber
-    sv = _coefficient(fib.slope, X)
+    sv = fib.at("slope", X)
     if coef is not None:
-        tv = _coefficient(fib.offset, X)
+        tv = fib.at("offset", X)
         sy, sp, s0 = coef
-        coef = (sy * sv + sp * _coefficient(fib.dslope, X),
+        coef = (sy * sv + sp * fib.at("dslope", X),
                 sp * sv / sk.base_slope,
-                sy * tv + sp * _coefficient(fib.doffset, X) + s0)
+                sy * tv + sp * fib.at("doffset", X) + s0)
         B = A * tv + B
     return sk.base_inverse(X), A * sv, B, coef
-
-
-def _coefficient(f, X):
-    """Fiber coefficient ``f`` at X; a float as it is, which rounds as the
-    filled array would."""
-    return f if isinstance(f, float) else f(X)
 
 
 def envelope_hulls(A, B, coef, hull):
@@ -309,7 +303,7 @@ def _walk(spec, x_grid_n, keep):
         for s, sk in enumerate(spec.skew, 1):
             slope = sk.fiber.slope
             if id(slope) not in slopes:
-                slopes[id(slope)] = _coefficient(slope, block.X)
+                slopes[id(slope)] = sk.fiber.at("slope", block.X)
             A = block.A * slopes[id(slope)]
             child = _Nodes(
                 np.concatenate((block.word, np.full((len(block.ln), 1), s,

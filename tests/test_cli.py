@@ -408,6 +408,22 @@ def test_second_run_reuses_every_checkpoint(tmp_path, monkeypatch):
     assert first == second
 
 
+def test_manifest_lists_only_this_runs_files(tmp_path):
+    """A fresh directory's manifest lists every file the run left; a second
+    run with one scale fewer neither lists nor deletes the stale blob."""
+    out = tmp_path / "run"
+    assert main(["all", *_tiny_args(out, ("--enum-r", "0.3,0.15"))]) == 0
+    first = json.loads((out / "manifest.json").read_text())["files"]
+    assert sorted(first) == sorted(p.name for p in out.iterdir()
+                                   if p.name != "manifest.json")
+    assert main(["all", *_tiny_args(out, ("--enum-r", "0.3"))]) == 0
+    second = json.loads((out / "manifest.json").read_text())["files"]
+    assert (out / "inventory_r0.15.blob").exists()
+    assert set(first) - set(second) == {"inventory_r0.15.blob"}
+    for name, digest in second.items():
+        assert cache.file_sha256(out / name) == digest
+
+
 def test_stage_error_exit_code(tmp_path, capsys, monkeypatch):
     # a scale above |J| = 1.2 has no word family
     assert main(["enumerate", "--enum-r", "1.5", "--out", str(tmp_path)]) == 3

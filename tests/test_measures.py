@@ -8,11 +8,13 @@ import pytest
 from horseshoe import measures
 from horseshoe.errors import (
     CacheError,
-    ConvergenceError,
     ParameterError,
     ResolutionError,
+    SampleDiscardError,
 )
 from horseshoe.maps import (
+    GhmSpec,
+    SkewBranch,
     affine_fiber,
     make_affine_example,
     make_baker,
@@ -23,11 +25,8 @@ from horseshoe.measures import (
     _LANE,
     _TABLE_LANE,
     Density1D,
-    PiecewiseAffineBase,
     SrbEstimate,
-    _base_of,
     _autocorrelation,
-    _constant_fibers,
     _l2_norms,
     _lag_weights,
     density_grid,
@@ -46,7 +45,7 @@ from horseshoe.measures import (
 def test_doubling_acip_is_exactly_uniform(baker06):
     dens = ulam_acip(baker06, bins=256)
     assert np.abs(dens.density() - 1.0).max() == 0.0
-    assert dens.sweeps <= 2
+    assert dens.sweeps == 1 and dens.residual == 0.0
     assert dens.l_bound == pytest.approx(1.0) and dens.L_bound == pytest.approx(1.0)
 
 
@@ -56,40 +55,12 @@ def test_doubling_acip_stable_under_refinement(baker06):
     assert np.abs(np.repeat(d1.density(), 2) - d2.density()).max() == 0.0
 
 
-MARKOV = PiecewiseAffineBase(
-    breaks=(0.0, 2.0 / 3.0, 1.0),
-    slopes=(1.5, 2.0),
-    offsets=(0.0, -4.0 / 3.0),
-)
-
-
-def test_markov_base_stationary_density():
-    """Two-branch Markov map whose exact density is (9/8, 3/4) on the pieces."""
-    bins = 1024
-    dens = ulam_acip(MARKOV, bins=bins)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    exact = np.where(mids < 2.0 / 3.0, 9.0 / 8.0, 3.0 / 4.0)
-    l1 = np.abs(dens.density() - exact).mean()
-    assert l1 < 5.0 / bins
-    # boundary cells near the (non grid aligned) break carry O(1) Ulam
-    # artifacts, so the computed bounds only bracket the exact 3/4 and 9/8
-    assert 0.5 < dens.l_bound <= 0.75 + 1e-6
-    assert 1.125 - 1e-6 <= dens.L_bound < 1.5
-
-
-def test_markov_transition_rows_are_stochastic():
-    j, _, frac = ulam_transition(MARKOV, 128)
-    rows = np.bincount(j, weights=frac, minlength=128)
-    assert np.abs(rows - 1.0).max() < 1e-12
-
-
-def _reference_triples(base, bins):
+def _reference_triples(spec, bins):
     """The per-cell overlap loop: (j, k, frac) per branch piece, in branch,
     then j, then k order."""
     edges = np.linspace(0.0, 1.0, bins + 1).tolist()
-    for (blo, bhi), m, c in zip(zip(base.breaks, base.breaks[1:]),
-                                base.slopes, base.offsets):
+    for (blo, bhi), sk in zip(zip(spec.breaks, spec.breaks[1:]), spec.skew):
+        m, c = sk.base_slope, sk.base_offset
         j_first = bisect.bisect_right(edges, blo) - 1
         j_last = bisect.bisect_left(edges, bhi) - 1
         for j in range(max(j_first, 0), min(j_last, bins - 1) + 1):
@@ -105,20 +76,20 @@ def _reference_triples(base, bins):
                     yield j, k, (hi - lo) / abs(m) / (edges[j + 1] - edges[j])
 
 
-def _reference_entries(base, bins):
+def _reference_entries(spec, bins):
     """{(j, k): frac}, duplicates summed in emission order from 0.0."""
     entries = {}
-    for j, k, frac in _reference_triples(base, bins):
+    for j, k, frac in _reference_triples(spec, bins):
         entries[j, k] = entries.get((j, k), 0.0) + frac
     return entries
 
 
-def _reference_acip(base, bins, tol=1e-12):
+def _reference_acip(spec, bins, tol=1e-12):
     """Power iteration with a column-by-column mat-vec that adds each
     column's terms in ascending j, the order of a CSR product with the
     transposed matrix."""
     columns = [[] for _ in range(bins)]
-    for (j, k), frac in sorted(_reference_entries(base, bins).items()):
+    for (j, k), frac in sorted(_reference_entries(spec, bins).items()):
         columns[k].append((j, frac))
     v = np.full(bins, 1.0 / bins)
     for sweep in range(1, 10_000):
@@ -138,17 +109,22 @@ def _reference_acip(base, bins, tol=1e-12):
     raise AssertionError("reference power iteration did not converge")
 
 
-def _onto_base(breaks, signs):
-    """Every branch maps its strip onto [0, 1], increasing or decreasing."""
-    slopes, offsets = [], []
+def _onto_spec(breaks, signs):
+    """A map whose every branch sends its strip onto [0, 1], increasing or
+    decreasing, built from its branches directly, as ``make_custom_skew``
+    builds increasing ones only; every fiber is y -> 0.5 y + 0.25, which
+    the transfer sweep does not read."""
+    skew = []
     for lo, hi, sign in zip(breaks, breaks[1:], signs):
         m = sign / (hi - lo)
-        slopes.append(m)
-        offsets.append(-m * (lo if sign > 0 else hi))
-    return PiecewiseAffineBase(tuple(breaks), tuple(slopes), tuple(offsets))
+        skew.append(SkewBranch(m, -m * (lo if sign > 0 else hi),
+                               affine_fiber(0.5, 0.25, 0.0, 0.0)))
+    return GhmSpec(breaks=tuple(breaks), alpha=0.5, k0=2.0,
+                   extended_fiber=(-0.1, 1.1), label="onto", params=(),
+                   skew=tuple(skew))
 
 
-def _random_onto_bases(seed=15, count=12):
+def _random_onto_specs(seed=15, count=12):
     rng = np.random.default_rng(seed)
     for t in range(count):
         n = int(rng.integers(2, 6))
@@ -156,47 +132,41 @@ def _random_onto_bases(seed=15, count=12):
         if t % 3 == 0:
             widths[rng.integers(n)] *= 1e-4  # a strip narrower than a cell
         breaks = [0.0, *(np.cumsum(widths)[:-1] / widths.sum()).tolist(), 1.0]
-        yield _onto_base(breaks, rng.choice([-1.0, 1.0], size=n).tolist())
+        yield _onto_spec(breaks, rng.choice([-1.0, 1.0], size=n).tolist())
 
 
 def _reference_cases():
-    yield pytest.param(MARKOV, 256, id="markov-256")
-    yield pytest.param(MARKOV, 1024, id="markov-1024")
     yield pytest.param(make_baker(0.6), 512, id="baker06-512")
     yield pytest.param(make_affine_example(0.8, 0.55), 512, id="affine-512")
-    for t, base in enumerate(_random_onto_bases()):
+    for t, spec in enumerate(_random_onto_specs()):
         bins = (64, 256)[t % 2]
-        yield pytest.param(base, bins, id=f"onto{t}-{bins}")
+        yield pytest.param(spec, bins, id=f"onto{t}-{bins}")
     # three strips inside cell 19 of 64, with widths 7.5e-6, 1.6e-6 and
     # 2.0e-6: most (19, k) sum three pieces whose total depends on the order
     # of addition, and branch order differs from ascending and descending
-    three_in_one_cell = _onto_base(
+    three_in_one_cell = _onto_spec(
         [0.0, 0.2990698055268006, 0.2990773501052208, 0.2990789437562793,
          0.29908091110865764, 1.0], [-1.0, -1.0, 1.0, -1.0, 1.0])
     for bins in (64, 256):
         yield pytest.param(three_in_one_cell, bins, id=f"three_in_one_cell-{bins}")
 
 
-@pytest.mark.parametrize("base, bins", _reference_cases())
-def test_ulam_matches_reference_loop(base, bins):
+@pytest.mark.parametrize("spec, bins", _reference_cases())
+def test_ulam_matches_reference_loop(spec, bins):
     """The vectorised triple and the bincount sweep reproduce the per-cell
-    loop and the ascending-j column sums bit for bit."""
-    j, k, frac = ulam_transition(base, bins)
-    entries = sorted(_reference_entries(_base_of(base), bins).items())
+    loop and the ascending-j column sums bit for bit.  The reference power
+    iteration stops after its first sweep on every map, since each branch
+    is onto, so the one sweep of ``ulam_acip`` is its result."""
+    j, k, frac = ulam_transition(spec, bins)
+    entries = sorted(_reference_entries(spec, bins).items())
     assert j.tolist() == [jk[0] for jk, _ in entries]
     assert k.tolist() == [jk[1] for jk, _ in entries]
     assert frac.tobytes() == np.array([f for _, f in entries]).tobytes()
-    masses, sweeps, residual = _reference_acip(_base_of(base), bins)
-    dens = ulam_acip(base, bins=bins)
+    masses, sweeps, residual = _reference_acip(spec, bins)
+    dens = ulam_acip(spec, bins=bins)
     assert dens.masses.tobytes() == masses.tobytes()
-    assert dens.sweeps == sweeps
+    assert dens.sweeps == sweeps == 1
     assert dens.residual == residual
-
-
-def test_acip_iteration_budget():
-    with pytest.raises(ConvergenceError) as err:
-        ulam_acip(MARKOV, bins=64, tol=1e-15, max_sweeps=1)
-    assert err.value.history
 
 
 @pytest.mark.parametrize("bins", [0, 7, 100, 8])
@@ -214,8 +184,8 @@ def test_lift_worker_count_invariance(baker06, affine):
     """Three chunks, the last one short, stepped on their own buffers by up
     to four threads, merge to the one-worker result, on the constant-fiber
     table path (baker) and on the generic path (affine)."""
-    assert _constant_fibers(baker06) is not None
-    assert _constant_fibers(affine) is None
+    assert _shared_slope(baker06) is not None
+    assert _shared_slope(affine) is None
     n = 2 * _CHUNK + 1000
     for spec in (baker06, affine):
         a = _lift(spec, n=n, iters=3, workers=1)
@@ -223,6 +193,33 @@ def test_lift_worker_count_invariance(baker06, affine):
         assert np.array_equal(a.cond_counts, b.cond_counts)
         assert np.array_equal(a.sq_counts, b.sq_counts)
         assert a.discarded == b.discarded
+
+
+def test_lift_counts_samples_outside_j_as_discarded(monkeypatch):
+    """Branch 2 shifts the fiber by 1.5, past J = (-0.1, 1.1), so about half
+    of the samples leave J.  With the discard bound lifted, the count of
+    discarded samples and both histograms are those of the sampler's points
+    filtered by hand; at the real bound the lift refuses the map."""
+    spec = make_custom_skew((0.0, 0.5, 1.0), [
+        affine_fiber(0.3, 0.0, 0.0, 0.0), affine_fiber(0.3, 1.5, 0.0, 0.0)])
+    dens = ulam_acip(spec, bins=256)
+    n, iters, seed = 3_000, 8, 5
+    with pytest.raises(SampleDiscardError):
+        lift_srb(spec, dens, iters, n, seed)
+    monkeypatch.setattr(measures, "_MAX_DISCARD_FRAC", 1.0)
+    srb = lift_srb(spec, dens, iters, n, seed, fiber_bins=16, y_bins=64)
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    x, y = _sample_chunk(spec, iters, n, np.random.default_rng(child))
+    jlo, jhi = spec.extended_fiber
+    good = (y >= jlo) & (y <= jhi)
+    assert 0 < srb.discarded == n - int(good.sum()) < n
+    assert srb.kept == int(good.sum())
+    cond = np.histogram2d(x[good], y[good], bins=[16, 64],
+                          range=[[0.0, 1.0], [jlo, jhi]])[0]
+    sq = np.histogram2d(x[good], y[good], bins=[srb.sq_bins] * 2,
+                        range=[[0.0, 1.0], [0.0, 1.0]])[0]
+    assert np.array_equal(srb.cond_counts, cond)
+    assert np.array_equal(srb.sq_counts, sq)
 
 
 def test_lift_bookkeeping(baker06):
@@ -520,6 +517,12 @@ def _three_strip_skew():
     ])
 
 
+def _float_fibers(spec):
+    """Every fiber has a float slope and a float offset."""
+    return all(isinstance(c, float) for sk in spec.skew
+               for c in (sk.fiber.slope, sk.fiber.offset))
+
+
 def _constant_three_strip_skew():
     """Unequal breaks, a distinct constant fiber slope and offset per branch."""
     return make_custom_skew((0.0, 0.2, 0.65, 1.0), [
@@ -601,7 +604,7 @@ def test_sampler_matches_scalar_reference(spec, table, n_iter, m):
     general-path lanes and a ragged one, baker06_lanes one table lane;
     four steps keep the scalar loop short, and each step after the first
     moves a lane's generator past the other lanes' draws."""
-    assert (_constant_fibers(spec) is not None) == table
+    assert _float_fibers(spec) == table
     rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
     x, y = _sample_chunk(spec, n_iter, m, rng)
     ref_x, ref_y = _backward_reference(spec, n_iter, m, ref_rng)
@@ -748,7 +751,8 @@ def test_recorded_fiber_constants_reproduce_value(spec):
             continue
         marked += 1
         assert (s * yy + t).tobytes() == sk.fiber.value(uu, yy).tobytes()
-    assert (marked == spec.n_strips) == (_constant_fibers(spec) is not None)
+    # the lift's table path takes only maps whose every fiber is marked
+    assert marked == spec.n_strips or _shared_slope(spec) is None
 
 
 @pytest.mark.parametrize("nx, ny, yrange", [

@@ -7,6 +7,8 @@ its own definition, when ``README.md`` names it, or when
 from the syntax tree, so a mention in a docstring or comment does not count.
 Every module-level function and class of ``src/horseshoe`` needs a user by
 the same rule, so a private helper that nothing calls any more fails too.
+Every error class but the base class needs a ``raise`` site in the package,
+as an import alone would count as a use.
 
 A ``RunConfig`` field counts as used when a benchmark workload sets it
 (``perfbench/run.py``), the README shows its flag, or an acceptance check
@@ -100,6 +102,39 @@ def test_every_definition_has_a_user():
     assert len(paths) > 5
     unused = _unused_definitions(paths, outside)
     assert not unused, f"defined but used by nothing: {unused}"
+
+
+def _raised_names(paths):
+    """Names that a ``raise`` statement of ``paths`` raises, called or not."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_error_is_raised():
+    """An error class that only an import names is dead; each class of
+    ``errors.py`` but the base class needs a raise site in the package."""
+    errors = [stmt.name for stmt in ast.parse(
+        (PACKAGE / "errors.py").read_text()).body
+        if isinstance(stmt, ast.ClassDef) and stmt.name != "HorseshoeError"]
+    assert len(errors) > 5
+    raised = _raised_names(PACKAGE.glob("*.py"))
+    unraised = [name for name in errors if name not in raised]
+    assert not unraised, f"error classes raised nowhere: {unraised}"
+
+
+def test_imported_error_is_not_raised(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from errors import Quiet, Loud, Bare\n\n\n"
+                      "def run(x):\n    if x:\n        raise Loud('no')\n"
+                      "    raise Bare\n\n\ntry:\n    run(0)\n"
+                      "except Quiet:\n    raise\n")
+    assert _raised_names([module]) == {"Loud", "Bare"}
 
 
 def test_self_reference_does_not_count_as_use(tmp_path):
