@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -88,6 +89,7 @@ class RunManifest:
     map_hash: str
     versions: dict
     wall_clock: dict = field(default_factory=dict)
+    peak_rss_mb: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     failed_stage: str | None = None
@@ -141,6 +143,10 @@ def finalize_config(config):
         setattr(config, name, whole)
     if config.fat_depth <= _FAT_DEPTH_MIN:
         raise ConfigError(f"fat_depth must exceed {_FAT_DEPTH_MIN}")
+    if config.x_grid_n < 2:
+        raise ConfigError(f"x_grid_n must be at least 2, got {config.x_grid_n}")
+    if config.bins < 16 or config.bins & (config.bins - 1):
+        raise ConfigError(f"bins must be a power of two >= 16, got {config.bins}")
     if config.delta is not None:
         config.delta = _scales([config.delta], "delta")[0]
     out = Path(config.out_dir)
@@ -318,6 +324,9 @@ def stage_lift(ctx):
 def stage_criterion(ctx):
     cfg = ctx["config"]
     table = tsujii_criterion(_srb(ctx), cfg.r_list)
+    # the last stage to read the lift: its counts are freed before the later
+    # stages run, and a later reader reloads them through _srb's checkpoint
+    ctx.pop("srb")
     table.to_csv(_out(ctx, "criterion.csv"))
     _write_json(_out(ctx, "criterion.json"), table.report())
     ctx["criterion"] = table
@@ -416,7 +425,8 @@ def _versions():
 
 
 def _run_stage(ctx, name, fn, manifest):
-    """Run one stage, timing it into ``manifest``.
+    """Run one stage, timing it into ``manifest`` with the process's peak
+    resident set after it, in MiB.
 
     Any exception leaves as a StageError naming the stage, and the manifest
     records that stage as the failed one.
@@ -431,6 +441,9 @@ def _run_stage(ctx, name, fn, manifest):
         raise StageError(name, exc) from exc
     finally:
         manifest.wall_clock[name] = time.perf_counter() - t0
+        # ru_maxrss is in KiB on Linux
+        manifest.peak_rss_mb[name] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 def _start(config):

@@ -47,7 +47,9 @@ def strip_polygons(spec, n, x_grid_n=129, hat=False):
     return list(zip(words, verts))
 
 
-def _svg_text(polygons):
+def _svg_lines(polygons):
+    """The SVG figure of ``polygons``, one line at a time, each with its
+    newline."""
     size, pad = _SVG_SIZE, _SVG_PAD
     ymin = min(min(float(v[:, 1].min()) for _, v in polygons), 0.0)
     ymax = max(max(float(v[:, 1].max()) for _, v in polygons), 1.0)
@@ -60,24 +62,20 @@ def _svg_text(polygons):
     def sy(y):
         return pad + (ymax - y) / span * inner
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect x="{pad}" y="{sy(1.0):.2f}" width="{inner}" '
-        f'height="{sy(0.0) - sy(1.0):.2f}" fill="none" '
-        'stroke="#999999" stroke-width="1"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+           f'height="{size}" viewBox="0 0 {size} {size}">\n')
+    yield (f'<rect x="{pad}" y="{sy(1.0):.2f}" width="{inner}" '
+           f'height="{sy(0.0) - sy(1.0):.2f}" fill="none" '
+           'stroke="#999999" stroke-width="1"/>\n')
     # every band shares the x column of strip_polygons: bake its text in once
     points = " ".join(f"{x:.2f},%.2f" for x in sx(polygons[0][1][:, 0]).tolist())
     for k, (word, verts) in enumerate(polygons):
         pts = points % tuple(sy(verts[:, 1]).tolist())
         color = _PALETTE[k % len(_PALETTE)]
-        lines.append(
-            f'<polygon points="{pts}" fill="{color}" fill-opacity="0.35" '
-            f'stroke="{color}" stroke-width="0.8">'
-            f"<title>{word_label(word)}</title></polygon>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        yield (f'<polygon points="{pts}" fill="{color}" fill-opacity="0.35" '
+               f'stroke="{color}" stroke-width="0.8">'
+               f"<title>{word_label(word)}</title></polygon>\n")
+    yield "</svg>\n"
 
 
 def emit_strip_polygons(spec, n, svg_path=None, csv_path=None,
@@ -89,17 +87,17 @@ def emit_strip_polygons(spec, n, svg_path=None, csv_path=None,
     polygon list of strip_polygons for further inspection.
     """
     polygons = strip_polygons(spec, n, x_grid_n=x_grid_n, hat=hat)
+    # both files are written band by band, so no whole-file text is held
     if svg_path is not None:
         with open(svg_path, "w") as fh:
-            fh.write(_svg_text(polygons))
+            fh.writelines(_svg_lines(polygons))
     if csv_path is not None:
         # one template per figure with the shared x column baked in; a word
         # label holds digits and dots only, so it is safe to splice in
-        band = "\n".join(f"{{lab}},{i},{x!r},%r"
-                         for i, x in enumerate(polygons[0][1][:, 0].tolist()))
-        rows = ["word,vertex,x,y"]
-        rows.extend(band.replace("{lab}", word_label(word))
-                    % tuple(verts[:, 1].tolist()) for word, verts in polygons)
+        band = "".join(f"{{lab}},{i},{x!r},%r\n"
+                       for i, x in enumerate(polygons[0][1][:, 0].tolist()))
         with open(csv_path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write("word,vertex,x,y\n")
+            fh.writelines(band.replace("{lab}", word_label(word))
+                          % tuple(verts[:, 1].tolist()) for word, verts in polygons)
     return polygons

@@ -17,6 +17,7 @@ then costs O(columns * min(2r/h + 1, occupied cells)).
 
 from __future__ import annotations
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -193,8 +194,11 @@ def _shared_slope(spec):
     return slopes[0], np.array(offsets)
 
 
-def _sample_chunk(spec, n_iter, m, rng):
+def _sample_chunk(spec, n_iter, m, rng, xy):
     """m lift samples (x, y) from ``rng``, by n_iter-step backward composition.
+
+    They are written into the first m columns of the float array ``xy``,
+    shape (2, at least m), and returned as views of its two rows.
 
     x is drawn once, uniform on [0,1), and is never stepped.  Each step draws
     one uniform U per sample and takes branch i = the number of inner breaks
@@ -231,7 +235,7 @@ def _sample_chunk(spec, n_iter, m, rng):
     A * s alike, so they give the same bits.
     """
     inner = spec.base_breaks[1:-1]
-    x, y = np.empty((2, m))
+    x, y = xy[0, :m], xy[1, :m]
     shared = _shared_slope(spec)
     lane = _LANE if shared is None else _TABLE_LANE
     rows = np.empty((3 if shared is None else 1, min(m, lane)))
@@ -321,16 +325,17 @@ def _bin_index(v, lo, hi, n):
     return s
 
 
-def _grid_counts(x, y, nx, ny, yrange):
+def _grid_counts(x, y, nx, ny, yrange, flat):
     """int64 counts of the points on nx x ny equal bins over [0,1] x yrange.
 
     The same counts as NumPy's two-dimensional histogram with ``bins=[nx, ny]``
     and ``range=[[0, 1], yrange]``: points outside the range fall into the
-    outlier rim and are dropped.  The flat bin indices are computed a lane
-    of ``_LANE`` points at a time, so the temporaries are lane-sized.  The
-    result is the inner slice of the rim-padded bin count, not a copy.
+    outlier rim and are dropped.  The flat bin indices are written into the
+    intp array ``flat``, at least as long as x, a lane of ``_LANE`` points
+    at a time, so the temporaries are lane-sized.  The result is the inner
+    slice of the rim-padded bin count, not a copy.
     """
-    flat = np.empty(len(x), dtype=np.intp)
+    flat = flat[:len(x)]
     for lo in range(0, len(x), _LANE):
         f = flat[lo:lo + _LANE]
         np.multiply(_bin_index(x[lo:lo + _LANE], 0.0, 1.0, nx), ny + 2, out=f)
@@ -359,7 +364,13 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     Work is split into fixed-size chunks with per-chunk child seeds; each
     chunk's counts are added in chunk order as they arrive, into the first
     chunk's arrays, so the outcome is identical for any worker count and
-    only the chunks in flight are held at once.  The samples are counted on
+    only the chunks in flight are held at once.  The calling thread
+    allocates one set of chunk buffers per worker (the (2, chunk) x, y
+    array and the flat bin index row); a chunk borrows a set from a queue
+    and gives it back, even when it fails, so no later chunk waits forever
+    for a set.
+    The worker threads then allocate only lane- and histogram-sized arrays,
+    and their heaps keep no chunk-sized ones.  The samples are counted on
     equal bins as ``np.histogramdd`` bins them (``_grid_counts``), into
     ``cond_counts`` over [0,1] x J and the ``_SQ_BINS`` square
     ``sq_counts``; the samples themselves are not kept.  Those with y
@@ -371,6 +382,8 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
         raise ParameterError("need at least one iteration to leave the base line")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
+    if workers < 1:
+        raise ParameterError("need at least one worker")
     off = float(np.abs(density.masses * density.bins - 1.0).max())
     if off > 1e-9:
         raise ParameterError(
@@ -382,15 +395,23 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(_CHUNK, n_samples - k * _CHUNK) for k in range(n_chunks)]
+    buffers = queue.SimpleQueue()
+    for _ in range(min(workers, n_chunks)):
+        buffers.put((np.empty((2, sizes[0])), np.empty(sizes[0], dtype=np.intp)))
 
     def run_chunk(args):
         child_seed, m = args
-        x, y = _sample_chunk(spec, n_iter, m, np.random.default_rng(child_seed))
-        # x lies in [0,1), so cond counts exactly the points with y in J
-        # (its rim takes the rest, NaN too); each y outside J lies outside
-        # sq's range [0,1] as well
-        cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi))
-        sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0))
+        xy, flat = buffers.get()
+        try:
+            x, y = _sample_chunk(spec, n_iter, m,
+                                 np.random.default_rng(child_seed), xy)
+            # x lies in [0,1), so cond counts exactly the points with y in J
+            # (its rim takes the rest, NaN too); each y outside J lies
+            # outside sq's range [0,1] as well
+            cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi), flat)
+            sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0), flat)
+        finally:
+            buffers.put((xy, flat))
         return cond, sq, m - int(cond.sum())
 
     def merge(results):

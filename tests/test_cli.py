@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from horseshoe import cache, cli
@@ -19,7 +20,10 @@ from horseshoe.cli import (
     run_pipeline,
 )
 from horseshoe.errors import CacheError, ConfigError
+from horseshoe.figures import emit_strip_polygons, strip_polygons
 from horseshoe.symbolic import load_inventory, m_inventory, save_inventory
+
+from test_measures import _traced_peak
 
 
 def _tiny_args(out, extra=()):
@@ -121,14 +125,18 @@ def test_finalize_rejects_bad_settings(tmp_path):
 @pytest.mark.parametrize("override", [
     {"samples": "abc"}, {"enum_r": "abc"}, {"lam": "x"}, {"delta": "x"},
     {"fat_depth": 10.9}, {"workers": True}, {"seed": True},
+    {"x_grid_n": 1}, {"bins": 1}, {"bins": 100},
 ], ids=["samples", "enum_r", "lam", "delta", "fractional", "boolean",
-        "boolean_seed"])
+        "boolean_seed", "one_grid_point", "one_bin", "bins_not_power_of_two"])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, override):
+    """Refused before any stage runs, so no stage writes a file."""
     cfile = tmp_path / "run.json"
     cfile.write_text(json.dumps(override))
-    assert main(["validate", "--config", str(cfile), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfile), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert not (out / "hyperbolicity.json").exists()
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
@@ -175,6 +183,11 @@ def test_tiny_full_run(tmp_path, capsys):
     assert set(manifest["wall_clock"]) == {
         "validate", "enumerate", "acip", "lift", "criterion", "fatness",
         "transversality", "diagnostics", "figure", "verdict"}
+    # the process's peak resident set after each stage, in stage order
+    assert set(manifest["peak_rss_mb"]) == set(manifest["wall_clock"])
+    rss = [manifest["peak_rss_mb"][name]
+           for name, _ in cli.STAGES + (("verdict", None),)]
+    assert rss[0] > 0 and all(a <= b for a, b in zip(rss, rss[1:]))
 
 
 def test_single_stage_command(tmp_path, capsys):
@@ -288,6 +301,41 @@ def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):
     (with the estimated alpha and k0) keep their exact bytes."""
     assert main(args + ["--out", str(tmp_path)]) == 0
     assert {name: cache.file_sha256(tmp_path / name) for name in digests} == digests
+
+
+def test_strip_figure_is_written_band_by_band(tmp_path, affine):
+    """Writing the depth-9 figure (512 bands) holds no more than its
+    polygons do: the SVG and CSV text go to the files a band at a time.
+    Measured: 7.35 MiB for the polygons and the same for the written figure;
+    holding each file's text whole read 21.4 MiB."""
+    _, polygons = _traced_peak(lambda: strip_polygons(affine, 9))
+    _, figure = _traced_peak(lambda: emit_strip_polygons(
+        affine, 9, tmp_path / "strips.svg", tmp_path / "strips.csv"))
+    assert figure <= polygons + (1 << 20)
+
+
+def test_criterion_frees_the_lift(tmp_path, monkeypatch):
+    """The criterion stage, the lift's last reader, takes the estimate out
+    of the stage context; a later reader reloads the same counts from the
+    checkpoint without lifting again."""
+    config = finalize_config(RunConfig(
+        samples=20_000, iters=10, fiber_bins=64, y_bins=1200,
+        out_dir=str(tmp_path)))
+    ctx, _ = cli._start(config)
+    used, real = [], cli.tsujii_criterion
+
+    def recorded(srb, r_list):
+        used.append(srb)
+        return real(srb, r_list)
+
+    monkeypatch.setattr(cli, "tsujii_criterion", recorded)
+    cli.stage_criterion(ctx)
+    assert "srb" not in ctx and len(used) == 1
+    lifts = _counted(monkeypatch, "lift_srb")
+    again = cli._srb(ctx)
+    assert lifts == [] and again is not used[0]
+    assert np.array_equal(again.cond_counts, used[0].cond_counts)
+    assert np.array_equal(again.sq_counts, used[0].sq_counts)
 
 
 def _counted(monkeypatch, name):
@@ -452,6 +500,7 @@ def test_failed_stage_recorded_in_manifest(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["failed_stage"] == "enumerate"
     assert set(manifest["wall_clock"]) == {"validate", "enumerate"}
+    assert set(manifest["peak_rss_mb"]) == {"validate", "enumerate"}
     assert "hyperbolicity.json" in manifest["files"]
 
 

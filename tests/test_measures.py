@@ -1,5 +1,7 @@
 import bisect
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -181,18 +183,82 @@ def _lift(spec, n=40_000, iters=12, **kw):
 
 
 def test_lift_worker_count_invariance(baker06, affine):
-    """Three chunks, the last one short, stepped on their own buffers by up
-    to four threads, merge to the one-worker result, on the constant-fiber
-    table path (baker) and on the generic path (affine)."""
+    """Three chunks, the last one short, stepped on borrowed buffer sets by
+    two, three or four threads (three sets at most), merge to the one-worker
+    result, on the constant-fiber table path (baker) and on the generic
+    path (affine)."""
     assert _shared_slope(baker06) is not None
     assert _shared_slope(affine) is None
     n = 2 * _CHUNK + 1000
     for spec in (baker06, affine):
         a = _lift(spec, n=n, iters=3, workers=1)
-        b = _lift(spec, n=n, iters=3, workers=4)
-        assert np.array_equal(a.cond_counts, b.cond_counts)
-        assert np.array_equal(a.sq_counts, b.sq_counts)
-        assert a.discarded == b.discarded
+        for workers in (2, 3, 4):
+            b = _lift(spec, n=n, iters=3, workers=workers)
+            assert np.array_equal(a.cond_counts, b.cond_counts)
+            assert np.array_equal(a.sq_counts, b.sq_counts)
+            assert a.discarded == b.discarded
+
+
+def _within(seconds, call):
+    """call()'s result, or its exception, from a thread given ``seconds``."""
+    out = []
+
+    def run():
+        try:
+            out.append(("value", call()))
+        except Exception as exc:
+            out.append(("error", exc))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive() and len(out) == 1, "call did not finish in time"
+    kind, value = out[0]
+    if kind == "error":
+        raise value
+    return value
+
+
+def test_lift_buffer_sets_survive_thread_switching(baker06, affine, monkeypatch):
+    """Forty chunks on eight threads, more than the cores, with the
+    interpreter switching threads every microsecond: two chunks writing one
+    buffer set at once would corrupt each other's points, and a set not
+    given back would leave a chunk waiting.  The counts are the one-worker
+    ones."""
+    monkeypatch.setattr(measures, "_CHUNK", 500)
+    kw = dict(n=20_000, iters=4, fiber_bins=16, y_bins=64)
+    interval = sys.getswitchinterval()
+    for spec in (baker06, affine):
+        want = _lift(spec, workers=1, **kw)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _within(60, lambda: _lift(spec, workers=8, **kw))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.cond_counts, want.cond_counts)
+        assert np.array_equal(got.sq_counts, want.sq_counts)
+
+
+def test_failed_chunk_gives_its_buffer_set_back(baker06, monkeypatch):
+    """Two buffer sets, three chunks, and every chunk fails.  The first
+    chunk holds its set until the third has started, and the third can
+    start only on the set the failed second gave back; the error then
+    reaches the caller instead of the pool waiting forever."""
+    monkeypatch.setattr(measures, "_CHUNK", 500)
+    third = threading.Event()
+
+    def failing(spec, n_iter, m, rng, xy):
+        chunk = rng.bit_generator.seed_seq.spawn_key[-1]
+        if chunk == 2:
+            third.set()
+        if chunk == 0:
+            third.wait(timeout=10)
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(measures, "_sample_chunk", failing)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _within(30, lambda: _lift(baker06, n=1_500, iters=2, workers=2))
+    assert third.is_set()
 
 
 def test_lift_counts_samples_outside_j_as_discarded(monkeypatch):
@@ -209,7 +275,8 @@ def test_lift_counts_samples_outside_j_as_discarded(monkeypatch):
     monkeypatch.setattr(measures, "_MAX_DISCARD_FRAC", 1.0)
     srb = lift_srb(spec, dens, iters, n, seed, fiber_bins=16, y_bins=64)
     child = np.random.SeedSequence(seed).spawn(1)[0]
-    x, y = _sample_chunk(spec, iters, n, np.random.default_rng(child))
+    x, y = _sample_chunk(spec, iters, n, np.random.default_rng(child),
+                         np.empty((2, n)))
     jlo, jhi = spec.extended_fiber
     good = (y >= jlo) & (y <= jhi)
     assert 0 < srb.discarded == n - int(good.sum()) < n
@@ -236,6 +303,8 @@ def test_lift_rejects_bad_counts(baker06):
         lift_srb(baker06, dens, 0, 100, seed=1)
     with pytest.raises(ParameterError):
         lift_srb(baker06, dens, 5, 0, seed=1)
+    with pytest.raises(ParameterError):
+        lift_srb(baker06, dens, 5, 100, seed=1, workers=0)
 
 
 def test_density_grid_block_path_mass(baker_half):
@@ -606,11 +675,30 @@ def test_sampler_matches_scalar_reference(spec, table, n_iter, m):
     moves a lane's generator past the other lanes' draws."""
     assert _float_fibers(spec) == table
     rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
-    x, y = _sample_chunk(spec, n_iter, m, rng)
+    x, y = _sample_chunk(spec, n_iter, m, rng, np.empty((2, m)))
     ref_x, ref_y = _backward_reference(spec, n_iter, m, ref_rng)
     assert x.tobytes() == ref_x.tobytes()
     assert y.tobytes() == ref_y.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", [
+    make_baker(2.0 ** -0.5), make_affine_example(0.8, 0.55),
+], ids=["table_path", "general_path"])
+def test_sampler_writes_into_a_reused_larger_buffer(spec):
+    """A buffer wider than the chunk, holding an earlier chunk's points,
+    gives a short chunk the bits and generator end state of fresh arrays;
+    the columns past the chunk keep the earlier points."""
+    buf = np.empty((2, 3_000))
+    _sample_chunk(spec, 5, 3_000, np.random.default_rng(1), buf)
+    before = buf.copy()
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    x, y = _sample_chunk(spec, 5, 1_234, rng, buf)
+    ref_x, ref_y = _sample_chunk(spec, 5, 1_234, ref_rng, np.empty((2, 1_234)))
+    assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.shares_memory(x, buf) and np.shares_memory(y, buf)
+    assert buf[:, 1_234:].tobytes() == before[:, 1_234:].tobytes()
 
 
 def _traced_peak(call):
@@ -655,7 +743,7 @@ def test_sampler_is_lane_independent(spec, monkeypatch):
     fibers with distinct slopes)."""
     def sample():
         rng = np.random.default_rng(77)
-        x, y = _sample_chunk(spec, 6, 2_500, rng)
+        x, y = _sample_chunk(spec, 6, 2_500, rng, np.empty((2, 2_500)))
         return x.tobytes(), y.tobytes(), rng.bit_generator.state
 
     expected = sample()
@@ -670,7 +758,8 @@ def test_sampler_working_set_is_lane_sized(affine):
     the callable coefficients' lane-sized temporaries: 2 MiB covers them,
     while chunk-sized work rows would take about 11 MiB more here."""
     (x, y), peak = _traced_peak(
-        lambda: _sample_chunk(affine, 30, 200_000, np.random.default_rng(3)))
+        lambda: _sample_chunk(affine, 30, 200_000, np.random.default_rng(3),
+                              np.empty((2, 200_000))))
     assert peak <= x.nbytes + y.nbytes + (2 << 20)
 
 
@@ -686,7 +775,7 @@ def test_sampler_draws_no_os_entropy(spec, monkeypatch):
 
     rng = np.random.default_rng(5)
     monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
-    _sample_chunk(spec, 3, 100, rng)
+    _sample_chunk(spec, 3, 100, rng, np.empty((2, 100)))
 
 
 def test_table_path_working_set_is_lane_sized():
@@ -700,7 +789,8 @@ def test_table_path_working_set_is_lane_sized():
     0.7 MB), which is no part of the set."""
     spec = make_baker(2.0 ** -0.5)
     rng = np.random.default_rng(3)
-    (x, y), peak = _traced_peak(lambda: _sample_chunk(spec, 30, 200_000, rng))
+    (x, y), peak = _traced_peak(
+        lambda: _sample_chunk(spec, 30, 200_000, rng, np.empty((2, 200_000))))
     assert peak <= x.nbytes + y.nbytes + 17 * _TABLE_LANE + (64 << 10)
 
 
@@ -777,6 +867,6 @@ def test_grid_counts_match_numpy_histogram(nx, ny, yrange):
                    (np.sort(x[:m]), np.sort(y[:m]))]:
         want, _, _ = np.histogram2d(xs, ys, bins=[nx, ny],
                                     range=[[0.0, 1.0], list(yrange)])
-        got = _grid_counts(xs, ys, nx, ny, yrange)
+        got = _grid_counts(xs, ys, nx, ny, yrange, np.empty(m, dtype=np.intp))
         assert got.dtype == np.int64 and got.shape == (nx, ny)
         assert np.array_equal(got, want.astype(np.int64))
