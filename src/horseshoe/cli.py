@@ -187,6 +187,17 @@ def _write_json(path, payload):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path, header, columns):
+    """The one CSV writer: the header line, then one line per row, each
+    value as its ``repr``.  A column goes through ``tolist`` first, so every
+    value is a plain Python number.  Each row is written as it is formatted,
+    so the file's text is never held whole."""
+    rows = zip(*(map(repr, np.asarray(c).tolist()) for c in columns))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def _record(obj, *skip):
     """A dataclass's fields by name, those in ``skip`` left out."""
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
@@ -281,7 +292,6 @@ def stage_validate(ctx):
         "passed": rep.passed(),
     }
     _write_json(_out(ctx, "hyperbolicity.json"), payload)
-    ctx["hyperbolicity"] = rep
     if not rep.passed():
         failing = [n for n, c in rep.checks.items() if not c.passed]
         raise StageError("validate", f"hyperbolicity checks failed: {failing}")
@@ -299,19 +309,14 @@ def stage_enumerate(ctx):
             "len_max": int(inv.lengths.max()),
         }
     _write_json(_out(ctx, "enumeration.json"), summary)
-    ctx["enumeration"] = summary
 
 
 def stage_acip(ctx):
     cfg = ctx["config"]
     dens = _acip(ctx)
-    lines = ["bin_lo,mass,density"]
     edges = np.linspace(0.0, 1.0, cfg.bins + 1)
-    dd = dens.density()
-    for lo, m, d in zip(edges[:-1], dens.masses, dd):
-        lines.append(f"{float(lo)!r},{float(m)!r},{float(d)!r}")
-    with open(_out(ctx, "acip.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(_out(ctx, "acip.csv"), "bin_lo,mass,density",
+               (edges[:-1], dens.masses, dens.density()))
     _write_json(_out(ctx, "acip.json"), _record(dens, "masses"))
 
 
@@ -327,7 +332,8 @@ def stage_criterion(ctx):
     # the last stage to read the lift: its counts are freed before the later
     # stages run, and a later reader reloads them through _srb's checkpoint
     ctx.pop("srb")
-    table.to_csv(_out(ctx, "criterion.csv"))
+    _write_csv(_out(ctx, "criterion.csv"), "r,I_r",
+               (table.r_values, table.i_of_r))
     _write_json(_out(ctx, "criterion.json"), table.report())
     ctx["criterion"] = table
 
@@ -349,18 +355,25 @@ def stage_transversality(ctx):
                            tail_depth=cfg.tail_depth,
                            pair_budget=cfg.pair_budget, seed=cfg.seed)
         for inv in _inventories(ctx)])
-    sweep.to_csv(_out(ctx, "ntr.csv"))
-    _write_json(_out(ctx, "ntr.json"), sweep.to_json())
+    reps = sweep.reports
+    columns = [[getattr(rep, name) for rep in reps] for name in (
+        "r", "delta", "n_pairs", "n_ntr", "sum_value", "sum_se")]
+    _write_csv(_out(ctx, "ntr.csv"), "r,delta,n_pairs,n_ntr,sum,sum_se,subsampled",
+               columns + [[int(rep.subsampled) for rep in reps]])
+    _write_json(_out(ctx, "ntr.json"), {
+        "exponent_fit": sweep.exponent,
+        "reports": [dict(_record(rep, "sum_value", "meta"), sum=rep.sum_value)
+                    for rep in reps]})
     ctx["ntr"] = sweep
 
 
 def stage_diagnostics(ctx):
     cfg = ctx["config"]
     rep = run_diagnostics(_spec(ctx), word_depth=cfg.diag_word_depth,
-                          lattice_n=cfg.diag_lattice, depth=cfg.cone_depth,
-                          csv_path=_out(ctx, "diagnostics_lattice.csv"))
-    _write_json(_out(ctx, "diagnostics.json"), rep.to_json())
-    ctx["diagnostics"] = rep
+                          lattice_n=cfg.diag_lattice, depth=cfg.cone_depth)
+    _write_csv(_out(ctx, "diagnostics_lattice.csv"), ",".join(rep.lattice),
+               rep.lattice.values())
+    _write_json(_out(ctx, "diagnostics.json"), _record(rep, "lattice"))
 
 
 def stage_figure(ctx):
@@ -383,20 +396,16 @@ def _trend(values):
 
 
 def stage_verdict(ctx):
-    fit = ctx.get("fatness")
-    table = ctx.get("criterion")
-    sweep = ctx.get("ntr")
-    payload = {
-        "fat": bool(fit.passed) if fit is not None else None,
-        "transversal_window": (_trend([rep.sum_value for rep in sweep.reports])
-                               if sweep is not None else "skipped"),
-        "I_r_window": table.verdict if table is not None else "skipped",
-        "fat_epsilon": fit.epsilon if fit is not None else None,
-        "ntr_exponent": sweep.exponent if sweep is not None else None,
+    """Runs only in ``run_pipeline``, after every other stage succeeded."""
+    fit, sweep = ctx["fatness"], ctx["ntr"]
+    _write_json(_out(ctx, "verdict.json"), {
+        "fat": bool(fit.passed),
+        "transversal_window": _trend([rep.sum_value for rep in sweep.reports]),
+        "I_r_window": ctx["criterion"].verdict,
+        "fat_epsilon": fit.epsilon,
+        "ntr_exponent": sweep.exponent,
         "map_hash": _spec(ctx).map_hash,
-    }
-    _write_json(_out(ctx, "verdict.json"), payload)
-    ctx["verdict"] = payload
+    })
 
 
 STAGES = (

@@ -363,14 +363,6 @@ class NtrSumReport:
     def charged_fraction(self):
         return self.n_ntr / self.n_pairs if self.n_pairs else 0.0
 
-    def as_record(self):
-        return {
-            "r": self.r, "delta": self.delta, "n_pairs": self.n_pairs,
-            "n_ntr": self.n_ntr, "sum": self.sum_value,
-            "exponent_fit": self.exponent_fit,
-            "subsampled": self.subsampled, "sum_se": self.sum_se,
-        }
-
 
 def _live_leads(spec, delta, xg, hull, margin):
     """live[a, b]: leading-symbol pairs a != b whose single-symbol words do
@@ -570,19 +562,6 @@ class NtrSweep:
         for rep in reports:
             rep.exponent_fit = exponent
         return cls(reports=reports, exponent=exponent)
-
-    def to_csv(self, path):
-        lines = ["r,delta,n_pairs,n_ntr,sum,sum_se,subsampled"]
-        for rep in self.reports:
-            lines.append(
-                f"{rep.r!r},{rep.delta!r},{rep.n_pairs},{rep.n_ntr!r},"
-                f"{rep.sum_value!r},{rep.sum_se!r},{int(rep.subsampled)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_json(self):
-        return {"exponent_fit": self.exponent,
-                "reports": [rep.as_record() for rep in self.reports]}
 
 
 def ntr_sweep(spec, r_list, delta, **kwargs):

@@ -20,7 +20,7 @@ axis of its frame is vertical, as for every skew product.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -42,6 +42,7 @@ from .symbolic import _level_starts, _tree_table, check_word, fiber_image
 
 _FRAME_FLOOR = 1e-10
 _PARTNER_OFFSET = 1e-3  # distance of a lattice point's partner along its direction
+_LATTICE_COLUMNS = ("x", "y", "eq12_ratio", "offdiag_ratio", "c2_sample", "c3_sample")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,9 @@ class DiagnosticsReport:
     ``k_stable``, the worst ratio of the fiber contraction accumulated along
     two orbits on one vertical fiber, is exactly 1: every fiber map is
     affine in y, so d psi / d y = slope(u) is the same at both points of a
-    fiber, step after step.
+    fiber, step after step.  ``lattice`` holds the adapted-frame samples:
+    one array per column of ``_LATTICE_COLUMNS``, one entry per lattice
+    point.
     """
 
     k_stable: float
@@ -291,12 +294,10 @@ class DiagnosticsReport:
     route_error: float
     samples_used: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return asdict(self)
+    lattice: dict = field(default_factory=dict)
 
 
-def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, csv_path=None):
+def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10):
     """Estimate every distortion constant on one instance.
 
     Lattice points are taken inside each branch image (so the inverse step
@@ -305,7 +306,8 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, csv_path=None):
     direction.  Each strip's lattice (x major, then t) is evaluated as one
     array pass.  Every lattice point is counted: x lies in [0.02, 0.98] and
     the direction is a unit vector, so the partner's x stays inside [0, 1]
-    and needs no test.  Suprema are over the recorded samples only.
+    and needs no test.  Suprema are over the recorded samples only, which
+    the report's ``lattice`` holds, strip by strip in the same order.
     """
     k2, k4 = _width_constants(spec, word_depth)
     margin_words = [()]
@@ -318,7 +320,7 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, csv_path=None):
     c4 = 0.0
     eq12 = 0.0
     route_err = 0.0
-    rows = []
+    parts = []
     n_lattice = 0
     xs = np.linspace(0.02, 0.98, lattice_n)
     ts = np.linspace(0.05, 0.95, max(2, lattice_n // 8))
@@ -339,15 +341,7 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, csv_path=None):
         eq12 = float(got["eq12_ratio"].max(initial=eq12))
         route_err = float(got["route_error"].max(initial=route_err))
         n_lattice += x.size
-        if csv_path is not None:
-            rows += zip(*(v.ravel().tolist() for v in (
-                z[0], z[1], got["eq12_ratio"], got["offdiag_ratio"],
-                got["c2_sample"], got["c3_sample"])))
-    if csv_path is not None:
-        lines = ["x,y,eq12_ratio,offdiag_ratio,c2_sample,c3_sample"]
-        lines += [",".join(repr(float(v)) for v in row) for row in rows]
-        with open(csv_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        parts.append((x, z[1], *(got[name] for name in _LATTICE_COLUMNS[2:])))
 
     return DiagnosticsReport(
         k_stable=1.0, k2=k2, k3=k3, k4=k4,
@@ -360,4 +354,6 @@ def run_diagnostics(spec, word_depth=8, lattice_n=64, depth=10, csv_path=None):
         samples_used={"lattice": n_lattice,
                       "word_depth": word_depth, "cone_depth": depth},
         meta={"map": spec.label, "hash": spec.map_hash},
+        lattice={name: np.concatenate([p[k].ravel() for p in parts])
+                 for k, name in enumerate(_LATTICE_COLUMNS)},
     )

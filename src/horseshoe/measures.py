@@ -548,17 +548,14 @@ class CriterionTable:
 
     r_values: np.ndarray
     i_of_r: np.ndarray
-    verdict: str
+    verdict: str = "indeterminate"
 
     def loglog_slope(self):
+        """The least-squares slope of log I(r) against log r; None below two
+        radii, where no line is determined."""
+        if len(self.r_values) < 2:
+            return None
         return float(np.polyfit(np.log(self.r_values), np.log(self.i_of_r), 1)[0])
-
-    def to_csv(self, path):
-        lines = ["r,I_r"]
-        for r, v in zip(self.r_values, self.i_of_r):
-            lines.append(f"{float(r)!r},{float(v)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     def report(self):
         return {
@@ -579,7 +576,8 @@ def tsujii_criterion(srb, r_list):
     the factor density is uniform.  The verdict examines only the computed
     window: "bounded" when the three smallest radii vary by less than
     ``_BOUNDED_RATIO``, "diverging" when the log-log slope is at or below
-    ``_DIVERGING_SLOPE``, else "indeterminate"; no limit claim is made.
+    ``_DIVERGING_SLOPE``, else "indeterminate", as it is for a single radius,
+    which has no slope; no limit claim is made.
     """
     r_list = [float(r) for r in r_list]
     if not r_list:
@@ -591,17 +589,18 @@ def tsujii_criterion(srb, r_list):
     i_vals = np.empty(len(r_list))
     for k, r in enumerate(r_list):
         i_vals[k] = float(np.dot(weights, norms[k])) / (r * r)
-    small = i_vals[-3:] if len(i_vals) >= 3 else i_vals
-    slope = float(np.polyfit(np.log(r_list), np.log(i_vals), 1)[0]) if len(r_list) > 1 else 0.0
+    table = CriterionTable(r_values=np.array(r_list), i_of_r=i_vals)
+    slope = table.loglog_slope()
+    if slope is None:
+        return table
+    small = i_vals[-3:]
     # systematic growth toward small r outranks a narrow-window ratio: the
     # window ratio of a slowly diverging sweep can sit below any fixed bound
     if slope <= _DIVERGING_SLOPE:
-        verdict = "diverging"
+        table.verdict = "diverging"
     elif float(small.max()) / float(small.min()) < _BOUNDED_RATIO:
-        verdict = "bounded"
-    else:
-        verdict = "indeterminate"
-    return CriterionTable(r_values=np.array(r_list), i_of_r=i_vals, verdict=verdict)
+        table.verdict = "bounded"
+    return table
 
 
 # ---------------------------------------------------------------------------

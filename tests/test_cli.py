@@ -175,6 +175,17 @@ def test_tiny_full_run(tmp_path, capsys):
             "diagnostics_lattice.csv", "strips_n3.svg", "strips_n3.csv",
             "verdict.json", "manifest.json"} <= names
     assert any(n.startswith("inventory_r") for n in names)
+    # every field of the numeric tables reads as a number: no numpy scalar
+    # repr and no boolean reaches a file
+    for name in ("acip.csv", "criterion.csv", "ntr.csv",
+                 "diagnostics_lattice.csv"):
+        header, *rows = (out / name).read_text().splitlines()
+        assert rows, name
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == header.count(",") + 1, name
+            for value in fields:
+                float(value)
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed_stage"] is None
@@ -295,10 +306,24 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
         "hyperbolicity.json":
             "73ff3d7372f26f00233db5a637ba7ee2ef7e24000d7b5c5abd2fe7832b798a47",
     }),
-], ids=["diagnostics", "figure", "criterion", "validate_affine", "validate_baker"])
+    (["transversality", "--family", "affine", "--seed", "7"], {
+        "ntr.csv":
+            "e1902c56a1bf14ee9960f0879898b071973a2c63aac44704066abd24dde1af2b",
+        "ntr.json":
+            "aefec70261e1a7a088024fe9066d97422294e75ae5f735134fe4b84482d05d8c",
+    }),
+    (["acip", "--family", "affine"], {
+        "acip.csv":
+            "631c0e2d8f81babe69744d684f95b8c05bb01ab947f72d4ce1eb2fb8c2d4539a",
+        "acip.json":
+            "f1b594bd2f99f0763a0e6dc5cb13f3e68ce23d46bdec10baf460c9156d703b6f",
+    }),
+], ids=["diagnostics", "figure", "criterion", "validate_affine", "validate_baker",
+        "transversality", "acip"])
 def test_word_family_outputs_bytes_pinned(tmp_path, args, digests):
-    """The width constants, strip bands, I(r) sweep and hyperbolicity checks
-    (with the estimated alpha and k0) keep their exact bytes."""
+    """The width constants, strip bands, I(r) sweep, hyperbolicity checks
+    (with the estimated alpha and k0), charged sums and base density keep
+    their exact bytes."""
     assert main(args + ["--out", str(tmp_path)]) == 0
     assert {name: cache.file_sha256(tmp_path / name) for name in digests} == digests
 

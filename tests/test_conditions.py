@@ -493,17 +493,6 @@ def test_stratum_pair_draws_match_scalar_loop(ga, gb):
         assert rng.random() == ref_rng.random()
 
 
-def test_ntr_csv_fields_are_plain_numbers(tmp_path):
-    path = tmp_path / "ntr.csv"
-    ntr_sweep(make_baker(2.0 ** -0.5), [2.0 ** -3], 0.1).to_csv(path)
-    header, *rows = path.read_text().splitlines()
-    assert header == "r,delta,n_pairs,n_ntr,sum,sum_se,subsampled"
-    assert rows
-    for row in rows:
-        for field in row.split(","):
-            float(field)
-
-
 def test_sweep_validation(baker06):
     with pytest.raises(ParameterError):
         ntr_sweep(baker06, [0.1, 0.2], delta=0.1)

@@ -3,6 +3,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,17 @@ def test_tsujii_uniform_instance_is_flat_and_bounded():
     assert np.abs(table.i_of_r - want).max() < 1e-12
     assert table.verdict == "bounded"
     assert -0.2 < table.loglog_slope() <= 0.0
+
+
+def test_single_radius_has_no_slope():
+    """One radius determines no log-log line: the slope is None, with no
+    underdetermined fit, and the window verdict is indeterminate."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = tsujii_criterion(_uniform_estimate(), [2.0 ** -3])
+        assert table.loglog_slope() is None
+        assert table.report()["loglog_slope"] is None
+    assert table.verdict == "indeterminate"
 
 
 def test_tsujii_radius_validation(baker_half):

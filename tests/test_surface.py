@@ -10,6 +10,9 @@ the same rule, so a private helper that nothing calls any more fails too.
 Every error class but the base class needs a ``raise`` site in the package,
 as an import alone would count as a use.
 
+Only ``cli.py``, ``cache.py`` and ``figures.py`` open files for writing,
+so every CSV and JSON table of the pipeline is formatted in one place.
+
 A ``RunConfig`` field counts as used when a benchmark workload sets it
 (``perfbench/run.py``), the README shows its flag, or an acceptance check
 passes it to ``RunConfig``.
@@ -183,3 +186,41 @@ def test_every_config_field_is_set_somewhere():
     unused = [f.name for f in dataclasses.fields(RunConfig)
               if f.name not in used and _flag(f.name) not in flags]
     assert not unused, f"RunConfig fields nothing sets: {unused}"
+
+
+def _file_writes(path):
+    """Line numbers of the calls in ``path`` that open a file for writing:
+    ``open`` with a mode holding w, a, x or +, ``write_text`` and
+    ``write_bytes``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if func in ("write_text", "write_bytes") or func == "open" and any(
+                isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                for m in modes):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_writers_write_files():
+    writers = {"cli.py", "cache.py", "figures.py"}
+    found = {path.name: _file_writes(path) for path in PACKAGE.glob("*.py")}
+    assert all(found[name] for name in writers)
+    others = {name: lines for name, lines in found.items()
+              if lines and name not in writers}
+    assert not others, f"files written outside {sorted(writers)}: {others}"
+
+
+def test_file_writes_are_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from pathlib import Path\n\n\n"
+                      "def run(p):\n    open(p).read()\n"
+                      "    open(p, 'rb').read()\n"
+                      "    with open(p, 'w') as fh:\n        fh.write('')\n"
+                      "    open(p, mode='a+').close()\n"
+                      "    Path(p).write_text('')\n"
+                      "    Path(p).write_bytes(b'')\n")
+    assert _file_writes(module) == [7, 9, 10, 11]
