@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from horseshoe import conditions
+from horseshoe.cli import main
 from horseshoe.conditions import (
     classify_transversal,
     fatness_fit,
@@ -491,6 +492,18 @@ def test_stratum_pair_draws_match_scalar_loop(ga, gb):
         ref_I, ref_J = _scalar_stratum_pairs(ga, gb, 500, ref_rng)
         assert I.tolist() == ref_I.tolist() and J.tolist() == ref_J.tolist()
         assert rng.random() == ref_rng.random()
+
+
+def test_ntr_csv_fields_are_plain_numbers(tmp_path):
+    args = ["transversality", "--family", "baker", "--lam", repr(2.0 ** -0.5),
+            "--enum-r", repr(2.0 ** -3), "--delta", "0.1", "--out", str(tmp_path)]
+    assert main(args) == 0
+    header, *rows = (tmp_path / "ntr.csv").read_text().splitlines()
+    assert header == "r,delta,n_pairs,n_ntr,sum,sum_se,subsampled"
+    assert rows
+    for row in rows:
+        for field in row.split(","):
+            float(field)
 
 
 def test_sweep_validation(baker06):
