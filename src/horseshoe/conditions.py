@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .symbolic import (
     BLOCK,
+    _distinct,
     check_word,
     cylinder_table,
     envelope_hulls,
@@ -396,7 +397,7 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     charged = np.zeros(len(I), dtype=bool)
     vals = np.zeros(len(I))
     ks = np.flatnonzero(live)
-    need = np.unique(np.concatenate((I[ks], J[ks])))
+    need = _distinct(np.concatenate((I[ks], J[ks])))
     row = np.empty(len(inv.words), dtype=np.intp)
     row[need] = np.arange(len(need))
     pos_lo, pos_hi, slope_lo, slope_hi = _envelope_rows(
@@ -464,11 +465,11 @@ def ntr_sum(spec, inv, delta, tail_depth=48, pair_budget=100_000, seed=7):
 
     # ordered pair count over distinct leading symbols; by_len[n][s] holds
     # the rows of the words of length n and lead s, in row order
-    lengths = np.unique(inv.lengths).tolist()
+    lengths = _distinct(inv.lengths).tolist()
     by_len = {}
     for n in lengths:
         at = np.flatnonzero(inv.lengths == n)
-        by_len[n] = {s: at[first[at] == s] for s in np.unique(first[at]).tolist()}
+        by_len[n] = {s: at[first[at] == s] for s in _distinct(first[at]).tolist()}
 
     def cross_count(la, lb):
         ga, gb = by_len[la], by_len[lb]

@@ -17,7 +17,6 @@ then costs O(columns * min(2r/h + 1, occupied cells)).
 
 from __future__ import annotations
 
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -32,8 +31,8 @@ from .errors import (
 )
 
 _CHUNK = 1 << 18
-_LANE = 1 << 14  # general-path lift points per lane: 128 KiB per float row, so a lane fits in L2
-_TABLE_LANE = 1 << 16  # table-path lift points per lane: its three rows take 1.1 MiB of a 2 MiB L2
+_LANE = 1 << 14  # general-path lift points per lane, and per binning slice: 128 KiB per float row
+_TABLE_LANE = 1 << 16  # table-path lift points per lane: 33 bytes a point over its five rows
 _SQ_BINS = 256
 _MAX_DISCARD_FRAC = 0.01  # share of samples whose y may fall outside J
 _DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
@@ -194,11 +193,31 @@ def _shared_slope(spec):
     return slopes[0], np.array(offsets)
 
 
-def _sample_chunk(spec, n_iter, m, rng, xy):
+def _lane_rows(spec, m):
+    """The work rows of ``_sample_chunk`` for chunks of up to m points.
+
+    (floats, ints, hit) for lanes of w = min(m, lane) points: float rows x,
+    y and the draws, the branch index row and a bool row; the general path
+    adds float rows A and u and one block row per branch, and int rows for
+    the flat gather index and the column numbers 0 .. w - 1.
+    """
+    table = _shared_slope(spec) is not None
+    w = min(m, _TABLE_LANE if table else _LANE)
+    # idx starts at zero: a one-strip map has no inner break to set it
+    ints = np.zeros((1 if table else 3, w), dtype=np.intp)
+    if not table:
+        ints[2] = np.arange(w)
+    return (np.empty((3 if table else 5 + len(spec.skew), w)), ints,
+            np.empty(w, dtype=bool))
+
+
+def _sample_chunk(spec, n_iter, m, rng, rows):
     """m lift samples (x, y) from ``rng``, by n_iter-step backward composition.
 
-    They are written into the first m columns of the float array ``xy``,
-    shape (2, at least m), and returned as views of its two rows.
+    A generator: it yields the samples lane by lane, each lane's (x, y) as
+    views of the work rows ``rows`` (``_lane_rows``, for chunks of at least
+    m points), which the next lane overwrites, so the caller bins a lane
+    before it asks for the next one.
 
     x is drawn once, uniform on [0,1), and is never stepped.  Each step draws
     one uniform U per sample and takes branch i = the number of inner breaks
@@ -213,14 +232,15 @@ def _sample_chunk(spec, n_iter, m, rng, xy):
     n_iter steps while its rows stay in cache.  A lane reaches its
     positions with a PCG64 copy of ``rng``: ``advance(lo)`` before its x
     and ``advance(m - n)`` before each step, for a lane of n points from
-    point lo.  ``rng`` itself is then advanced past all m * (n_iter + 1)
-    draws, so every output and the generator's final state are those of one
-    pass over the whole chunk, whatever the lane size.
+    point lo.  Once the last lane is taken, ``rng`` itself is advanced past
+    all m * (n_iter + 1) draws, so every sample and the generator's final
+    state are those of one pass over the whole chunk, whatever the lane
+    size.
 
-    The steps reuse lane-sized work rows allocated here once, written
-    through ``out=``; U holds a step's draws and then its coefficients.
-    Gathers use ``take(..., mode="clip")``, which writes ``out`` directly
-    (the default mode buffers it); the branch index is always in range.
+    The steps write the work rows through ``out=``; U holds a step's draws
+    and then its coefficients.  Gathers use ``take(..., mode="clip")``,
+    which writes ``out`` directly (the default mode buffers it); every
+    index is in range.
 
     Fibers with a shared float slope s and float offsets
     (``_shared_slope``) take the table path: A is the same a_k for every
@@ -228,23 +248,26 @@ def _sample_chunk(spec, n_iter, m, rng, xy):
     (a_0 = 1, a_{k+1} = a_k * s), and a step is a draw, the branch index, a
     gather of row k and an add.  Its lanes hold ``_TABLE_LANE`` points, so
     each numpy call runs long next to a hand-off of the GIL between lift
-    threads.  Other fibers take the general path in lanes of ``_LANE``: it
-    evaluates each branch's ``slope`` and ``offset`` on u and keeps each
-    point's own branch with ``np.where``; a coefficient that the last
-    branch shares is evaluated once.  Both paths round A * t, the add and
-    A * s alike, so they give the same bits.
+    threads.  Other fibers take the general path in lanes of ``_LANE``.  A
+    coefficient that every branch holds as one object is evaluated once on
+    u; otherwise each distinct one is evaluated once into its branches'
+    block rows, and each point gathers its own branch's entry at the flat
+    index branch * (block row length) + column.  Both paths round A * t,
+    the add and A * s alike, so they give the same bits.
     """
     inner = spec.base_breaks[1:-1]
-    x, y = xy[0, :m], xy[1, :m]
     shared = _shared_slope(spec)
-    lane = _LANE if shared is None else _TABLE_LANE
-    rows = np.empty((3 if shared is None else 1, min(m, lane)))
-    # idx starts at zero: a one-strip map has no inner break to set it
-    idx_row = np.zeros(rows.shape[1], dtype=np.intp)
-    hit_row = np.empty(rows.shape[1], dtype=bool)
+    floats, ints, hit_row = rows
+    width = min(m, floats.shape[1])
     if shared is None:
         base_slopes = np.array([sk.base_slope for sk in spec.skew], dtype=float)
         base_offsets = np.array([sk.base_offset for sk in spec.skew], dtype=float)
+        fibers = [sk.fiber for sk in spec.skew]
+        # per coefficient, the first branch holding each branch's object
+        owners = {name: [next(j for j, f in enumerate(fibers)
+                              if getattr(f, name) is getattr(g, name))
+                         for g in fibers] for name in ("offset", "slope")}
+        block = floats[5:]
     else:
         s, offsets = shared
         steps = np.empty((n_iter, offsets.size))
@@ -258,28 +281,28 @@ def _sample_chunk(spec, n_iter, m, rng, xy):
 
     def own_branch(name):
         """Each point's own branch's coefficient ``name`` ("slope",
-        "offset"), on the lane's rows."""
-        last = spec.skew[-1].fiber
-        w = last.at(name, u)
-        for i, sk in enumerate(spec.skew[:-1]):
-            if getattr(sk.fiber, name) is not getattr(last, name):
-                np.equal(idx, i, out=hit)
-                w = np.where(hit, sk.fiber.at(name, u), w)
-        return w
+        "offset") at the lane's u."""
+        owner = owners[name]
+        if not any(owner):
+            return fibers[0].at(name, u)
+        for i, j in enumerate(owner):
+            block[i, :n] = fibers[i].at(name, u) if i == j else block[j, :n]
+        block.take(flat, out=U, mode="clip")
+        return U
 
-    for lo in range(0, m, lane):
-        n = min(lane, m - lo)
-        U = rows[0, :n]
-        idx, hit = idx_row[:n], hit_row[:n]
-        B = y[lo:lo + n]
+    for lo in range(0, m, width):
+        n = min(width, m - lo)
+        x, B, U = floats[:3, :n]
+        idx, hit = ints[0, :n], hit_row[:n]
         lane_rng.bit_generator.state = start
         lane_rng.bit_generator.advance(lo)
-        lane_rng.random(out=x[lo:lo + n])
+        lane_rng.random(out=x)
         B.fill(0.0)
         if shared is None:
-            A, u = rows[1:, :n]
+            A, u = floats[3:5, :n]
             A.fill(1.0)
-            np.copyto(u, x[lo:lo + n])
+            np.copyto(u, x)
+            flat, col = ints[1:, :n]
         for k in range(n_iter):
             lane_rng.bit_generator.advance(m - n)
             lane_rng.random(out=U)
@@ -291,6 +314,8 @@ def _sample_chunk(spec, n_iter, m, rng, xy):
                 steps[k].take(idx, out=U, mode="clip")
                 np.add(U, B, out=B)
                 continue
+            np.multiply(idx, block.shape[1], out=flat)
+            np.add(flat, col, out=flat)
             np.multiply(A, own_branch("offset"), out=U)
             np.add(U, B, out=B)
             np.multiply(A, own_branch("slope"), out=A)
@@ -298,50 +323,72 @@ def _sample_chunk(spec, n_iter, m, rng, xy):
             np.subtract(u, U, out=u)
             base_slopes.take(idx, out=U, mode="clip")
             np.divide(u, U, out=u)
+        yield x, B
     rng.bit_generator.advance(m * (n_iter + 1))
-    return x, y
 
 
-def _bin_index(v, lo, hi, n):
-    """Bin of each value among n equal bins on [lo, hi], shifted up by one.
+def _axis(lo, hi, n):
+    """(lo, hi, n, lower): n equal bins on [lo, hi] for ``_bin_index``.
 
     The bins are those of ``np.histogramdd``: edges ``np.linspace(lo, hi,
     n + 1)``, bin k holding edges[k] <= v < edges[k + 1], and the top edge hi
-    folded into the last bin.  Values below lo (and NaN) get 0, values above
-    hi get n + 1.  The arithmetic floor is at most one bin off next to an
-    edge; one comparison with each edge of the guessed bin corrects it.
+    folded into the last bin.  ``lower[s]`` is the lower edge of bin s - 1,
+    shifted up by one to leave bin 0 for values below lo; nudging the top
+    edge up one ulp folds v == hi into bin n.
     """
     edges = np.linspace(lo, hi, n + 1)
-    # lower[s] is the lower edge of shifted bin s; nudging the top edge up one
-    # ulp folds v == hi into bin n
-    lower = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(hi, np.inf)]))
-    t = (v - lo) * (n / (hi - lo))
-    t += 1.0
+    return lo, hi, n, np.concatenate(
+        ([-np.inf], edges[:-1], [np.nextafter(hi, np.inf)]))
+
+
+def _bin_index(v, axis, out, t, hit):
+    """Bin of each value of v on ``axis`` (``_axis``), shifted up by one,
+    written into the intp row ``out``; t and hit are float and bool work
+    rows of v's length.
+
+    Values below lo (and NaN) get 0, values above hi get n + 1.  The
+    arithmetic floor is at most one bin off next to an edge; one comparison
+    with each edge of the guessed bin corrects it.
+    """
+    lo, hi, n, lower = axis
+    np.subtract(v, lo, out=t)
+    np.multiply(t, n / (hi - lo), out=t)
+    np.add(t, 1.0, out=t)
     np.fmax(t, 0.0, out=t)
     np.fmin(t, n, out=t)
-    s = t.astype(np.intp)
-    s -= v < lower.take(s)
-    s += v >= lower.take(s + 1)
-    return s
+    np.copyto(out, t, casting="unsafe")
+    lower.take(out, out=t, mode="clip")
+    np.less(v, t, out=hit)
+    np.subtract(out, hit, out=out)
+    lower[1:].take(out, out=t, mode="clip")
+    np.greater_equal(v, t, out=hit)
+    np.add(out, hit, out=out)
 
 
-def _grid_counts(x, y, nx, ny, yrange, flat):
-    """int64 counts of the points on nx x ny equal bins over [0,1] x yrange.
+def _bin_rows():
+    """The work rows (ix, iy, t, hit) of ``_add_counts``, ``_LANE`` points each."""
+    return (np.empty(_LANE, dtype=np.intp), np.empty(_LANE, dtype=np.intp),
+            np.empty(_LANE), np.empty(_LANE, dtype=bool))
 
-    The same counts as NumPy's two-dimensional histogram with ``bins=[nx, ny]``
-    and ``range=[[0, 1], yrange]``: points outside the range fall into the
-    outlier rim and are dropped.  The flat bin indices are written into the
-    intp array ``flat``, at least as long as x, a lane of ``_LANE`` points
-    at a time, so the temporaries are lane-sized.  The result is the inner
-    slice of the rim-padded bin count, not a copy.
+
+def _add_counts(grid, axes, x, y, work):
+    """Add the points (x, y) to the int64 count ``grid`` on the bins of
+    ``axes`` (an x and a y ``_axis``), as ``np.histogramdd`` counts them.
+
+    ``grid`` is rim-padded, shape (nx + 2, ny + 2): points outside the range
+    land in its rim, and its inner slice holds the histogram.  The points
+    go ``_LANE`` at a time through ``work`` (``_bin_rows``): the flat bin
+    index ix * (ny + 2) + iy, then one ``np.add.at``.
     """
-    flat = flat[:len(x)]
+    flat = grid.reshape(-1)
     for lo in range(0, len(x), _LANE):
-        f = flat[lo:lo + _LANE]
-        np.multiply(_bin_index(x[lo:lo + _LANE], 0.0, 1.0, nx), ny + 2, out=f)
-        f += _bin_index(y[lo:lo + _LANE], yrange[0], yrange[1], ny)
-    counts = np.bincount(flat, minlength=(nx + 2) * (ny + 2))
-    return counts.reshape(nx + 2, ny + 2)[1:-1, 1:-1].astype(np.int64, copy=False)
+        n = min(_LANE, len(x) - lo)
+        ix, iy, t, hit = (row[:n] for row in work)
+        _bin_index(x[lo:lo + n], axes[0], ix, t, hit)
+        _bin_index(y[lo:lo + n], axes[1], iy, t, hit)
+        np.multiply(ix, grid.shape[1], out=ix)
+        np.add(ix, iy, out=ix)
+        np.add.at(flat, ix, 1)
 
 
 def lift_srb(spec, density, n_iter, n_samples, seed,
@@ -361,22 +408,23 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     a map: cell masses off 1/bins by more than 1e-9 relative raise
     ``ParameterError``, as the backward law would be wrong for them.
 
-    Work is split into fixed-size chunks with per-chunk child seeds; each
-    chunk's counts are added in chunk order as they arrive, into the first
-    chunk's arrays, so the outcome is identical for any worker count and
-    only the chunks in flight are held at once.  The calling thread
-    allocates one set of chunk buffers per worker (the (2, chunk) x, y
-    array and the flat bin index row); a chunk borrows a set from a queue
-    and gives it back, even when it fails, so no later chunk waits forever
-    for a set.
-    The worker threads then allocate only lane- and histogram-sized arrays,
-    and their heaps keep no chunk-sized ones.  The samples are counted on
-    equal bins as ``np.histogramdd`` bins them (``_grid_counts``), into
-    ``cond_counts`` over [0,1] x J and the ``_SQ_BINS`` square
-    ``sq_counts``; the samples themselves are not kept.  Those with y
-    outside J fall outside both and are counted as discarded.  More than
-    ``_MAX_DISCARD_FRAC`` of the samples discarded raises
-    ``SampleDiscardError``.
+    Work is split into fixed-size chunks with per-chunk child seeds.  Each
+    of W = min(workers, chunks) workers takes chunks t, t + W, t + 2W, ...
+    and bins every lane as the sampler yields it (``_add_counts``) into its
+    own pair of rim-padded count grids: ``cond`` over [0,1] x J and the
+    ``_SQ_BINS`` square ``sq``.  The calling thread allocates each worker's
+    grids and lane rows: memory that a worker thread frees stays in that
+    thread's malloc arena (glibc), where the later stages, on the calling
+    thread, do not reuse it.  Lane rows allocated in the workers raised the
+    peak of a two-worker ``horseshoe all`` (baker 2^-1/2, 2 * 10^6 samples)
+    by about 5 MiB on Linux x86-64.  Counts are
+    integers, so the grids' sum at the end is the same for any worker
+    count, and the samples themselves are never held beyond a lane.  x lies
+    in [0,1), so the inner ``cond`` counts exactly the points with y in J
+    (its rim takes the rest, NaN too), and each y outside J lies outside
+    sq's range [0,1] as well: the samples missing from the summed ``cond``
+    are the discarded ones.  More than ``_MAX_DISCARD_FRAC`` of the samples
+    discarded raises ``SampleDiscardError``.
     """
     if n_iter < 1:
         raise ParameterError("need at least one iteration to leave the base line")
@@ -395,40 +443,33 @@ def lift_srb(spec, density, n_iter, n_samples, seed,
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(_CHUNK, n_samples - k * _CHUNK) for k in range(n_chunks)]
-    buffers = queue.SimpleQueue()
-    for _ in range(min(workers, n_chunks)):
-        buffers.put((np.empty((2, sizes[0])), np.empty(sizes[0], dtype=np.intp)))
+    cond_axes = (_axis(0.0, 1.0, fiber_bins), _axis(jlo, jhi, y_bins))
+    sq_axes = (_axis(0.0, 1.0, _SQ_BINS),) * 2
+    sets = [(np.zeros((fiber_bins + 2, y_bins + 2), dtype=np.int64),
+             np.zeros((_SQ_BINS + 2, _SQ_BINS + 2), dtype=np.int64),
+             _lane_rows(spec, sizes[0]), _bin_rows())
+            for _ in range(min(workers, n_chunks))]
 
-    def run_chunk(args):
-        child_seed, m = args
-        xy, flat = buffers.get()
-        try:
-            x, y = _sample_chunk(spec, n_iter, m,
-                                 np.random.default_rng(child_seed), xy)
-            # x lies in [0,1), so cond counts exactly the points with y in J
-            # (its rim takes the rest, NaN too); each y outside J lies
-            # outside sq's range [0,1] as well
-            cond = _grid_counts(x, y, fiber_bins, y_bins, (jlo, jhi), flat)
-            sq = _grid_counts(x, y, _SQ_BINS, _SQ_BINS, (0.0, 1.0), flat)
-        finally:
-            buffers.put((xy, flat))
-        return cond, sq, m - int(cond.sum())
+    def run_worker(t):
+        cond, sq, rows, work = sets[t]
+        for k in range(t, n_chunks, len(sets)):
+            rng = np.random.default_rng(seeds[k])
+            for x, y in _sample_chunk(spec, n_iter, sizes[k], rng, rows):
+                _add_counts(cond, cond_axes, x, y, work)
+                _add_counts(sq, sq_axes, x, y, work)
 
-    def merge(results):
-        cond, sq, discarded = next(results)
-        for c, s, d in results:
-            cond += c
-            sq += s
-            discarded += d
-            del c, s  # free this chunk's counts before the next one is made
-        return cond, sq, discarded
-
-    args = zip(seeds, sizes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cond, sq, discarded = merge(pool.map(run_chunk, args))
+    if len(sets) > 1:
+        with ThreadPoolExecutor(max_workers=len(sets)) as pool:
+            list(pool.map(run_worker, range(len(sets))))
     else:
-        cond, sq, discarded = merge(map(run_chunk, args))
+        run_worker(0)
+    cond, sq = sets[0][:2]
+    for c, s, _, _ in sets[1:]:
+        cond += c
+        sq += s
+    del sets
+    cond, sq = cond[1:-1, 1:-1], sq[1:-1, 1:-1]
+    discarded = n_samples - int(cond.sum())
     if discarded > _MAX_DISCARD_FRAC * n_samples:
         raise SampleDiscardError(
             f"{discarded} of {n_samples} samples left the fiber interval J",

@@ -595,3 +595,18 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_pipeline_imports_no_numpy_ma(tmp_path):
+    """A tiny ``all`` never imports ``numpy.ma``; numpy 2.4's ``np.unique``
+    does, at 15 ms and 0.6 MiB, so the word-tree and pair code take
+    distinct symbols from ``symbolic._distinct``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; from horseshoe.cli import main; "
+             f"code = main({['all', *_tiny_args(tmp_path / 'run')]!r}); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"

@@ -29,14 +29,17 @@ from horseshoe.measures import (
     _TABLE_LANE,
     Density1D,
     SrbEstimate,
+    _add_counts,
     _autocorrelation,
+    _axis,
+    _bin_rows,
     _l2_norms,
     _lag_weights,
     density_grid,
     lift_srb,
     load_srb,
     save_srb,
-    _grid_counts,
+    _lane_rows,
     _sample_chunk,
     _shared_slope,
     tsujii_criterion,
@@ -184,10 +187,10 @@ def _lift(spec, n=40_000, iters=12, **kw):
 
 
 def test_lift_worker_count_invariance(baker06, affine):
-    """Three chunks, the last one short, stepped on borrowed buffer sets by
-    two, three or four threads (three sets at most), merge to the one-worker
-    result, on the constant-fiber table path (baker) and on the generic
-    path (affine)."""
+    """Three chunks, the last one short, binned into per-worker grids by
+    two, three or four threads (three grid pairs at most), sum to the
+    one-worker result, on the constant-fiber table path (baker) and on the
+    generic path (affine)."""
     assert _shared_slope(baker06) is not None
     assert _shared_slope(affine) is None
     n = 2 * _CHUNK + 1000
@@ -220,12 +223,11 @@ def _within(seconds, call):
     return value
 
 
-def test_lift_buffer_sets_survive_thread_switching(baker06, affine, monkeypatch):
+def test_lift_worker_grids_survive_thread_switching(baker06, affine, monkeypatch):
     """Forty chunks on eight threads, more than the cores, with the
-    interpreter switching threads every microsecond: two chunks writing one
-    buffer set at once would corrupt each other's points, and a set not
-    given back would leave a chunk waiting.  The counts are the one-worker
-    ones."""
+    interpreter switching threads every microsecond: two workers adding
+    into one grid, or sharing a lane's rows, would lose counts.  The
+    counts are the one-worker ones."""
     monkeypatch.setattr(measures, "_CHUNK", 500)
     kw = dict(n=20_000, iters=4, fiber_bins=16, y_bins=64)
     interval = sys.getswitchinterval()
@@ -240,26 +242,31 @@ def test_lift_buffer_sets_survive_thread_switching(baker06, affine, monkeypatch)
         assert np.array_equal(got.sq_counts, want.sq_counts)
 
 
-def test_failed_chunk_gives_its_buffer_set_back(baker06, monkeypatch):
-    """Two buffer sets, three chunks, and every chunk fails.  The first
-    chunk holds its set until the third has started, and the third can
-    start only on the set the failed second gave back; the error then
-    reaches the caller instead of the pool waiting forever."""
+def test_failed_chunk_error_reaches_caller(baker06, monkeypatch):
+    """Six chunks on two or three workers, one of which fails, on the
+    first worker or on the last chunk: the error reaches the caller in
+    time, and no worker is left waiting."""
     monkeypatch.setattr(measures, "_CHUNK", 500)
-    third = threading.Event()
+    sample = measures._sample_chunk
 
-    def failing(spec, n_iter, m, rng, xy):
-        chunk = rng.bit_generator.seed_seq.spawn_key[-1]
-        if chunk == 2:
-            third.set()
-        if chunk == 0:
-            third.wait(timeout=10)
-        raise RuntimeError("chunk failed")
+    def failing(spec, n_iter, m, rng, rows):
+        if rng.bit_generator.seed_seq.spawn_key[-1] == bad:
+            raise RuntimeError("chunk failed")
+        yield from sample(spec, n_iter, m, rng, rows)
 
     monkeypatch.setattr(measures, "_sample_chunk", failing)
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        _within(30, lambda: _lift(baker06, n=1_500, iters=2, workers=2))
-    assert third.is_set()
+    for workers in (2, 3):
+        for bad in (0, 5):
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                _within(30, lambda: _lift(baker06, n=3_000, iters=2,
+                                          workers=workers))
+
+
+def _samples(spec, n_iter, m, rng):
+    """The sampler's lanes joined into one x and one y array."""
+    lanes = [(x.copy(), y.copy())
+             for x, y in _sample_chunk(spec, n_iter, m, rng, _lane_rows(spec, m))]
+    return tuple(np.concatenate(row) for row in zip(*lanes))
 
 
 def test_lift_counts_samples_outside_j_as_discarded(monkeypatch):
@@ -276,8 +283,7 @@ def test_lift_counts_samples_outside_j_as_discarded(monkeypatch):
     monkeypatch.setattr(measures, "_MAX_DISCARD_FRAC", 1.0)
     srb = lift_srb(spec, dens, iters, n, seed, fiber_bins=16, y_bins=64)
     child = np.random.SeedSequence(seed).spawn(1)[0]
-    x, y = _sample_chunk(spec, iters, n, np.random.default_rng(child),
-                         np.empty((2, n)))
+    x, y = _samples(spec, iters, n, np.random.default_rng(child))
     jlo, jhi = spec.extended_fiber
     good = (y >= jlo) & (y <= jhi)
     assert 0 < srb.discarded == n - int(good.sum()) < n
@@ -687,30 +693,11 @@ def test_sampler_matches_scalar_reference(spec, table, n_iter, m):
     moves a lane's generator past the other lanes' draws."""
     assert _float_fibers(spec) == table
     rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
-    x, y = _sample_chunk(spec, n_iter, m, rng, np.empty((2, m)))
+    x, y = _samples(spec, n_iter, m, rng)
     ref_x, ref_y = _backward_reference(spec, n_iter, m, ref_rng)
     assert x.tobytes() == ref_x.tobytes()
     assert y.tobytes() == ref_y.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("spec", [
-    make_baker(2.0 ** -0.5), make_affine_example(0.8, 0.55),
-], ids=["table_path", "general_path"])
-def test_sampler_writes_into_a_reused_larger_buffer(spec):
-    """A buffer wider than the chunk, holding an earlier chunk's points,
-    gives a short chunk the bits and generator end state of fresh arrays;
-    the columns past the chunk keep the earlier points."""
-    buf = np.empty((2, 3_000))
-    _sample_chunk(spec, 5, 3_000, np.random.default_rng(1), buf)
-    before = buf.copy()
-    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-    x, y = _sample_chunk(spec, 5, 1_234, rng, buf)
-    ref_x, ref_y = _sample_chunk(spec, 5, 1_234, ref_rng, np.empty((2, 1_234)))
-    assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert np.shares_memory(x, buf) and np.shares_memory(y, buf)
-    assert buf[:, 1_234:].tobytes() == before[:, 1_234:].tobytes()
 
 
 def _traced_peak(call):
@@ -755,7 +742,7 @@ def test_sampler_is_lane_independent(spec, monkeypatch):
     fibers with distinct slopes)."""
     def sample():
         rng = np.random.default_rng(77)
-        x, y = _sample_chunk(spec, 6, 2_500, rng, np.empty((2, 2_500)))
+        x, y = _samples(spec, 6, 2_500, rng)
         return x.tobytes(), y.tobytes(), rng.bit_generator.state
 
     expected = sample()
@@ -765,14 +752,24 @@ def test_sampler_is_lane_independent(spec, monkeypatch):
         assert sample() == expected
 
 
+def _drain(lanes):
+    for _ in lanes:
+        pass
+
+
 def test_sampler_working_set_is_lane_sized(affine):
-    """Beyond its two output rows the sampler holds lane-sized work rows and
-    the callable coefficients' lane-sized temporaries: 2 MiB covers them,
-    while chunk-sized work rows would take about 11 MiB more here."""
-    (x, y), peak = _traced_peak(
-        lambda: _sample_chunk(affine, 30, 200_000, np.random.default_rng(3),
-                              np.empty((2, 200_000))))
-    assert peak <= x.nbytes + y.nbytes + (2 << 20)
+    """The general path's work rows (``_lane_rows``) are lane-sized: x, y,
+    the draws, A, u and the two-branch coefficient block at 8 bytes a
+    point, the branch index, flat gather index and column rows at 8 and the
+    hit mask at 1: 81 bytes a point, 1,327,104 bytes at ``_LANE``.  Given
+    its rows, the sampler holds only the callable coefficients' lane-sized
+    temporaries.  Measured on affine 0.8/0.55 at 30 steps and 200,000
+    points: 266,606 bytes.  Chunk-sized rows would take about 15 MiB more."""
+    rows = _lane_rows(affine, 200_000)
+    assert sum(a.nbytes for a in rows) == 81 * _LANE
+    _, peak = _traced_peak(lambda: _drain(
+        _sample_chunk(affine, 30, 200_000, np.random.default_rng(3), rows)))
+    assert peak <= 384 << 10
 
 
 @pytest.mark.parametrize("spec", [
@@ -787,36 +784,46 @@ def test_sampler_draws_no_os_entropy(spec, monkeypatch):
 
     rng = np.random.default_rng(5)
     monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
-    _sample_chunk(spec, 3, 100, rng, np.empty((2, 100)))
+    _samples(spec, 3, 100, rng)
 
 
 def test_table_path_working_set_is_lane_sized():
-    """Beyond its two output rows the table path holds three rows of
-    ``_TABLE_LANE`` points (draws and gathered offsets at 8 bytes a point,
-    the branch index at 8 and the hit mask at 1: 1,114,112 bytes) and the
-    n_iter x branches offset table.  Measured on baker 2^-1/2 at 30 steps
-    and 200,000 points: 1,127,962 bytes above the outputs.  Chunk-sized
-    rows would take about 2.2 MiB more.  The generator is built before the
-    trace: a first ``np.random`` call imports numpy's random module (about
-    0.7 MB), which is no part of the set."""
+    """The table path's work rows are three float rows of ``_TABLE_LANE``
+    points (x, y and the draws, which then take the gathered offsets), the
+    branch index at 8 bytes a point and the hit mask at 1: 2,162,688
+    bytes.  Given its rows, the sampler holds only the n_iter x branches
+    offset table and the lane generator.  Measured on baker 2^-1/2 at 30
+    steps and 200,000 points: 13,422 bytes.  Chunk-sized rows would take
+    about 4.4 MiB more.  The generator is built before the trace: a first
+    ``np.random`` call imports numpy's random module (about 0.7 MB), which
+    is no part of the set."""
     spec = make_baker(2.0 ** -0.5)
     rng = np.random.default_rng(3)
-    (x, y), peak = _traced_peak(
-        lambda: _sample_chunk(spec, 30, 200_000, rng, np.empty((2, 200_000))))
-    assert peak <= x.nbytes + y.nbytes + 17 * _TABLE_LANE + (64 << 10)
+    rows = _lane_rows(spec, 200_000)
+    assert sum(a.nbytes for a in rows) == 33 * _TABLE_LANE
+    _, peak = _traced_peak(lambda: _drain(_sample_chunk(spec, 30, 200_000, rng, rows)))
+    assert peak <= 64 << 10
 
 
 def test_lift_merges_chunk_counts_as_they_arrive(baker06):
-    """Eight chunks peak at the accumulators (the first chunk's rim-padded
-    count arrays) plus one more chunk: its x, y and flat bin indices and
-    its own count arrays.  Measured: 23.4 MiB at the default 256 x 4096
-    bins, the same at two chunks; holding every chunk's counts until the
-    merge read 81.8 MiB."""
+    """Eight chunks, each lane's counts added into its worker's grids as it
+    arrives: the lift peaks at each worker's rim-padded count grids and
+    lane rows, the table path's five rows of ``_TABLE_LANE`` points (33
+    bytes a point, ``_lane_rows``) and the binning's four rows of ``_LANE``
+    points (ix and iy at 8 bytes, t at 8, hit at 1, ``_bin_rows``), with no
+    chunk-sized term.  Measured
+    at the default 256 x 4096 bins: 11.13 MiB on one worker and 22.25 MiB
+    on two, where chunk-sized sample buffers and per-chunk count grids
+    read 23.34 and 38.75 MiB.  A warm-up lift first imports what numpy's
+    random module imports on its first call."""
     dens = ulam_acip(baker06, bins=256)
-    srb, peak = _traced_peak(
-        lambda: lift_srb(baker06, dens, 2, 8 * _CHUNK, seed=1))
-    grids = 8 * ((srb.fiber_bins + 2) * (srb.y_bins + 2) + (srb.sq_bins + 2) ** 2)
-    assert peak <= 2 * grids + 3 * 8 * _CHUNK + (1 << 20)
+    lift_srb(baker06, dens, 2, 1_000, seed=1)
+    rows = 33 * _TABLE_LANE + 25 * _LANE + (128 << 10)
+    for workers in (1, 2):
+        srb, peak = _traced_peak(
+            lambda: lift_srb(baker06, dens, 2, 8 * _CHUNK, seed=1, workers=workers))
+        grids = 8 * ((srb.fiber_bins + 2) * (srb.y_bins + 2) + (srb.sq_bins + 2) ** 2)
+        assert peak <= workers * (grids + rows) + (128 << 10)
 
 
 def test_deep_baker_lift_fills_every_column():
@@ -861,6 +868,9 @@ def test_recorded_fiber_constants_reproduce_value(spec):
     (64, 1200, (-0.1, 1.1)), (256, 256, (0.0, 1.0)), (100, 30, (0.0, 1.0)),
 ], ids=["cond", "sq", "density_grid"])
 def test_grid_counts_match_numpy_histogram(nx, ny, yrange):
+    """``_add_counts`` gives NumPy's two-dimensional histogram, edges, ulps
+    next to them, infinities and NaN included; the points go through
+    rows of ``_LANE`` in three slices, the last one short."""
     rng = np.random.default_rng(7)
 
     def adversarial(lo, hi, n):
@@ -875,10 +885,14 @@ def test_grid_counts_match_numpy_histogram(nx, ny, yrange):
     x = adversarial(0.0, 1.0, nx)
     y = adversarial(yrange[0], yrange[1], ny)
     m = min(x.size, y.size)
+    assert 2 * _LANE < m < 3 * _LANE
+    axes = (_axis(0.0, 1.0, nx), _axis(yrange[0], yrange[1], ny))
+    work = _bin_rows()
     for xs, ys in [(x[:m], y[:m]), (x[:m], np.sort(y[:m])),
                    (np.sort(x[:m]), np.sort(y[:m]))]:
         want, _, _ = np.histogram2d(xs, ys, bins=[nx, ny],
                                     range=[[0.0, 1.0], list(yrange)])
-        got = _grid_counts(xs, ys, nx, ny, yrange, np.empty(m, dtype=np.intp))
-        assert got.dtype == np.int64 and got.shape == (nx, ny)
-        assert np.array_equal(got, want.astype(np.int64))
+        grid = np.zeros((nx + 2, ny + 2), dtype=np.int64)
+        _add_counts(grid, axes, xs, ys, work)
+        assert np.array_equal(grid[1:-1, 1:-1], want.astype(np.int64))
+        assert grid.sum() == m

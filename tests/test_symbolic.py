@@ -455,6 +455,11 @@ def test_bad_symbols_rejected(baker06):
         check_word(baker06, (1, 3))
     with pytest.raises(ParameterError):
         fiber_image(baker06, (0,), 0.5)
+    # word rows: a symbol out of range in any row, or a non-integer array
+    for rows in (np.array([[1, 2], [3, 1]]), np.array([[1, 2], [-1, 1]]),
+                 np.array([[1.0, 2.0]]), np.array([["1", "2"]])):
+        with pytest.raises(ParameterError):
+            fiber_image(baker06, rows, 0.5)
     with pytest.raises(ParameterError):
         check_word(baker06, (1.7, 2.2))
     with pytest.raises(ParameterError):
