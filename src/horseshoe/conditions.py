@@ -357,7 +357,6 @@ class NtrSumReport:
     n_ntr: float
     subsampled: bool = False
     sum_se: float = 0.0
-    exponent_fit: float | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -388,11 +387,11 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
 
     Pairs not marked ``live`` (pruned by their leads) are never charged.
     The envelopes of the words in live pairs are built once, then the live
-    pairs are classified ``BLOCK`` rows at a time: the slope gap first, then
-    the position gap and the overlap from the block's four position rows,
-    so a block holds at most four gathered envelope rows per pair at once.
-    Returns the charged flags and the charged values vol * |I_a| * |I_b|
-    (zero when uncharged).
+    pairs are classified ``BLOCK`` rows at a time in one workspace of three
+    float and two bool rows per pair, allocated once per call: the gaps go
+    in place through the IEEE operations of ``_gap``, and only pairs with a
+    grid point not ``_certified`` (charged) build their overlap.  Returns
+    the charged flags and values vol * |I_a| * |I_b| (zero when uncharged).
     """
     charged = np.zeros(len(I), dtype=bool)
     vals = np.zeros(len(I))
@@ -402,18 +401,31 @@ def _charged_pairs(spec, inv, I, J, live, xg, hull, delta, margin):
     row[need] = np.arange(len(need))
     pos_lo, pos_hi, slope_lo, slope_hi = _envelope_rows(
         spec, inv.words[need], xg, hull)
+    shape = (min(BLOCK, len(ks)), xg.size)
+    u, v, w = (np.empty(shape) for _ in range(3))
+    cert, more = (np.empty(shape, dtype=bool) for _ in range(2))
+
+    def take(env, at, out):  # mode "raise" would gather through a temporary
+        return env.take(at, axis=0, out=out, mode="clip")
+
     for start in range(0, len(ks), BLOCK):
         kb = ks[start:start + BLOCK]
         a, b = row[I[kb]], row[J[kb]]
-        slope_gap = _gap(slope_lo[a], slope_hi[a], slope_lo[b], slope_hi[b])
-        pa, qa, pb, qb = pos_lo[a], pos_hi[a], pos_lo[b], pos_hi[b]
-        ch = ~_certified(_gap(pa, qa, pb, qb), slope_gap,
-                         delta, margin).all(axis=1)
-        del slope_gap
-        inter = np.clip(np.minimum(qa, qb) - np.maximum(pa, pb), 0.0, None)
-        kc = kb[ch]
+        x, y, z, c, m = (t[:len(kb)] for t in (u, v, w, cert, more))
+        for lo, hi, flag in ((slope_lo, slope_hi, c), (pos_lo, pos_hi, m)):
+            # _gap in place: maximum(0, maximum(lo_a - hi_b, lo_b - hi_a))
+            np.subtract(take(lo, a, x), take(hi, b, y), out=x)
+            np.subtract(take(lo, b, y), take(hi, a, z), out=y)
+            np.maximum(0.0, np.maximum(x, y, out=x), out=x)
+            np.greater(x, delta + margin, out=flag)
+        ch = ~np.logical_or(c, m, out=c).all(axis=1)
+        kc, a, b = kb[ch], a[ch], b[ch]
+        x, y, z = u[:len(kc)], v[:len(kc)], w[:len(kc)]
+        np.minimum(take(pos_hi, a, x), take(pos_hi, b, y), out=x)
+        np.maximum(take(pos_lo, a, y), take(pos_lo, b, z), out=y)
+        np.clip(np.subtract(x, y, out=x), 0.0, None, out=x)
         charged[kc] = True
-        vals[kc] = (np.trapezoid(inter, xg, axis=-1)[ch]
+        vals[kc] = (np.trapezoid(x, xg, axis=-1)
                     * inv.base_len[I[kc]] * inv.base_len[J[kc]])
     return charged, vals
 
@@ -551,8 +563,8 @@ class NtrSweep:
     def fit(cls, reports):
         """The sweep of ``reports`` with the log-log slope of sum against r.
 
-        Only positive sums enter the fit, and every report records it;
-        all-zero sweeps (exactly tiling families) report None.
+        Only positive sums enter the fit; all-zero sweeps (exactly tiling
+        families) report None.
         """
         pos = [(rep.r, rep.sum_value) for rep in reports if rep.sum_value > 0]
         exponent = None
@@ -560,8 +572,6 @@ class NtrSweep:
             lr = np.log([p[0] for p in pos])
             ls = np.log([p[1] for p in pos])
             exponent = float(np.polyfit(lr, ls, 1)[0])
-        for rep in reports:
-            rep.exponent_fit = exponent
         return cls(reports=reports, exponent=exponent)
 
 

@@ -34,6 +34,7 @@ _CHUNK = 1 << 18
 _LANE = 1 << 14  # general-path lift points per lane, and per binning slice: 128 KiB per float row
 _TABLE_LANE = 1 << 16  # table-path lift points per lane: 33 bytes a point over its five rows
 _SQ_BINS = 256
+_FFT_BUDGET = 1 << 21  # rows x FFT length of one criterion block: 16 MiB a float array
 _MAX_DISCARD_FRAC = 0.01  # share of samples whose y may fall outside J
 _DIVERGING_SLOPE = -0.2  # I(r) log-log slope at or below which it diverges
 _BOUNDED_RATIO = 2.0  # spread of the three smallest-r values of a bounded I(r)
@@ -559,7 +560,9 @@ def _l2_norms(srb, radii):
     the integral is sum over all lags d of a(d) * kappa_r(d) / N^2, with a
     the row's autocorrelation (``_autocorrelation``) and kappa from
     ``_lag_weights``.  The counts are sliced once to the occupied y band, w
-    cells wide; a radius then costs O(rows * min(2r/h + 1, w)).
+    cells wide; a radius then costs O(rows * min(2r/h + 1, w)).  Rows go in
+    blocks of ``_FFT_BUDGET`` // (FFT length), a power of two, so BLAS groups
+    each row as in one block (blocks of 63 rows move the norms by ulps).
     """
     h = srb.y_cell
     for r in radii:
@@ -572,14 +575,17 @@ def _l2_norms(srb, radii):
     if occupied.size == 0:
         return out
     band = counts[:, occupied[0]: occupied[-1] + 1]
-    a = _autocorrelation(band)
-    tot = band.sum(axis=1).astype(float)
-    scale = np.divide(1.0, tot * tot, out=np.zeros_like(tot), where=tot > 0)
-    for k, r in enumerate(radii):
-        lags = min(band.shape[1], int(np.ceil(2.0 * r / h + 1.0)))
-        kappa = _lag_weights(r, h, lags)
-        kappa[1:] *= 2.0  # lags -d and d
-        out[k] = (a[:, :lags] @ kappa) * scale
+    step = max(1, _FFT_BUDGET >> (2 * band.shape[1] - 1).bit_length())
+    for rows in (slice(s, s + step) for s in range(0, len(band), step)):
+        a = _autocorrelation(band[rows])
+        tot = band[rows].sum(axis=1).astype(float)
+        scale = np.divide(1.0, tot * tot, out=np.zeros_like(tot), where=tot > 0)
+        for k, r in enumerate(radii):
+            lags = min(band.shape[1], int(np.ceil(2.0 * r / h + 1.0)))
+            kappa = _lag_weights(r, h, lags)
+            kappa[1:] *= 2.0  # lags -d and d
+            out[k, rows] = (a[:, :lags] @ kappa) * scale
+        del a  # before the next block's transforms
     return out
 
 

@@ -310,7 +310,7 @@ def test_lift_checkpoint_bytes_pinned(tmp_path):
         "ntr.csv":
             "e1902c56a1bf14ee9960f0879898b071973a2c63aac44704066abd24dde1af2b",
         "ntr.json":
-            "aefec70261e1a7a088024fe9066d97422294e75ae5f735134fe4b84482d05d8c",
+            "6a1bdb70a1ac6bd68f4e7a74d54c25408f11d3143c7381222c05581ec36b684e",
     }),
     (["acip", "--family", "affine"], {
         "acip.csv":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from horseshoe.maps import (
     make_custom_skew,
 )
 from horseshoe.symbolic import (
+    BLOCK,
     cylinder_diameter,
     envelope_hulls,
     fiber_step,
@@ -438,6 +440,105 @@ def test_charged_flags_are_the_pair_verdicts(monkeypatch, spec, r, delta):
                 for i, j in zip(seen["I"].tolist(), seen["J"].tolist())]
     assert [s != "transversal" for s in statuses] == seen["charged"].tolist()
     assert {"transversal", "non_transversal"} <= set(statuses)
+
+
+def _charged_pair_args(monkeypatch, spec, r, delta, **kwargs):
+    """The arguments ntr_sum passes to _charged_pairs on M(r)."""
+    seen, charged_pairs = [], conditions._charged_pairs
+    monkeypatch.setattr(conditions, "_charged_pairs",
+                        lambda *args: seen.append(args) or charged_pairs(*args))
+    ntr_sum(spec, m_inventory(spec, r), delta, **kwargs)
+    monkeypatch.setattr(conditions, "_charged_pairs", charged_pairs)
+    return seen[0]
+
+
+def _charged_pairs_one_by_one(spec, inv, I, J, live, xg, hull, delta, margin):
+    """_charged_pairs one pair at a time, from each word's own envelope."""
+    charged, vals, envs = np.zeros(len(I), dtype=bool), np.zeros(len(I)), {}
+    for k in np.flatnonzero(live).tolist():
+        i, j = int(I[k]), int(J[k])
+        ea, eb = (envs.setdefault(w, manifold_envelope(
+            spec, tuple(inv.words[w, :inv.lengths[w]].tolist()), xg, hull))
+            for w in (i, j))
+        if not conditions._certified(*conditions._gap_arrays(ea, eb),
+                                     delta, margin).all():
+            inter = np.clip(np.minimum(ea[1], eb[1]) - np.maximum(ea[0], eb[0]),
+                            0.0, None)
+            charged[k] = True
+            vals[k] = np.trapezoid(inter, xg) * inv.base_len[i] * inv.base_len[j]
+    return charged, vals
+
+
+@pytest.mark.parametrize("spec, r, delta, kwargs, n_live", [
+    (make_baker(2.0 ** -0.5), 2.0 ** -4, 0.1, {}, 1),
+    (make_baker(2.0 ** -0.5), 2.0 ** -4, 0.1, {}, BLOCK),
+    (make_baker(2.0 ** -0.5), 2.0 ** -4, 0.1, {}, BLOCK + 1),
+    (make_baker(2.0 ** -0.5), 2.0 ** -4, 0.1, {"pair_budget": 1000}, None),
+    (make_baker(0.7), 0.18, 0.1, {}, None),
+    (make_affine_example(0.8, 0.55), 2.0 ** -4, 0.015, {}, BLOCK + 1),
+    (make_affine_example(0.8, 0.55), 2.0 ** -5, 0.015, {"pair_budget": 300}, None),
+    (_three_strip_skew(), 2.0 ** -3, 0.05, {"pair_budget": 200}, None),
+    (make_baker(0.4), 0.3, 0.05, {}, 0),
+    (make_baker(0.4), 0.3, 0.05, {"pair_budget": 1}, 0),
+], ids=["baker_exact_1", "baker_exact_BLOCK", "baker_exact_BLOCK+1",
+        "baker_sampled", "baker07_exact", "affine_exact_BLOCK+1",
+        "affine_sampled", "three_strip_sampled", "baker04_no_pairs",
+        "baker04_no_live_pair"])
+def test_charged_pairs_match_pair_by_pair(monkeypatch, spec, r, delta, kwargs, n_live):
+    """The blocked workspace gives every pair the bits of its own
+    classification: the flag from _certified on the pair's gaps, the value
+    from np.trapezoid of its clipped overlap times |I_a| |I_b|.  With
+    ``n_live`` the pairs end at the n-th live one, every third pair dead;
+    ``n_live`` 0 marks leads that separate at delta, so no pair is live."""
+    spec_, inv, I, J, live, *rest = _charged_pair_args(
+        monkeypatch, spec, r, delta, **kwargs)
+    assert live.any() == (n_live != 0)
+    if n_live:
+        live = live.copy()
+        live[::3] = False
+        stop = np.flatnonzero(live)[n_live - 1] + 1
+        I, J, live = I[:stop], J[:stop], live[:stop]
+        assert np.count_nonzero(live) == n_live
+    charged, vals = conditions._charged_pairs(spec_, inv, I, J, live, *rest)
+    want_charged, want_vals = _charged_pairs_one_by_one(spec_, inv, I, J, live, *rest)
+    assert charged.tolist() == want_charged.tolist()
+    assert vals.tobytes() == want_vals.tobytes()
+    if np.count_nonzero(live) > 1:
+        assert 0 < np.count_nonzero(charged) < np.count_nonzero(live)
+
+
+@pytest.mark.parametrize("spec, r, delta, kwargs", [
+    (make_baker(2.0 ** -0.5), 2.0 ** -4, 0.1, {}),
+    (make_affine_example(0.8, 0.55), 2.0 ** -5, 0.0625, {"pair_budget": 20_000}),
+], ids=["baker_2^-4", "affine_2^-5"])
+def test_pair_classification_holds_one_workspace(monkeypatch, spec, r, delta, kwargs):
+    """Once the envelope rows are built, classifying the pairs holds no more
+    than the workspace (three float and two bool rows per pair of a block),
+    np.trapezoid's temporaries for one full block and 128 KiB (3,428 KiB).
+    Measured: 2,076 and 2,788 KiB over the built rows; fresh gathers and
+    gaps per block took 6,260 and 6,248 KiB."""
+    spec_, inv, I, J, live, xg, *rest = _charged_pair_args(
+        monkeypatch, spec, r, delta, **kwargs)
+    assert np.count_nonzero(live) > 4 * BLOCK
+    envelope_rows, built = conditions._envelope_rows, []
+
+    def rows_then_reset(*args):
+        out = envelope_rows(*args)
+        built.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(conditions, "_envelope_rows", rows_then_reset)
+    tracemalloc.start()
+    try:
+        conditions._charged_pairs(spec_, inv, I, J, live, xg, *rest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, trapezoid = _traced_peak(
+        lambda: np.trapezoid(np.zeros((BLOCK, xg.size)), xg, axis=-1))
+    workspace = 26 * BLOCK * xg.size
+    assert peak - built[0] <= workspace + trapezoid + (128 << 10)
 
 
 @pytest.mark.parametrize("r, kwargs, want", [

@@ -513,6 +513,27 @@ def test_criterion_norms_equal_per_radius_norms():
         assert got == float(np.dot(weights, _l2_norms(srb, [r])[0])) / (r * r)
 
 
+@pytest.mark.parametrize("fiber_bins, blocks", [
+    (256, [64, 64, 64, 64]), (200, [64, 64, 64, 8]),
+], ids=["full_blocks", "short_last_block"])
+def test_criterion_row_blocks_keep_one_block_bits(monkeypatch, fiber_bins, blocks):
+    """At y_bins 16,384 the occupied band's FFT is 32,768 long, so the
+    criterion takes its rows 64 at a time; the norms and I(r) keep the bits
+    of one block over every row."""
+    srb = _lift(make_baker(2.0 ** -0.5), n=20_000, fiber_bins=fiber_bins,
+                y_bins=16_384)
+    radii = [2.0 ** -3, 2.0 ** -6, 2.0 ** -10, 2.0 ** -13]
+    seen, autocorrelation = [], measures._autocorrelation
+    monkeypatch.setattr(measures, "_autocorrelation",
+                        lambda band: seen.append(len(band)) or autocorrelation(band))
+    norms, table = _l2_norms(srb, radii), tsujii_criterion(srb, radii)
+    assert seen == 2 * blocks
+    monkeypatch.setattr(measures, "_FFT_BUDGET", 1 << 40)
+    assert _l2_norms(srb, radii).tobytes() == norms.tobytes()
+    assert tsujii_criterion(srb, radii).i_of_r.tobytes() == table.i_of_r.tobytes()
+    assert seen[len(2 * blocks):] == [fiber_bins, fiber_bins]
+
+
 def test_srb_checkpoint_roundtrip(tmp_path, baker06):
     # a nonzero counter that the lift leaves at 0, so a dropped one shows
     srb = dataclasses.replace(_lift(baker06, n=10_000), discarded=1)
